@@ -23,10 +23,18 @@ is bisected down to the boundary within 1e-10 and integration stops with
 The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
 at t0 + theta*(t1-t0) for theta in [0, 1].
+
+``sample_every(ds, visit, first=None)`` builds such a callback: it calls
+``visit(y)`` at t = first, first + ds, ... (``first`` defaults to ``ds``)
+from the dense output of the step that contains each sample time, so
+sampling costs no extra derivative evaluations. Each consumer passes the
+callback to the integrator itself, wrapping it when it needs more per
+step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +112,24 @@ def _dopri_dense(y0, y1, k, h):
         return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
 
     return dense
+
+
+def sample_every(ds, visit, first=None):
+    """Step callback calling ``visit(y)`` at t = first, first + ds, ...
+
+    ``first`` defaults to ``ds``. Each sample time is visited once, from
+    the first accepted step whose end reaches it (within 1e-15).
+    """
+    next_t = ds if first is None else first
+
+    def on_step(t0, y0, t1, y1, dense):
+        nonlocal next_t
+        while next_t <= t1 + 1e-15:
+            theta = (next_t - t0) / (t1 - t0) if t1 > t0 else 1.0
+            visit(dense(min(max(theta, 0.0), 1.0)))
+            next_t += ds
+
+    return on_step
 
 
 def _locate_boundary(dense, inside, theta_lo, theta_hi):
@@ -200,6 +226,10 @@ def integrate_dopri45(
         err_vec = h * (_E @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if math.isnan(err):
+            # NaN compares false against the acceptance test below; an
+            # infinite estimate is rejected there and the step shrinks
+            raise NumericalError(f"error estimate is NaN at t={t!r}")
 
         if err > 1.0:
             stats.n_rejected += 1

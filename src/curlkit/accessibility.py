@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldkit
-from ._ode import integrate_dopri45
+from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 from .pathwork import ParamPath
 
@@ -92,15 +92,6 @@ def zero_work_trace_2d(
             return sign * _unit_perp_2d(F, x, floor)
 
         pts = []
-        record_ds = arclength / max(1, int(steps))
-        state = {"next": record_ds}
-
-        def on_step(s0, xa, s1, xb, dense):
-            while state["next"] <= s1 + 1e-15:
-                theta = (state["next"] - s0) / (s1 - s0) if s1 > s0 else 1.0
-                pts.append(dense(min(max(theta, 0.0), 1.0)))
-                state["next"] += record_ds
-
         res = integrate_dopri45(
             rhs,
             0.0,
@@ -109,7 +100,7 @@ def zero_work_trace_2d(
             atol=atol,
             rtol=rtol,
             inside=lambda x: F.domain.contains(x),
-            on_step=on_step,
+            on_step=sample_every(arclength / max(1, int(steps)), pts.append),
         )
         if res.exited and not truncate_on_exit:
             raise OutOfDomainError(
@@ -233,8 +224,7 @@ def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW
 
         leg_work = 0.0
         leg_pts = []
-        record = eps / samples_per_leg
-        state = {"next": record}
+        sample = sample_every(eps / samples_per_leg, leg_pts.append)
 
         def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
             nonlocal leg_work
@@ -243,10 +233,7 @@ def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW
             gm = float(np.dot(F.value_unchecked(qm), _sign * leg_field(qm, _name)))
             gb = float(np.dot(F.value_unchecked(qb), _sign * leg_field(qb, _name)))
             leg_work += (s1 - s0) / 6.0 * (ga + 4.0 * gm + gb)
-            while state["next"] <= s1 + 1e-15:
-                theta = (state["next"] - s0) / (s1 - s0) if s1 > s0 else 1.0
-                leg_pts.append(dense(min(max(theta, 0.0), 1.0)))
-                state["next"] += record
+            sample(s0, qa, s1, qb, dense)
 
         res = integrate_dopri45(
             rhs,

@@ -16,12 +16,13 @@ therefore *measured* and its drift reported, never asserted.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import darboux, dynamics, fieldkit
+from ._ode import _hermite
 from .errors import NumericalError, OutOfDomainError
 
 
@@ -107,18 +108,7 @@ def auxiliary_hamiltonian(x, p, U, mass):
 def auxiliary_trajectory(prob, x0, v0, cfg):
     """Integrate the auxiliary dynamics m x'' = (F + grad W)/V and report
     the drift of H along it (conserved up to integrator error)."""
-    if cfg.mass != prob.mass:
-        cfg = dynamics.SimConfig(
-            mass=prob.mass,
-            integrator=cfg.integrator,
-            t_end=cfg.t_end,
-            atol=cfg.atol,
-            rtol=cfg.rtol,
-            h_init=cfg.h_init,
-            h_max=cfg.h_max,
-            h=cfg.h,
-            record_dt=cfg.record_dt,
-        )
+    cfg = dataclasses.replace(cfg, mass=prob.mass)
     traj = dynamics.integrate(auxiliary_force(prob), x0, v0, cfg)
     U = prob.potentials.U
     H = traj.kinetic + np.array([U.value(x) for x in traj.x])
@@ -145,15 +135,8 @@ def _hermite_refine(traj, refine):
         h = t[i + 1] - t[i]
         for j in range(1, refine + 1):
             u = j / refine
-            u2, u3 = u * u, u * u * u
-            xi = (
-                (2 * u3 - 3 * u2 + 1) * x[i]
-                + (u3 - 2 * u2 + u) * h * v[i]
-                + (-2 * u3 + 3 * u2) * x[i + 1]
-                + (u3 - u2) * h * v[i + 1]
-            )
             ts.append(t[i] + u * h)
-            xs.append(xi)
+            xs.append(_hermite(x[i], x[i + 1], v[i], v[i + 1], h, u))
     return np.array(ts), np.array(xs)
 
 

@@ -2,9 +2,10 @@
 
 Every command reads one problem file, runs one analysis, writes a JSON
 run report to --out, and writes any series as CSV files next to the
-report (same stem, suffixed). Exit codes: 0 success, 1 usage error,
-2 input error, 3 numerical failure (domain exit, rescaling floor,
-non-convergence), 4 assertion failure.
+report (same stem, suffixed). Exit codes: 0 success, 1 usage error
+(including a parameter the analysis rejects), 2 input error, 3 numerical
+failure (domain exit, rescaling floor, non-convergence, a non-finite
+number in the report), 4 assertion failure.
 
 Reports are deterministic for fixed inputs and seeds: the inputs digest
 is a SHA-256 over the problem file bytes and the canonicalized command
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import __version__, accessibility, auxiliary, darboux, dynamics, exprlang, fieldkit, pathwork
 from .errors import (
-    CurlkitError,
     DimensionMismatchError,
     EvalDomainError,
     NumericalError,
@@ -209,10 +209,13 @@ class Run:
             "assertions": _json_ready(self.assertions),
             "passed": bool(passed),
         }
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise NumericalError("run report holds a non-finite number") from None
         self.out.parent.mkdir(parents=True, exist_ok=True)
         with open(self.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         return EXIT_OK if passed else EXIT_ASSERTION
 
 
@@ -278,10 +281,6 @@ def _sim_config(args, problem):
     )
 
 
-def _residual_results(report):
-    return report.to_dict()
-
-
 # --- command handlers -------------------------------------------------------------
 
 def cmd_classify(args, problem):
@@ -308,7 +307,7 @@ def cmd_verify(args, problem):
     rep = darboux.verify_representation(
         problem.force, problem.potential_set(), region, mode=args.mode
     )
-    run.results = _residual_results(rep)
+    run.results = rep.to_dict()
     run.check("max_residual", rep.max, args.assert_residual)
     return run.finish()
 
@@ -317,7 +316,7 @@ def cmd_vpde(args, problem):
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.vpde_residual(problem.force, _v_field(args, problem), region, mode=args.mode)
-    run.results = _residual_results(rep)
+    run.results = rep.to_dict()
     run.check("max_residual", rep.max, args.assert_residual)
     return run.finish()
 
@@ -337,8 +336,8 @@ def cmd_gauge(args, problem):
         "gauge": args.f,
         "u_prime": exprlang.to_source(transformed.U.tree),
         "v_prime": exprlang.to_source(transformed.V.tree),
-        "residual_before": _residual_results(before),
-        "residual_after": _residual_results(after),
+        "residual_before": before.to_dict(),
+        "residual_after": after.to_dict(),
     }
     run.check("max_residual_after", after.max, args.assert_residual)
     return run.finish()
@@ -352,7 +351,7 @@ def cmd_decompose3d(args, problem):
     V = _v_field(args, problem)
     dec = darboux.decompose3d(problem.force, V, region)
     run.results = {
-        name: _residual_results(rep) for name, rep in dec.diagnostics.items()
+        name: rep.to_dict() for name, rep in dec.diagnostics.items()
     }
     pts = region.samples()
     header = (
@@ -704,7 +703,7 @@ def main(argv=None):
     try:
         problem = load_problem(args.problem)
         return args.handler(args, problem)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ProblemFileError, ParseError) as e:

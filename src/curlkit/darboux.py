@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import exprlang, fieldkit
-from ._ode import integrate_dopri45
+from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 
 GRAD_V_FLOOR = 1e-12
@@ -317,14 +317,8 @@ def decompose3d(F, V, region, admissibility_rtol=1e-6):
     for p in pts:
         sum_resid.append(np.linalg.norm(F.value(p) - f_c(p) - f_nc(p)))
         gauge_dot.append(abs(float(np.dot(V.gradient(p), grad_u(p)))))
-        Jc = fc_field.jacobian(p)
-        curl_fc.append(
-            np.linalg.norm(
-                [Jc[2, 1] - Jc[1, 2], Jc[0, 2] - Jc[2, 0], Jc[1, 0] - Jc[0, 1]]
-            )
-        )
-        Jn = fnc_field.jacobian(p)
-        cn = np.array([Jn[2, 1] - Jn[1, 2], Jn[0, 2] - Jn[2, 0], Jn[1, 0] - Jn[0, 1]])
+        curl_fc.append(np.linalg.norm(fieldkit.curl(fc_field, p, "fd")))
+        cn = fieldkit.curl(fnc_field, p, "fd")
         curl_agree.append(np.linalg.norm(cn - fieldkit.curl(F, p)))
 
     diagnostics = {
@@ -352,20 +346,13 @@ def characteristic_deviation(F, V, x0, s_max, steps=200, atol=1e-11, rtol=1e-11)
         raise OutOfDomainError("start point outside domain", x0)
     v0 = V.value(x0)
     deviation = 0.0
-    record_ds = s_max / max(1, int(steps))
 
     def rhs(s, x):
         return fieldkit.curl(F, x)
 
-    state = {"next": 0.0, "dev": 0.0}
-
-    def on_step(s0, xa, s1, xb, dense):
-        while state["next"] <= s1 + 1e-15:
-            theta = 0.0 if s1 == s0 else (state["next"] - s0) / (s1 - s0)
-            theta = min(max(theta, 0.0), 1.0)
-            x = dense(theta)
-            state["dev"] = max(state["dev"], abs(V.value(x) - v0))
-            state["next"] += record_ds
+    def visit(x):
+        nonlocal deviation
+        deviation = max(deviation, abs(V.value(x) - v0))
 
     res = integrate_dopri45(
         rhs,
@@ -375,11 +362,11 @@ def characteristic_deviation(F, V, x0, s_max, steps=200, atol=1e-11, rtol=1e-11)
         atol=atol,
         rtol=rtol,
         inside=lambda x: F.domain.contains(x),
-        on_step=on_step,
+        on_step=sample_every(s_max / max(1, int(steps)), visit, first=0.0),
     )
     if res.exited:
         raise OutOfDomainError(
             f"characteristic left the domain at s={res.t:.6g}", res.y
         )
-    state["dev"] = max(state["dev"], abs(V.value(res.y) - v0))
-    return float(state["dev"])
+    visit(res.y)
+    return float(deviation)

@@ -16,7 +16,8 @@ coordinates, declared constants, or the builtin functions ``sin cos tan
 exp log sqrt abs pow``. Every node carries the byte span of its source
 text, which error messages reference.
 
-Evaluation is IEEE double precision. ``evaluate_with_gradient`` returns a
+Evaluation is IEEE double precision. ``eval_at(tree, coords, constants)``
+returns the value; ``grad_at`` with the same arguments returns a
 :class:`DualValue` whose partials are exact forward-mode derivatives with
 respect to each declared variable.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -115,14 +115,6 @@ class SyntaxTree:
 
         walk(self.root)
         return found
-
-
-@dataclass(frozen=True)
-class Bindings:
-    """Coordinate values plus the constant table an expression binds to."""
-
-    coords: tuple
-    constants: Mapping = field(default_factory=dict)
 
 
 @dataclass
@@ -580,35 +572,18 @@ def _eval_dual(node, coords, constants, n):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _missing_constants(tree, constants):
-    missing = tree.referenced_constants() - set(constants)
-    if missing:
-        raise EvalDomainError(
-            f"constants not bound: {sorted(missing)}", tree.root.span
-        )
-
-
-def evaluate(tree, bindings):
-    """Evaluate a tree at the given bindings, IEEE double precision."""
-    _missing_constants(tree, bindings.constants)
-    return _eval_float(tree.root, bindings.coords, bindings.constants)
-
-
-def evaluate_with_gradient(tree, bindings):
-    """Evaluate a tree and its exact forward-mode partial derivatives with
-    respect to each declared variable, in declaration order."""
-    _missing_constants(tree, bindings.constants)
-    n = len(tree.variables)
-    return _eval_dual(tree.root, bindings.coords, bindings.constants, n)
-
-
 def eval_at(tree, coords, constants):
-    """evaluate() without the Bindings wrapper; hot-loop entry point."""
+    """Value of ``tree`` at ``coords`` (ordered as ``tree.variables``) with
+    ``constants`` mapping constant names to numbers, in IEEE double
+    precision. An unbound constant or a domain error raises
+    EvalDomainError carrying the failing node's span."""
     return _eval_float(tree.root, coords, constants)
 
 
 def grad_at(tree, coords, constants):
-    """evaluate_with_gradient() without the wrapper; hot-loop entry point."""
+    """Value and exact forward-mode partials of ``tree`` with respect to
+    each declared variable, in declaration order, as a DualValue; the
+    arguments and errors are those of ``eval_at``."""
     return _eval_dual(tree.root, coords, constants, len(tree.variables))
 
 

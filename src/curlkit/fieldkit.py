@@ -9,8 +9,7 @@ falls back to second-order one-sided stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,8 @@ class Box:
 
     def contains(self, p):
         for c, lo, hi, cl, ch in zip(p, self.lo, self.hi, self.closed_lo, self.closed_hi):
-            if c < lo or c > hi:
+            # written so that a NaN coordinate compares false and is rejected
+            if not lo <= c <= hi:
                 return False
             if c == lo and not cl:
                 return False
@@ -308,16 +308,6 @@ def _fd_partial(f, p, axis, h, box):
 
 
 # --- differential operators -------------------------------------------------
-
-def gradient(f, p, mode="analytic"):
-    """Gradient of a scalar field at a point."""
-    return f.gradient(p, mode)
-
-
-def jacobian(F, p, mode="analytic"):
-    """Jacobian matrix dF_i/dx_j of a vector field at a point."""
-    return F.jacobian(p, mode)
-
 
 def curl(F, p, mode="analytic"):
     """Curl at a point: scalar dFy/dx - dFx/dy in 2D, the usual vector in 3D."""

@@ -18,7 +18,6 @@ and the right-hand rule applies to the vertex order in 3D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -132,6 +131,7 @@ class ParamPath:
         return (verts[i + 1] - verts[i]) * n_edges
 
     def reversed(self):
+        """s -> c(1 - s); the closed flag is preserved."""
         if self.is_polyline:
             return ParamPath(
                 self.dimension, vertices=self.vertices[::-1].copy(), closed=self.closed
@@ -142,11 +142,6 @@ class ParamPath:
         return ParamPath(
             self.dimension, trees=trees, constants=self.constants, closed=self.closed
         )
-
-
-def reverse_path(path):
-    """s -> c(1 - s); the closed flag is preserved."""
-    return path.reversed()
 
 
 def _field_at(F, p, s):

@@ -27,10 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import exprlang
 from .darboux import PotentialSet
@@ -63,7 +60,7 @@ class ProblemFile:
     path: str = ""
     raw: bytes = b""
 
-    def potential_set(self, require_w=False):
+    def potential_set(self):
         missing = [k for k in ("U", "V") if k not in self.potentials]
         if missing:
             raise ProblemFileError(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curlkit.dynamics import SimConfig, Trajectory, integrate, kinetic_series, work_energy_residual
+from curlkit.dynamics import SimConfig, Trajectory, integrate, work_energy_residual
 from curlkit.errors import OutOfDomainError
 from curlkit.fieldkit import Box, VectorFieldDef
 
@@ -29,6 +29,15 @@ def test_config_validation():
         SimConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SimConfig(integrator="euler")
+
+
+@pytest.mark.parametrize("name", ["t_end", "atol", "rtol", "h", "h_max", "record_dt"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError):
+        SimConfig(integrator="rk4", **{name: value})
+    with pytest.raises(ValueError):
+        SimConfig(**{name: value})
 
 
 def test_free_particle():
@@ -118,23 +127,22 @@ def test_record_dt_produces_dense_grid():
     assert work_energy_residual(traj) <= 1e-9
 
 
-def test_kinetic_series_values():
+def test_kinetic_values():
     traj = integrate(free_field(), (0, 0), (1, 1), SimConfig(t_end=1.0, mass=2.0))
-    series = kinetic_series(traj)
-    assert series.shape[1] == 2
+    assert traj.kinetic.shape == traj.t.shape
     # m = 2, |v|^2 = 2 -> K = 2 everywhere
-    assert np.allclose(series[:, 1], 2.0, atol=1e-14)
+    assert np.allclose(traj.kinetic, 2.0, atol=1e-14)
 
 
 def test_kinetic_zero_velocity():
     traj = integrate(free_field(), (1, 1), (0, 0), SimConfig(t_end=1.0))
-    assert np.all(kinetic_series(traj)[:, 1] == 0.0)
+    assert np.all(traj.kinetic == 0.0)
 
 
 def test_kinetic_monotone_on_harmonic_quarter_period():
     # from rest at (1, 0): U = (x^2+y^2)/2 decreases along the fall, K rises
     traj = integrate(harmonic_field(), (1, 0), (0, 0), SimConfig(t_end=math.pi / 2))
-    K = kinetic_series(traj)[:, 1]
+    K = traj.kinetic
     assert np.all(np.diff(K) >= -1e-12)
     assert K[-1] > K[0]
 

@@ -7,7 +7,6 @@ import pytest
 from curlkit.errors import EvalDomainError, ParseError
 from curlkit import exprlang
 from curlkit.exprlang import (
-    Bindings,
     BinOp,
     Call,
     Const,
@@ -15,8 +14,8 @@ from curlkit.exprlang import (
     Num,
     Var,
     derivative,
-    evaluate,
-    evaluate_with_gradient,
+    eval_at,
+    grad_at,
     parse,
     parse_in_variables,
     substitute,
@@ -29,13 +28,13 @@ FD_STEP_FACTOR = 6.06e-6
 def ev(source, coords, dimension=2, constants=None):
     constants = constants or {}
     tree = parse(source, dimension, set(constants))
-    return evaluate(tree, Bindings(tuple(coords), constants))
+    return eval_at(tree, tuple(coords), constants)
 
 
 def grad(source, coords, dimension=2, constants=None):
     constants = constants or {}
     tree = parse(source, dimension, set(constants))
-    return evaluate_with_gradient(tree, Bindings(tuple(coords), constants))
+    return grad_at(tree, tuple(coords), constants)
 
 
 def fd_gradient(tree, coords, constants):
@@ -46,8 +45,8 @@ def fd_gradient(tree, coords, constants):
         hi, lo = list(coords), list(coords)
         hi[i] += h
         lo[i] -= h
-        fp = evaluate(tree, Bindings(tuple(hi), constants))
-        fm = evaluate(tree, Bindings(tuple(lo), constants))
+        fp = eval_at(tree, tuple(hi), constants)
+        fm = eval_at(tree, tuple(lo), constants)
         out.append((fp - fm) / (2 * h))
     return np.array(out)
 
@@ -193,7 +192,7 @@ def test_division_by_zero_is_error():
 def test_log_domain_error_carries_span():
     tree = parse("y + log(x)", 2, set())
     with pytest.raises(EvalDomainError) as err:
-        evaluate(tree, Bindings((-1.0, 0.0), {}))
+        eval_at(tree, (-1.0, 0.0), {})
     assert err.value.span == (4, 10)
 
 
@@ -210,7 +209,7 @@ def test_negative_base_fractional_power():
 def test_missing_constant_rejected():
     tree = parse("F0*x", 2, {"F0"})
     with pytest.raises(EvalDomainError):
-        evaluate(tree, Bindings((1.0, 1.0), {}))
+        eval_at(tree, (1.0, 1.0), {})
 
 
 # --- gradients --------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_dual_product_and_chain_rule_exact():
     # (x^2 * y^3)' checked against hand differentiation at several points
     tree = parse("x^2*y^3", 2, set())
     for x, y in [(1.0, 2.0), (0.5, -1.5), (-2.0, 3.0)]:
-        d = evaluate_with_gradient(tree, Bindings((x, y), {}))
+        d = grad_at(tree, (x, y), {})
         assert d.partials[0] == pytest.approx(2 * x * y**3, rel=1e-15)
         assert d.partials[1] == pytest.approx(3 * x**2 * y**2, rel=1e-15)
 
@@ -251,7 +250,7 @@ def test_polynomial_ad_matches_fd(source):
     rng = random.Random(7)
     for _ in range(50):
         coords = (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        d = evaluate_with_gradient(tree, Bindings(coords, {}))
+        d = grad_at(tree, coords, {})
         fd = fd_gradient(tree, coords, {})
         denom = np.maximum(1.0, np.abs(d.partials))
         assert np.all(np.abs(d.partials - fd) / denom <= 1e-6)
@@ -265,7 +264,7 @@ def test_builtins_ad_matches_fd(source):
     rng = random.Random(3)
     for _ in range(40):
         coords = (rng.uniform(0.3, 1.2), 0.0)  # away from domain boundaries
-        d = evaluate_with_gradient(tree, Bindings(coords, {}))
+        d = grad_at(tree, coords, {})
         fd = fd_gradient(tree, coords, {})
         denom = max(1.0, abs(d.partials[0]))
         assert abs(d.partials[0] - fd[0]) / denom <= 1e-6
@@ -274,7 +273,7 @@ def test_builtins_ad_matches_fd(source):
 def test_varying_exponent_gradient():
     # d/dx x^x = x^x (log x + 1)
     tree = parse("x^x", 2, set())
-    d = evaluate_with_gradient(tree, Bindings((1.7, 0.0), {}))
+    d = grad_at(tree, (1.7, 0.0), {})
     expected = 1.7**1.7 * (math.log(1.7) + 1)
     assert d.partials[0] == pytest.approx(expected, rel=1e-14)
 
@@ -314,8 +313,7 @@ def test_print_parse_roundtrip_random_trees():
 
 def test_evaluation_deterministic():
     tree = parse("sin(x)*exp(y) - x/y", 2, set())
-    b = Bindings((0.7, 1.3), {})
-    assert evaluate(tree, b) == evaluate(tree, b)
+    assert eval_at(tree, (0.7, 1.3), {}) == eval_at(tree, (0.7, 1.3), {})
 
 
 # --- substitution and symbolic derivative ------------------------------------
@@ -324,7 +322,7 @@ def test_substitute_gauge_parameter():
     f = parse_in_variables("u + u^3", ("u",))
     u_expr = parse("x*y", 2, set())
     composed = substitute(f, "u", u_expr)
-    val = evaluate(composed, Bindings((2.0, 3.0), {}))
+    val = eval_at(composed, (2.0, 3.0), {})
     assert val == 6.0 + 6.0**3
 
 
@@ -332,7 +330,7 @@ def test_derivative_polynomial():
     f = parse_in_variables("u + u^3", ("u",))
     df = derivative(f, "u")
     for u in [-1.5, 0.0, 0.3, 2.0]:
-        got = evaluate(df, Bindings((u,), {}))
+        got = eval_at(df, (u,), {})
         assert got == pytest.approx(1 + 3 * u * u, rel=1e-14)
 
 
@@ -340,8 +338,8 @@ def test_derivative_matches_dual_on_mixed_expression():
     f = parse_in_variables("sin(u)*exp(u) + u/(1 + u^2)", ("u",))
     df = derivative(f, "u")
     for u in [0.1, 0.9, 2.2]:
-        sym = evaluate(df, Bindings((u,), {}))
-        dual = evaluate_with_gradient(f, Bindings((u,), {}))
+        sym = eval_at(df, (u,), {})
+        dual = grad_at(f, (u,), {})
         assert sym == pytest.approx(dual.partials[0], rel=1e-12)
 
 
@@ -349,6 +347,6 @@ def test_derivative_of_general_power():
     f = parse_in_variables("u^u", ("u",))
     df = derivative(f, "u")
     u = 1.3
-    assert evaluate(df, Bindings((u,), {})) == pytest.approx(
+    assert eval_at(df, (u,), {}) == pytest.approx(
         u**u * (math.log(u) + 1), rel=1e-12
     )

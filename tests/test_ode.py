@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curlkit._ode import integrate_dopri45, integrate_rk4
+from curlkit._ode import integrate_dopri45, integrate_rk4, sample_every
 from curlkit.errors import NumericalError
 
 
@@ -158,3 +158,33 @@ def test_stiff_rejections_counted():
     res = integrate_dopri45(f, 0.0, np.array([2.0]), 1.0,
                             atol=1e-8, rtol=1e-8, h_init=0.5)
     assert res.stats.n_rejected > 0
+
+
+def test_dopri_nan_error_estimate_raises():
+    def f(t, y):
+        return np.array([math.nan if t > 0.5 else 1.0])
+
+    with pytest.raises(NumericalError):
+        integrate_dopri45(f, 0.0, np.array([0.0]), 1.0)
+
+
+@pytest.mark.parametrize("first", [None, 0.0])
+def test_sample_every_hits_each_sample_time_once(first):
+    ds = 0.0137
+    start = ds if first is None else first
+    samples, step_ends = [], []
+    sample = sample_every(ds, samples.append, first=first)
+
+    def on_step(t0, y0, t1, y1, dense):
+        step_ends.append(t1)
+        sample(t0, y0, t1, y1, dense)
+
+    integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0,
+                      atol=1e-10, rtol=1e-10, on_step=on_step)
+    # many steps, each holding several samples or none
+    assert len(step_ends) > 5
+    assert len(samples) == int((1.0 - start) / ds) + 1
+    # a dropped or repeated sample would shift every later one off its time
+    for k, y in enumerate(samples):
+        t = start + k * ds
+        assert y == pytest.approx([math.cos(t), -math.sin(t)], abs=1e-9)

@@ -9,7 +9,6 @@ from curlkit.pathwork import (
     ParamPath,
     QuadratureConfig,
     line_work,
-    reverse_path,
     stokes_work,
 )
 
@@ -95,32 +94,32 @@ def test_unit_square_loop_green_oracle():
 
 
 def test_reverse_negates_loop_value():
-    res = line_work(berry_field(), reverse_path(unit_square()))
+    res = line_work(berry_field(), unit_square().reversed())
     assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_antisymmetry_tight():
     fwd = line_work(berry_field(), unit_square()).value
-    back = line_work(berry_field(), reverse_path(unit_square())).value
+    back = line_work(berry_field(), unit_square().reversed()).value
     assert abs(fwd + back) <= 1e-12
 
 
 def test_roundtrip_nets_zero():
     fwd = line_work(berry_field(), unit_square()).value
-    back = line_work(berry_field(), reverse_path(unit_square())).value
+    back = line_work(berry_field(), unit_square().reversed()).value
     assert abs(fwd + back) <= 1e-12  # work of Gamma then -Gamma
 
 
 def test_reverse_involution_pointwise():
     p = ParamPath.parametric(["s^2", "1 - s"], 2)
-    q = reverse_path(reverse_path(p))
+    q = p.reversed().reversed()
     for s in np.linspace(0, 1, 10):
         assert q.point(s) == pytest.approx(p.point(s), abs=1e-15)
 
 
 def test_reverse_parametric_path():
     p = ParamPath.parametric(["s", "s^2"], 2)
-    r = reverse_path(p)
+    r = p.reversed()
     assert r.point(0.0) == pytest.approx(p.point(1.0), abs=1e-15)
     assert r.point(0.3) == pytest.approx(p.point(0.7), abs=1e-15)
 
@@ -194,7 +193,7 @@ def test_stokes_conservative_zero():
 def test_stokes_reversed_loop_negates():
     F = berry_field()
     a = stokes_work(F, unit_square()).value
-    b = stokes_work(F, reverse_path(unit_square())).value
+    b = stokes_work(F, unit_square().reversed()).value
     assert a == pytest.approx(-b, abs=1e-9)
 
 
