@@ -24,9 +24,8 @@ The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
 at t0 + theta*(t1-t0) for theta in [0, 1].
 
-``sample_every(ds, visit, first=None)`` builds such a callback: it calls
-``visit(y)`` at t = first, first + ds, ... (``first`` defaults to ``ds``)
-from the dense output of the step that contains each sample time, so
+``sample_every(ds, visit)`` builds such a callback: it calls ``visit(y)``
+at t = ds, 2*ds, ... from the dense output of the step that contains each sample time, so
 sampling costs no extra derivative evaluations. Each consumer passes the
 callback to the integrator itself, wrapping it when it needs more per
 step.
@@ -114,13 +113,13 @@ def _dopri_dense(y0, y1, k, h):
     return dense
 
 
-def sample_every(ds, visit, first=None):
-    """Step callback calling ``visit(y)`` at t = first, first + ds, ...
+def sample_every(ds, visit):
+    """Step callback calling ``visit(y)`` at t = ds, 2*ds, ...
 
-    ``first`` defaults to ``ds``. Each sample time is visited once, from
-    the first accepted step whose end reaches it (within 1e-15).
+    Each sample time is visited once, from the first accepted step whose
+    end reaches it (within 1e-15).
     """
-    next_t = ds if first is None else first
+    next_t = ds
 
     def on_step(t0, y0, t1, y1, dense):
         nonlocal next_t
@@ -181,7 +180,6 @@ def integrate_dopri45(
     t_end,
     atol=1e-9,
     rtol=1e-9,
-    h_init=None,
     h_max=None,
     inside=None,
     on_step=None,
@@ -201,10 +199,7 @@ def integrate_dopri45(
     span = t_end - t0
     if h_max is None:
         h_max = span / 10.0
-    if h_init is None:
-        h = min(h_max, span / 100.0)
-    else:
-        h = min(h_init, h_max)
+    h = min(h_max, span / 100.0)
 
     k = np.empty((7, y.size))
     k[0] = f(t, y)

@@ -158,13 +158,19 @@ class Run:
         self.results = {}
         self.artifacts = {}
         self.assertions = []
+        self._writes = []
 
     def artifact_path(self, kind):
         return self.out.with_name(f"{self.out.stem}_{kind}.csv")
 
     def emit(self, kind, series):
+        self.emit_with(kind, lambda path: emit_series(series, path))
+
+    def emit_with(self, kind, write):
+        """Queue ``write(path)`` for the artifact; finish calls it only once
+        the report is known to serialize, so a refused run writes nothing."""
         path = self.artifact_path(kind)
-        emit_series(series, path)
+        self._writes.append(lambda: write(path))
         self.artifacts[kind] = str(path)
 
     def check(self, name, value, threshold, kind="max"):
@@ -214,6 +220,8 @@ class Run:
         except ValueError:
             raise NumericalError("run report holds a non-finite number") from None
         self.out.parent.mkdir(parents=True, exist_ok=True)
+        for write in self._writes:
+            write()
         with open(self.out, "w") as fh:
             fh.write(text + "\n")
         return EXIT_OK if passed else EXIT_ASSERTION
@@ -361,9 +369,7 @@ def cmd_decompose3d(args, problem):
         + [f"Fnc_{a}" for a in "xyz"]
     )
     rows = ([*p, *dec.grad_u(p), *dec.f_c(p), *dec.f_nc(p)] for p in pts)
-    path = run.artifact_path("samples")
-    write_csv(path, header, rows)
-    run.artifacts["samples"] = str(path)
+    run.emit_with("samples", lambda path: write_csv(path, header, rows))
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
     return run.finish()
 
@@ -703,6 +709,9 @@ def main(argv=None):
     try:
         problem = load_problem(args.problem)
         return args.handler(args, problem)
+    # library ValueErrors report parameters the parser cannot check: a
+    # SimConfig field, a non-positive span (--arclength, --s-max, --eps),
+    # --samples or --refine below 1, a gauge --f not in u, a bad --path
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -362,7 +362,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200, atol=1e-11, rtol=1e-11)
         atol=atol,
         rtol=rtol,
         inside=lambda x: F.domain.contains(x),
-        on_step=sample_every(s_max / max(1, int(steps)), visit, first=0.0),
+        on_step=sample_every(s_max / max(1, int(steps)), visit),
     )
     if res.exited:
         raise OutOfDomainError(

@@ -99,6 +99,16 @@ def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_refused_run_writes_no_artifact(tmp_path, problem):
+    # rk4 carries the NaN velocity to the end; the report is refused, and
+    # so is the trajectory CSV that would have gone with it
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), "--x0", "1,0",
+                       "--v0", "nan,1", "--t-end", "1", "--integrator", "rk4")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_exit_assertion(tmp_path, problem):
     code, report = run(tmp_path, "classify", problem(BERRY), "--samples", "20",
                        "--assert-class", "conservative")
@@ -165,3 +175,5 @@ def test_decompose3d_results_keys(tmp_path, problem):
                             "curl_f_nc_agreement"}
     for rep in results.values():
         assert set(rep) == RESIDUAL_KEYS
+    with open(report["artifacts"]["samples"], newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 10
