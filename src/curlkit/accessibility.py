@@ -116,19 +116,16 @@ def zero_work_trace_2d(
     return ParamPath(2, vertices=vertices)
 
 
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    t = 0.0 if denom == 0.0 else float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
 def distance_to_polyline(p, vertices):
+    """Euclidean distance from p to the nearest segment of the polyline."""
     p = np.asarray(p, dtype=float)
-    return min(
-        _point_segment_distance(p, vertices[i], vertices[i + 1])
-        for i in range(len(vertices) - 1)
-    )
+    a = vertices[:-1]
+    ab = np.diff(vertices, axis=0)
+    denom = np.einsum("ij,ij->i", ab, ab)
+    along = np.einsum("ij,ij->i", p - a, ab)
+    # a zero-length segment projects onto its start point
+    t = np.clip(np.divide(along, denom, out=np.zeros_like(along), where=denom != 0.0), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(p - (a + t[:, None] * ab), axis=1)))
 
 
 def reachability_report_2d(F, x0, targets, delta=None, arclength=None, steps=4096):

@@ -16,7 +16,6 @@ digest. CSV numbers carry 17 significant digits and round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -34,6 +33,13 @@ from .errors import (
     ProblemFileError,
 )
 from .problemfile import load_problem
+
+try:
+    # the builtin SHA-256 spares every run the OpenSSL library that hashlib
+    # loads (about 3.6 MB resident), as the standard random module does
+    from _sha256 import sha256
+except ImportError:  # not built, or named _sha2 from Python 3.12 on
+    from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,7 +143,7 @@ def _digest(problem, command, parameters):
         sort_keys=True,
         separators=(",", ":"),
     )
-    h = hashlib.sha256()
+    h = sha256()
     h.update(problem.raw)
     h.update(b"\x00")
     h.update(canon.encode("utf-8"))
@@ -508,9 +514,7 @@ def cmd_trace2d(args, problem):
     if "U" in problem.potentials:
         U = problem.potentials["U"]
         u0 = U.value(x0)
-        run.results["u_deviation"] = max(
-            abs(U.value(p) - u0) for p in trace.vertices
-        )
+        run.results["u_deviation"] = float(np.max(np.abs(U.values(trace.vertices) - u0)))
     run.emit("trace", trace)
     run.check("work", abs(work.value), args.assert_work)
     return run.finish()

@@ -20,6 +20,13 @@ Evaluation is IEEE double precision. ``eval_at(tree, coords, constants)``
 returns the value; ``grad_at`` with the same arguments returns a
 :class:`DualValue` whose partials are exact forward-mode derivatives with
 respect to each declared variable.
+
+``eval_at`` is the single-point path and the reference. ``eval_many``
+evaluates several trees at N points in one walk per tree over NumPy
+columns, making every check of ``eval_at`` over all points at each node.
+If any point fails one, the batch is discarded and the points are
+evaluated again with ``eval_at`` in order, so a batch raises exactly the
+error (type, message and span) that the pointwise loop raises first.
 """
 
 from __future__ import annotations
@@ -585,6 +592,115 @@ def grad_at(tree, coords, constants):
     each declared variable, in declaration order, as a DualValue; the
     arguments and errors are those of ``eval_at``."""
     return _eval_dual(tree.root, coords, constants, len(tree.variables))
+
+
+class _PointFailed(Exception):
+    """Some point of a batch fails a check of the pointwise evaluator."""
+
+
+def _require(ok):
+    # ok is a boolean array, or a plain bool for a subtree without variables
+    if not np.all(ok):
+        raise _PointFailed
+
+
+def _eval_columns(node, cols, constants):
+    """``_eval_float`` over NumPy columns; raises _PointFailed wherever a
+    point may fail one of its checks. Each test is a superset of the
+    pointwise one (NaN fails every comparison here), so a batch that passes
+    holds no point the pointwise evaluator would reject."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return cols[node.index]
+    if isinstance(node, Const):
+        if node.name not in constants:
+            raise _PointFailed
+        return constants[node.name]
+    if isinstance(node, Neg):
+        return -_eval_columns(node.operand, cols, constants)
+    if isinstance(node, BinOp):
+        a = _eval_columns(node.left, cols, constants)
+        b = _eval_columns(node.right, cols, constants)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            out = a * b
+        elif node.op == "/":
+            _require(b != 0.0)
+            out = a / b
+        else:
+            out = _pow_columns(a, b)
+        _require(np.isfinite(out))
+        return out
+    if isinstance(node, Call):
+        if node.func == "pow":
+            a = _eval_columns(node.args[0], cols, constants)
+            b = _eval_columns(node.args[1], cols, constants)
+            out = _pow_columns(a, b)
+            _require(np.isfinite(out))
+            return out
+        x = _eval_columns(node.args[0], cols, constants)
+        if node.func == "exp":
+            _require(x < 709.0)
+            return np.exp(x)
+        if node.func == "log":
+            _require(x > 0.0)
+            return np.log(x)
+        if node.func == "sqrt":
+            _require(x >= 0.0)
+            return np.sqrt(x)
+        if node.func == "abs":
+            return np.abs(x)
+        # math.sin/cos/tan reject infinities, so every non-finite argument
+        # goes to the pointwise evaluator
+        _require(np.isfinite(x))
+        if node.func == "sin":
+            return np.sin(x)
+        if node.func == "cos":
+            return np.cos(x)
+        if node.func == "tan":
+            out = np.tan(x)
+            _require(np.isfinite(out))
+            return out
+        raise _PointFailed
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _pow_columns(a, b):
+    # a zero base with a negative exponent gives inf and a negative base with
+    # a non-integer exponent NaN, both caught by the caller; an infinite
+    # exponent can give a finite power where the pointwise rule fails
+    _require(np.isfinite(a) & np.isfinite(b))
+    return np.power(a, b)
+
+
+def eval_many(trees, columns, constants):
+    """Values of several trees over the same variables at N points, as an
+    array of shape (len(trees), N).
+
+    ``columns`` holds one array of shape (N,) per variable, ordered as
+    ``tree.variables``. Each tree is walked once over whole columns. The
+    results agree with ``eval_at`` to a few ulps: NumPy's ``exp``,
+    ``log``, ``tan`` and ``power`` may round differently from libm in the
+    last bit. Every check of ``eval_at`` is made at each node over all
+    points; if any point fails one, all points are evaluated again with
+    ``eval_at``, point by point and tree by tree within a point, so the
+    error raised is exactly the one the pointwise loop raises first."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = len(cols[0])
+    out = np.empty((len(trees), n))
+    try:
+        with np.errstate(all="ignore"):
+            for row, tree in zip(out, trees):
+                row[:] = _eval_columns(tree.root, cols, constants)
+    except _PointFailed:
+        for i in range(n):
+            coords = tuple(c[i] for c in cols)
+            out[:, i] = [eval_at(tree, coords, constants) for tree in trees]
+    return out
 
 
 # --- tree surgery (substitution and differentiation) -----------------------

@@ -5,16 +5,24 @@ duals on the defining expressions, ``fd`` uses central differences with
 step h = max(1, |x_i|) * 6.06e-6 per axis (cube-root-of-epsilon scaling).
 Points on an open boundary are rejected; on a closed boundary the fd mode
 falls back to second-order one-sided stencils.
+
+``values(P)`` evaluates a field at every row of an (N, dim) array in one
+batch (``exprlang.eval_many``), and ``curl_many`` the analytic curl from
+the symbolic derivative trees. Both apply the ``Box.contains`` rule to
+every row and fail as the pointwise loop would: rows before the first one
+outside the box are evaluated, so their expression errors come first, and
+any batch failure falls back to the pointwise path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang
-from .errors import DimensionMismatchError, OutOfDomainError
+from .errors import DimensionMismatchError, EvalDomainError, OutOfDomainError
 
 FD_STEP_FACTOR = 6.06e-6
 
@@ -35,6 +43,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi):
             raise ValueError("lo and hi must have equal length")
+        if not all(math.isfinite(v) for v in lo + hi):
+            raise ValueError(f"box bounds must be finite: lo={lo} hi={hi}")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError(f"degenerate box: lo={lo} hi={hi}")
         if self.closed_lo is None:
@@ -59,6 +69,16 @@ class Box:
             if c == hi and not ch:
                 return False
         return True
+
+    def contains_rows(self, P):
+        """``contains`` of each row of the (N, dimension) array P, as a
+        boolean array of shape (N,)."""
+        lo, hi = np.array(self.lo), np.array(self.hi)
+        # NaN compares false here too, so a row holding one is outside
+        inside = (P >= lo) & (P <= hi)
+        inside &= (P != lo) | np.array(self.closed_lo)
+        inside &= (P != hi) | np.array(self.closed_hi)
+        return inside.all(axis=1)
 
     def contains_box(self, other):
         return all(a >= b for a, b in zip(other.lo, self.lo)) and all(
@@ -131,6 +151,28 @@ def _as_point(p, dimension):
     return q
 
 
+def _as_points(P, dimension):
+    Q = np.asarray(P, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"expected points of dimension {dimension} as rows, got shape {Q.shape}"
+        )
+    return Q
+
+
+def _rows_in_order(domain, P, evaluate):
+    """``evaluate(Q)`` for the rows Q of P, failing as a loop of pointwise
+    ``value`` calls would: the rows before the first one outside ``domain``
+    are evaluated, so an expression error among them is raised first, and
+    then that row raises OutOfDomainError."""
+    inside = domain.contains_rows(P)
+    k = len(P) if inside.all() else int(np.argmin(inside))
+    out = evaluate(P[:k])
+    if k < len(P):
+        raise OutOfDomainError("point outside field domain", P[k])
+    return out
+
+
 class ScalarFieldDef:
     """Scalar field defined by an expression over a box domain."""
 
@@ -173,6 +215,15 @@ class ScalarFieldDef:
         """Evaluate without the domain-box test; expression-domain errors
         still raise. Integrators probing trial points past a wall use this."""
         return exprlang.eval_at(self.tree, tuple(p), self.constants)
+
+    def values(self, P):
+        """``value`` at each row of the (N, dimension) array P, as an array
+        of shape (N,), from one batch evaluation; errors are those of the
+        pointwise loop (see ``exprlang.eval_many``)."""
+        P = _as_points(P, self.dimension)
+        return _rows_in_order(
+            self.domain, P, lambda Q: exprlang.eval_many([self.tree], Q.T, self.constants)[0]
+        )
 
     def gradient(self, p, mode="analytic"):
         p = _as_point(p, self.dimension)
@@ -225,6 +276,16 @@ class VectorFieldDef:
             [exprlang.eval_at(c.tree, coords, self.constants) for c in self.components]
         )
 
+    def values(self, P):
+        """``value`` at each row of the (N, dimension) array P, as an
+        (N, dimension) array, from one batch evaluation of the components;
+        errors are those of the pointwise loop (see ``exprlang.eval_many``)."""
+        P = _as_points(P, self.dimension)
+        trees = [c.tree for c in self.components]
+        return _rows_in_order(
+            self.domain, P, lambda Q: exprlang.eval_many(trees, Q.T, self.constants).T
+        )
+
     def jacobian(self, p, mode="analytic"):
         p = _as_point(p, self.dimension)
         if not self.domain.contains(p):
@@ -267,6 +328,16 @@ class CallableVectorField:
 
     def value_unchecked(self, p):
         return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=float)
+
+    def values(self, P):
+        """``value`` at each row of the (N, dimension) array P, one sampler
+        call per row."""
+        P = _as_points(P, self.dimension)
+        return _rows_in_order(
+            self.domain,
+            P,
+            lambda Q: np.array([self._fn(q) for q in Q], dtype=float).reshape(-1, self.dimension),
+        )
 
     def jacobian(self, p, mode="fd"):
         if mode != "fd":
@@ -315,6 +386,41 @@ def curl(F, p, mode="analytic"):
     if F.dimension == 2:
         return J[1, 0] - J[0, 1]
     return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
+
+
+# Jacobian entries (component, variable) whose differences make up the
+# curl: d1 - d2 per curl component, in the order of ``curl``
+_CURL_TERMS = {
+    2: ((1, 0), (0, 1)),
+    3: ((2, 1), (1, 2), (0, 2), (2, 0), (1, 0), (0, 1)),
+}
+
+
+def curl_many(F, P):
+    """Analytic ``curl`` at each row of the (N, dimension) array P: shape
+    (N,) in 2D, (N, 3) in 3D.
+
+    An expression field evaluates the symbolic derivative trees of its
+    components in one batch. A row outside the domain, an expression-domain
+    error or a sampler-backed field takes ``curl`` row by row instead, which
+    raises its error and keeps its dual-number rules where the symbolic ones
+    fail: at the kink of abs, d/da abs(a) = abs(a)/a divides by zero, while
+    the dual numbers give 0.
+    """
+    P = _as_points(P, F.dimension)
+    if isinstance(F, VectorFieldDef) and F.domain.contains_rows(P).all():
+        trees = [
+            exprlang.derivative(F.components[i].tree, F.components[i].tree.variables[j])
+            for i, j in _CURL_TERMS[F.dimension]
+        ]
+        try:
+            d = exprlang.eval_many(trees, P.T, F.constants)
+        except EvalDomainError:
+            pass
+        else:
+            c = d[0::2] - d[1::2]
+            return c[0] if F.dimension == 2 else c.T
+    return np.array([curl(F, p) for p in P])
 
 
 def helicity(F, p, mode="analytic"):

@@ -16,7 +16,10 @@ A problem is a JSON document with the exact top-level fields
                 {"type": "random", "count": N, "seed": S}}
 
 Everything is parsed and bound before any command runs; failures raise
-ProblemFileError carrying one diagnostic per offending field. A probe
+ProblemFileError carrying one diagnostic per offending field. Numbers must
+be finite: the JSON literals NaN, Infinity and -Infinity, which Python's
+JSON reader accepts, and literals beyond the double range are rejected in
+mass, constants, domain, region boxes and polyline vertices. A probe
 evaluation guards against declared-singular domains: force components are
 evaluated at the domain corners and center, potentials at the center only
 (potentials are consumed on user-chosen analysis regions, while the force
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from . import exprlang
@@ -79,6 +83,17 @@ class ProblemFile:
         return self.potentials["V"]
 
 
+def _is_finite_number(value):
+    # json.loads reads the literals NaN, Infinity and -Infinity, and a float
+    # literal beyond the double range, as non-finite floats
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the double range
+        return False
+
+
 def _probe_points(box):
     corners = list(itertools.product(*zip(box.lo, box.hi)))
     center = tuple(0.5 * (a + b) for a, b in zip(box.lo, box.hi))
@@ -119,8 +134,8 @@ def load_problem(path):
         for name, value in constants.items():
             if name in coords or name in exprlang.FUNCTION_ARITY:
                 diags.append(f"constants.{name}: collides with a coordinate or function")
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                diags.append(f"constants.{name}: value must be a number")
+            elif not _is_finite_number(value):
+                diags.append(f"constants.{name}: value must be a finite number, got {value!r}")
             else:
                 clean[name] = float(value)
         constants = clean
@@ -136,12 +151,12 @@ def load_problem(path):
     else:
         try:
             box = Box(tuple(ax[0] for ax in domain_spec), tuple(ax[1] for ax in domain_spec))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             diags.append(f"domain: {e}")
 
     mass = doc.get("mass", 1.0)
-    if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass <= 0:
-        diags.append(f"mass: must be a positive number, got {mass!r}")
+    if not _is_finite_number(mass) or mass <= 0:
+        diags.append(f"mass: must be a positive finite number, got {mass!r}")
         mass = 1.0
 
     def parse_expr(source, where, variables=None):
@@ -207,7 +222,7 @@ def load_problem(path):
                 )
             else:
                 diags.append(f"{where}.type: unknown path type {spec['type']!r}")
-        except (CurlkitError, ValueError, TypeError) as e:
+        except (CurlkitError, ValueError, TypeError, OverflowError) as e:
             diags.append(f"{where}: {e}")
 
     regions = {}
@@ -222,7 +237,7 @@ def load_problem(path):
             rbox = Box(
                 tuple(ax[0] for ax in rbox_spec), tuple(ax[1] for ax in rbox_spec)
             )
-        except (TypeError, ValueError, IndexError) as e:
+        except (TypeError, ValueError, IndexError, OverflowError) as e:
             diags.append(f"{where}.box: {e}")
             continue
         if box is not None and not box.contains_box(rbox):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curlkit.accessibility import (
-    KernelFrame,
     bracket_maneuver_3d,
     distance_to_polyline,
     frame_bracket_defect,
@@ -11,7 +10,7 @@ from curlkit.accessibility import (
     zero_work_trace_2d,
 )
 from curlkit.errors import DimensionMismatchError, NumericalError, OutOfDomainError
-from curlkit.fieldkit import Box, Region, ScalarFieldDef, VectorFieldDef
+from curlkit.fieldkit import Box, ScalarFieldDef, VectorFieldDef
 from curlkit.pathwork import line_work
 
 DOM2 = Box((0.05, 0.05), (5.0, 5.0))
@@ -115,6 +114,25 @@ def test_distance_to_polyline():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert distance_to_polyline((0.5, 0.3), verts) == pytest.approx(0.3)
     assert distance_to_polyline((2.0, 1.0), verts) == pytest.approx(1.0)
+
+
+def test_distance_to_polyline_matches_segment_loop():
+    def segment_loop(p, vertices):
+        best = np.inf
+        for a, b in zip(vertices[:-1], vertices[1:]):
+            ab = b - a
+            denom = float(np.dot(ab, ab))
+            t = 0.0 if denom == 0.0 else float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
+            best = min(best, float(np.linalg.norm(p - (a + t * ab))))
+        return best
+
+    rng = np.random.default_rng(11)
+    verts = np.cumsum(rng.normal(size=(300, 2)), axis=0)
+    verts[40] = verts[41]  # a zero-length segment
+    for p in rng.normal(scale=5.0, size=(50, 2)):
+        assert abs(distance_to_polyline(p, verts) - segment_loop(p, verts)) <= 1e-15 * max(
+            1.0, segment_loop(p, verts)
+        )
 
 
 # --- kernel frames -------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from curlkit import exprlang
 from curlkit.darboux import (
-    ClassifyThresholds,
     PotentialSet,
     characteristic_deviation,
     classify,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curlkit.dynamics import SimConfig, Trajectory, integrate, work_energy_residual
+from curlkit.dynamics import SimConfig, integrate, work_energy_residual
 from curlkit.errors import OutOfDomainError
 from curlkit.fieldkit import Box, VectorFieldDef
 

@@ -350,3 +350,188 @@ def test_derivative_of_general_power():
     assert eval_at(df, (u,), {}) == pytest.approx(
         u**u * (math.log(u) + 1), rel=1e-12
     )
+
+
+# --- batch evaluation against the pointwise reference --------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curlkit.exprlang import eval_many
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_EPS = 2.0**-52
+
+
+def _propagated(deriv, err):
+    """|deriv| * err, with no error in meaning no error even where deriv is
+    infinite."""
+    return 0.0 if err == 0.0 else abs(deriv) * err
+
+
+def _value_and_bound(node, coords, constants):
+    """The pointwise value of ``node`` and a first-order bound on how far the
+    batch value may drift from it: each node may round its result by a few
+    ulps differently (NumPy's exp, log, tan and power against libm), and
+    each drift propagates through the derivatives of the nodes above."""
+    sub = lambda n: _value_and_bound(n, coords, constants)  # noqa: E731
+    tree = exprlang.SyntaxTree(node, ("x", "y"), frozenset(constants))
+    value = float(eval_at(tree, coords, constants))
+    if isinstance(node, (Num, Var, Const)):
+        return value, 0.0
+    if isinstance(node, Neg):
+        return value, sub(node.operand)[1]
+    if isinstance(node, BinOp) or (isinstance(node, Call) and node.func == "pow"):
+        (a, ea), (b, eb) = sub(node.left if isinstance(node, BinOp) else node.args[0]), sub(
+            node.right if isinstance(node, BinOp) else node.args[1]
+        )
+        op = node.op if isinstance(node, BinOp) else "^"
+        if op in "+-":
+            drift = ea + eb
+        elif op == "*":
+            drift = _propagated(b, ea) + _propagated(a, eb) + ea * eb
+        elif op == "/":
+            drift = math.inf if abs(b) <= eb else (ea + _propagated(value, eb)) / (abs(b) - eb)
+        else:
+            d_base = b * value / a if a != 0.0 else math.inf
+            d_exp = value * math.log(abs(a)) if a != 0.0 else 0.0
+            drift = _propagated(d_base, ea) + _propagated(d_exp, eb)
+        return value, drift + 4 * _EPS * abs(value)
+    (x, ex) = sub(node.args[0])
+    slope = {
+        "sin": lambda: math.cos(x),
+        "cos": lambda: math.sin(x),
+        "tan": lambda: 1.0 + value * value,
+        "exp": lambda: value,
+        "log": lambda: 1.0 / x,
+        "sqrt": lambda: 0.5 / value if value > 0.0 else math.inf,
+        "abs": lambda: 1.0,
+    }[node.func]()
+    return value, _propagated(slope, ex) + 4 * _EPS * abs(value)
+
+
+_LITERALS = st.sampled_from(["0", "1", "2", "0.5", "3", "1e-3", "709", "1.5"])
+_LEAVES = st.one_of(st.sampled_from(["x", "y", "c"]), _LITERALS)
+
+
+def _extend(children):
+    binary = st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+        lambda t: f"({t[1]} {t[0]} {t[2]})"
+    )
+    unary = st.tuples(
+        st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-"]), children
+    ).map(lambda t: f"{t[0]}({t[1]})")
+    power = st.tuples(children, children).map(lambda t: f"pow({t[0]}, {t[1]})")
+    return st.one_of(binary, unary, power)
+
+
+_SOURCES = st.recursive(_LEAVES, _extend, max_leaves=8)
+_COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), st.floats(-4.0, 4.0))
+_POINTS = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6)
+
+
+def _pointwise(trees, cols, constants):
+    """Loop of eval_at, point-major as a field's value() does it: the values,
+    or the first error raised."""
+    try:
+        return np.array(
+            [[eval_at(t, tuple(c[i] for c in cols), constants) for t in trees]
+             for i in range(len(cols[0]))]
+        ).T
+    except EvalDomainError as e:
+        return e
+
+
+@REPEATABLE
+@given(st.lists(_SOURCES, min_size=1, max_size=2), _POINTS, st.floats(-3.0, 3.0))
+def test_eval_many_matches_eval_at(sources, points, c):
+    constants = {"c": c}
+    trees = [parse(s, 2, {"c"}) for s in sources]
+    cols = list(np.array(points).T)
+    expected = _pointwise(trees, cols, constants)
+    if isinstance(expected, EvalDomainError):
+        with pytest.raises(EvalDomainError) as err:
+            eval_many(trees, cols, constants)
+        assert str(err.value) == str(expected)
+        assert err.value.span == expected.span
+        return
+    got = eval_many(trees, cols, constants)
+    assert got.shape == expected.shape
+    for t, tree in enumerate(trees):
+        for i in range(len(points)):
+            want, drift = _value_and_bound(tree.root, tuple(col[i] for col in cols), constants)
+            assert want == expected[t, i] or (math.isnan(want) and math.isnan(expected[t, i]))
+            have = got[t, i]
+            if math.isnan(want):
+                assert math.isnan(have), (sources[t], points[i])
+            else:
+                assert have == want or abs(have - want) <= 2 * drift, (sources[t], points[i])
+
+
+def test_eval_many_first_failing_point_names_the_error():
+    tree = parse("log(x) + 1/y", 2)
+    cols = [np.array([1.0, 2.0, -1.0, 3.0]), np.array([1.0, 0.0, 1.0, 1.0])]
+    with pytest.raises(EvalDomainError) as err:
+        eval_many([tree], cols, {})
+    assert "division by zero" in str(err.value)  # point 1 fails before point 2
+    assert err.value.span == (9, 12)
+
+
+def test_eval_many_fails_point_major():
+    # as a field's value() loop: every tree at point 0 before any at point 1
+    trees = [parse("log(x)", 2), parse("1/y", 2)]
+    cols = [np.array([1.0, -1.0]), np.array([0.0, 1.0])]
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        eval_many(trees, cols, {})
+    cols = [np.array([-1.0, 1.0]), np.array([0.0, 1.0])]
+    with pytest.raises(EvalDomainError, match="log of non-positive"):
+        eval_many(trees, cols, {})
+
+
+def test_eval_many_batches_subtrees_without_variables(monkeypatch):
+    # a constant subtree yields plain floats, which must pass the checks too
+    tree = parse("x*exp(2) + log(3) - sqrt(4)/tan(1) + pow(2, 0.5)", 2)
+    cols = [np.array([1.0, 2.0]), np.array([0.0, 0.0])]
+    want = [eval_at(tree, (x, 0.0), {}) for x in cols[0]]
+
+    def pointwise(*args):
+        raise AssertionError("batch fell back to eval_at")
+
+    monkeypatch.setattr(exprlang, "eval_at", pointwise)
+    assert eval_many([tree], cols, {})[0] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "source",
+    # x*1e308 + x*1e308 overflows to inf in an unchecked sum
+    ["sin(x*1e308 + x*1e308)", "pow(0.5, x*1e308 + x*1e308)", "pow(-0.5, x*1e308 + x*1e308)"],
+)
+def test_eval_many_non_finite_operand_matches_eval_at(source):
+    tree = parse(source, 2)
+    cols = [np.array([1.0]), np.array([0.0])]
+
+    def outcome(f):
+        try:
+            return f()
+        except (EvalDomainError, ValueError, OverflowError) as e:
+            return type(e), str(e)
+
+    with np.errstate(over="ignore"):  # the pointwise sum overflows in np.float64
+        want = outcome(lambda: [eval_at(tree, (cols[0][0], cols[1][0]), {})])
+        got = outcome(lambda: list(eval_many([tree], cols, {})[0]))
+    assert got == want
+
+
+def test_eval_many_unbound_constant():
+    tree = parse("x*k", 2, {"k"})
+    with pytest.raises(EvalDomainError) as err:
+        eval_many([tree], [np.array([1.0]), np.array([2.0])], {})
+    assert "'k' not bound" in str(err.value)
+
+
+def test_eval_many_exp_threshold_is_pointwise():
+    # NumPy's exp is finite up to ~709.78, the pointwise rule rejects x >= 709
+    tree = parse("exp(x)", 2)
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        eval_many([tree], [np.array([1.0, 709.5]), np.array([0.0, 0.0])], {})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curlkit import exprlang, fieldkit
-from curlkit.errors import DimensionMismatchError, OutOfDomainError
+from curlkit import exprlang
+from curlkit.errors import DimensionMismatchError, EvalDomainError, OutOfDomainError
 from curlkit.fieldkit import (
     Box,
     CallableVectorField,
@@ -10,6 +10,7 @@ from curlkit.fieldkit import (
     ScalarFieldDef,
     VectorFieldDef,
     curl,
+    curl_many,
     helicity,
 )
 
@@ -47,6 +48,12 @@ def test_box_open_boundary():
     open_lo = Box((0, 0), (1, 1), closed_lo=(False, False), closed_hi=(True, True))
     assert not open_lo.contains((0.0, 0.5))
     assert open_lo.contains((1.0, 0.5))
+
+
+def test_box_rejects_non_finite_bounds():
+    for lo, hi in [((0.0, float("nan")), (1.0, 1.0)), ((0.0, 0.0), (float("inf"), 1.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            Box(lo, hi)
 
 
 def test_box_rejects_non_finite_points():
@@ -260,3 +267,97 @@ def test_callable_field_jacobian_fd():
     assert sampler.jacobian(p) == pytest.approx(base.jacobian(p), abs=1e-7)
     with pytest.raises(ValueError):
         sampler.jacobian(p, mode="analytic")
+
+
+# --- batch evaluation -----------------------------------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def _box_and_rows(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    lo = [draw(st.floats(-3.0, 0.0)) for _ in range(dim)]
+    hi = [a + draw(st.floats(0.5, 3.0)) for a in lo]
+    box = Box(
+        lo,
+        hi,
+        closed_lo=tuple(draw(st.booleans()) for _ in range(dim)),
+        closed_hi=tuple(draw(st.booleans()) for _ in range(dim)),
+    )
+
+    def coord(axis):
+        a, b = box.lo[axis], box.hi[axis]
+        return draw(st.one_of(
+            st.sampled_from([a, b, 0.5 * (a + b), a - 1.0, b + 1.0, float("nan"), float("inf")]),
+            st.floats(a, b),
+        ))
+
+    n = draw(st.integers(1, 6))
+    return box, np.array([[coord(i) for i in range(dim)] for _ in range(n)])
+
+
+@REPEATABLE
+@given(_box_and_rows())
+def test_values_apply_the_box_rule_row_by_row(case):
+    box, P = case
+    inside = [box.contains(p) for p in P]
+    assert list(box.contains_rows(P)) == inside
+    sources = ["x + y", "x*y"] if box.dimension == 2 else ["x + z", "y*z", "x - y"]
+    F = VectorFieldDef.from_source(sources, box.dimension, domain=box)
+    U = ScalarFieldDef.from_source(sources[1], box.dimension, domain=box)
+    for field, pointwise in ((F, F.value), (U, U.value)):
+        if all(inside):
+            got = field.values(P)
+            assert np.array_equal(got, np.array([pointwise(p) for p in P]))
+        else:
+            with pytest.raises(OutOfDomainError) as err:
+                field.values(P)
+            first = P[inside.index(False)]
+            assert str(err.value) == str(OutOfDomainError("point outside field domain", first))
+
+
+def test_values_raise_in_row_order():
+    F = VectorFieldDef.from_source(["1/x", "y"], 2, domain=Box((-1, -1), (1, 1)))
+    # row 1 divides by zero before row 2 leaves the domain: value() order
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        F.values([[0.5, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(OutOfDomainError):
+        F.values([[0.5, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        F.values([0.5, 0.0])
+
+
+def test_callable_field_values_per_row():
+    base = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=box2())
+    sampler = CallableVectorField(lambda p: base.value(p), 2, base.domain)
+    P = np.array([[1.0, 2.0], [0.3, 4.0]])
+    assert np.array_equal(sampler.values(P), base.values(P))
+    assert sampler.values(P[:0]).shape == (0, 2)
+    with pytest.raises(OutOfDomainError):
+        sampler.values([[1.0, 2.0], [9.0, 1.0]])
+
+
+def test_curl_many_matches_curl(berry, triple):
+    rng = np.random.default_rng(3)
+    for F in (berry, triple):
+        P = rng.uniform(0.1, 4.9, size=(50, F.dimension))
+        want = np.array([curl(F, p) for p in P])
+        assert curl_many(F, P) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_curl_many_keeps_dual_rules_at_a_kink():
+    # d/dy abs(y) is abs(y)/y symbolically, which divides by zero at y = 0;
+    # the dual numbers give 0 there, as curl() does
+    F = VectorFieldDef.from_source(["abs(y)", "x*abs(x)"], 2, domain=Box((-1, -1), (1, 1)))
+    P = np.array([[0.5, 0.5], [0.25, 0.0], [0.0, -0.5]])
+    assert np.array_equal(curl_many(F, P), np.array([curl(F, p) for p in P]))
+    assert curl_many(F, P)[1] == 0.5
+
+
+def test_curl_many_outside_domain_raises_like_curl(berry):
+    with pytest.raises(OutOfDomainError):
+        curl_many(berry, [[1.0, 1.0], [9.0, 1.0]])

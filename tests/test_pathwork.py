@@ -3,14 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from curlkit.errors import DimensionMismatchError, NumericalError, OutOfDomainError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curlkit.errors import (
+    DimensionMismatchError,
+    EvalDomainError,
+    NumericalError,
+    OutOfDomainError,
+)
 from curlkit.fieldkit import Box, VectorFieldDef
 from curlkit.pathwork import (
     ParamPath,
     QuadratureConfig,
+    WorkResult,
     line_work,
     stokes_work,
 )
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 def berry_field(lo=-1.0, hi=6.0):
@@ -45,6 +56,17 @@ def test_triangle_rule_exact_through_degree_5():
                 total += w * pt[0] ** p * pt[1] ** q
             total *= 0.5  # triangle area
             assert total == pytest.approx(exact(p, q), abs=1e-15), (p, q)
+
+
+def test_gauss_rule_exact_through_degree_9():
+    from curlkit.pathwork import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert _GL_NODES == pytest.approx(nodes, abs=1e-15)
+    assert _GL_WEIGHTS == pytest.approx(weights, abs=1e-15)
+    for p in range(10):
+        exact = (1 - (-1) ** (p + 1)) / (p + 1)  # integral of x^p over [-1, 1]
+        assert float(np.dot(_GL_WEIGHTS, _GL_NODES**p)) == pytest.approx(exact, abs=1e-15), p
 
 
 # --- paths ----------------------------------------------------------------------
@@ -259,3 +281,169 @@ def test_quadrature_nonconvergence_raises():
     path = ParamPath.parametric(["s", "s^3 + 0.2*sin(9*s)"], 2)
     with pytest.raises(NumericalError):
         line_work(F, path, tight)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"atol": 0.0},
+        {"atol": -1e-9},
+        {"rtol": float("nan")},
+        {"rtol": float("inf")},
+        {"initial_segments": 0},
+        {"max_refinements": -1},
+    ],
+)
+def test_quadrature_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**bad)
+
+
+def test_polyline_rejects_non_finite_vertices():
+    with pytest.raises(ValueError, match="finite"):
+        ParamPath.polyline([[0, 0], [float("nan"), 1]])
+
+
+# --- batch quadrature against the pointwise reference ----------------------------
+
+def pointwise_line_work(F, path, q=QuadratureConfig()):
+    """line_work one node at a time: the reference the batch rounds must
+    reproduce (same node order, panels, doubling and errors)."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+
+    def field_at(p, s):
+        try:
+            return F.value(p)
+        except OutOfDomainError:
+            raise OutOfDomainError(f"path leaves the field domain at s={s:.6g}", p) from None
+
+    if path.is_polyline:
+        verts = path.vertices
+        n_edges = len(verts) - 1
+
+        def estimate(k):
+            total = 0.0
+            for i in range(n_edges):
+                edge = verts[i + 1] - verts[i]
+                for j in range(k):
+                    a, b = j / k, (j + 1) / k
+                    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                    panel = 0.0
+                    for node, weight in zip(nodes, weights):
+                        u = mid + half * node
+                        f = field_at(verts[i] + u * edge, (i + u) / n_edges)
+                        panel += weight * float(np.dot(f, edge))
+                    total += panel * half
+            return total, n_edges * k
+
+        panels = max(1, round(q.initial_segments / n_edges))
+    else:
+
+        def estimate(k):
+            total = 0.0
+            for j in range(k):
+                a, b = j / k, (j + 1) / k
+                mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                panel = 0.0
+                for node, weight in zip(nodes, weights):
+                    s = mid + half * node
+                    f = field_at(path.point(s), s)
+                    panel += weight * float(np.dot(f, path.velocity(s)))
+                total += panel * half
+            return total, k
+
+        panels = q.initial_segments
+
+    prev, count = estimate(panels)
+    for _ in range(q.max_refinements):
+        panels *= 2
+        value, count = estimate(panels)
+        err = abs(value - prev)
+        if err <= max(q.atol, q.rtol * abs(value)):
+            return WorkResult(value=value, error_estimate=err, segments=count)
+        prev = value
+    raise NumericalError("line quadrature did not converge")
+
+
+def outcome(work, F, path, q=QuadratureConfig()):
+    try:
+        return work(F, path, q)
+    except (EvalDomainError, OutOfDomainError, NumericalError) as e:
+        return e
+
+
+def assert_same_outcome(F, path, q=QuadratureConfig()):
+    want = outcome(pointwise_line_work, F, path, q)
+    got = outcome(line_work, F, path, q)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    else:
+        assert isinstance(got, WorkResult), got
+        assert got.segments == want.segments
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-14)
+
+
+def test_line_work_matches_pointwise_reference():
+    F = VectorFieldDef.from_source(
+        ["-x*y^2 + sin(y)", "exp(x/3) - x^3"], 2, domain=Box((-1, -1), (3, 3))
+    )
+    for path in [
+        unit_square(),
+        ParamPath.polyline([[0, 0], [2, 0.5], [1.5, 2], [0, 0]]),
+        ParamPath.parametric(["1 + cos(6.28*s)", "1 + sin(6.28*s)"], 2),
+        ParamPath.parametric(["s", "s^3 + 0.2*sin(9*s)"], 2),
+        ParamPath.parametric(["s", "sqrt((s - 0.1)*(s - 0.9))"], 2),  # fails for 0.1 < s < 0.9
+        ParamPath.parametric(["s", "4*s^2"], 2),  # leaves the domain at y = 3
+    ]:
+        assert_same_outcome(F, path)
+    # the field divides by zero along the second edge, which also leaves the domain
+    G = VectorFieldDef.from_source(["1/(y - 1)", "x"], 2, domain=Box((-1, -1), (3, 3)))
+    assert_same_outcome(G, ParamPath.polyline([[0, 0], [1, 1], [4, 1]]))
+
+
+def test_line_work_velocity_at_a_kink_uses_dual_numbers():
+    # one panel puts its middle Gauss node at s = 0.5, where the symbolic
+    # d/ds abs(s - 0.5) = abs(s - 0.5)/(s - 0.5) divides by zero
+    F = VectorFieldDef.from_source(["y", "x"], 2, domain=Box((-1, -1), (2, 2)))
+    path = ParamPath.parametric(["s", "abs(s - 0.5)"], 2)
+    q = QuadratureConfig(initial_segments=1)
+    assert_same_outcome(F, path, q)
+    assert line_work(F, path, q).value == pytest.approx(0.5, abs=1e-12)
+
+
+_CORNER = st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
+
+
+@REPEATABLE
+@given(st.lists(_CORNER, min_size=2, max_size=5), st.booleans())
+def test_line_work_leaving_the_domain_names_the_same_s(corners, parametric):
+    F = berry_field(lo=0.0, hi=2.0)
+    q = QuadratureConfig(initial_segments=4, max_refinements=3, rtol=1e-6)
+    if parametric:
+        (x0, y0), (x1, y1) = corners[:2]
+        path = ParamPath.parametric([f"{x0!r} + {x1 - x0!r}*s", f"{y0!r} + {y1 - y0!r}*s"], 2)
+    else:
+        path = ParamPath.polyline(corners)
+    assert_same_outcome(F, path, q)
+
+
+@st.composite
+def _star_polygon(draw):
+    n = draw(st.integers(3, 7))
+    gaps = [draw(st.floats(0.2, 1.0)) for _ in range(n)]
+    angles = np.cumsum(gaps) * (2 * math.pi / sum(gaps))
+    radii = [draw(st.floats(0.3, 1.0)) for _ in range(n)]
+    cx, cy = draw(st.floats(1.2, 1.8)), draw(st.floats(1.2, 1.8))
+    pts = [[cx + r * math.cos(a), cy + r * math.sin(a)] for r, a in zip(radii, angles)]
+    return ParamPath.polyline(pts + pts[:1])
+
+
+@REPEATABLE
+@given(_star_polygon())
+def test_stokes_equals_line_work_on_star_polygons(loop):
+    F = VectorFieldDef.from_source(
+        ["-x*y^2 + sin(y)", "exp(x/3) - x^3"], 2, domain=Box((0.05, 0.05), (3, 3))
+    )
+    line = line_work(F, loop).value
+    surf = stokes_work(F, loop).value
+    assert surf == pytest.approx(line, rel=1e-8, abs=1e-9)
