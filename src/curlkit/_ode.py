@@ -13,7 +13,9 @@ Two integrators are provided for first-order systems y' = f(t, y):
 ``integrate_rk4``
     Classic fourth-order Runge-Kutta with a fixed step. Each nominal step
     is taken as two half-steps, which supplies an accurate midpoint state;
-    the dense output is a piecewise cubic Hermite on the two halves.
+    the dense output is a piecewise cubic Hermite on the two halves. The
+    end slope f(t1, y1) of the Hermite is the next step's k1, so a step
+    costs eight right-hand sides (plus one for the first k1).
 
 Both drivers support a region guard: when a step (checked at the midpoint
 and the endpoint of its dense output) leaves the admissible set, the step
@@ -22,7 +24,11 @@ is bisected down to the boundary within 1e-10 and integration stops with
 
 The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
-at t0 + theta*(t1-t0) for theta in [0, 1].
+at t0 + theta*(t1-t0) for theta in [0, 1]. Given a 1-D array of k thetas
+it returns the k states as rows of a (k, n) array, each bit-identical to
+the scalar call. A dense callable holds everything of its own step, so it
+stays valid after the integrator has moved on, and callers may keep it to
+evaluate later.
 
 ``sample_every(ds, visit)`` builds such a callback: it calls ``visit(y)``
 at t = ds, 2*ds, ... from the dense output of the step that contains each sample time, so
@@ -107,6 +113,8 @@ def _dopri_dense(y0, y1, k, h):
     r5 = h * (_D @ k)
 
     def dense(theta):
+        if isinstance(theta, np.ndarray):
+            theta = theta[:, None]
         th1 = 1.0 - theta
         return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
 
@@ -249,12 +257,11 @@ def integrate_dopri45(
     return OdeResult(t, y, False, stats)
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1):
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _hermite(y0, y1, f0, f1, h, theta):
@@ -281,7 +288,9 @@ def integrate_rk4(
     """Fixed-step RK4 from t0 to t_end; each nominal step is two half-steps.
 
     The dense output is a piecewise cubic Hermite over the two halves, so
-    dense(0.5) is the half-step state itself.
+    dense(0.5) is the half-step state itself. Its end slope f(t1, y1) is
+    evaluated once, by the first dense call past the midpoint or else as
+    the next step's k1, and serves both.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -290,26 +299,19 @@ def integrate_rk4(
     stats = IntegratorStats()
     y = np.asarray(y0, dtype=float)
     t = float(t0)
+    end_slope = _rk4_end_slope(f, t, y, stats)
 
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         step = min(h, t_end - t)
         half = 0.5 * step
-        ym, f0 = _rk4_step(f, t, y, half)
-        y1, fm = _rk4_step(f, t + half, ym, half)
-        stats.n_fev += 8
+        f0 = end_slope()
+        ym = _rk4_step(f, t, y, half, f0)
+        fm = f(t + half, ym)
+        y1 = _rk4_step(f, t + half, ym, half, fm)
+        stats.n_fev += 7
         stats.n_steps += 1
-
-        f_end_cache = {}
-
-        def dense(theta, _t=t, _step=step, _y0=y, _ym=ym, _y1=y1, _f0=f0, _fm=fm):
-            if theta <= 0.5:
-                return _hermite(_y0, _ym, _f0, _fm, 0.5 * _step, theta * 2.0)
-            if "f1" not in f_end_cache:
-                f_end_cache["f1"] = f(_t + _step, _y1)
-                stats.n_fev += 1
-            return _hermite(
-                _ym, _y1, _fm, f_end_cache["f1"], 0.5 * _step, (theta - 0.5) * 2.0
-            )
+        end_slope = _rk4_end_slope(f, t + step, y1, stats)
+        dense = _rk4_dense(y, ym, y1, f0, fm, end_slope, step)
 
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, step, y, y1, dense, inside, on_step)
@@ -321,3 +323,35 @@ def integrate_rk4(
         y = y1
 
     return OdeResult(t, y, False, stats)
+
+
+def _rk4_end_slope(f, t, y, stats):
+    """f(t, y), evaluated on the first call and cached for the rest."""
+    cache = []
+
+    def slope():
+        if not cache:
+            cache.append(f(t, y))
+            stats.n_fev += 1
+        return cache[0]
+
+    return slope
+
+
+def _rk4_dense(y0, ym, y1, f0, fm, end_slope, step):
+    """Piecewise cubic Hermite over the two half-steps of one rk4 step."""
+    half = 0.5 * step
+
+    def at(theta):
+        if theta <= 0.5:
+            return _hermite(y0, ym, f0, fm, half, theta * 2.0)
+        return _hermite(ym, y1, fm, end_slope(), half, (theta - 0.5) * 2.0)
+
+    def dense(theta):
+        if isinstance(theta, np.ndarray):
+            # one theta at a time: with the few thetas of a call this beats
+            # evaluating both pieces under masks
+            return np.array([at(th) for th in theta.tolist()]).reshape(-1, y0.size)
+        return at(theta)
+
+    return dense

@@ -51,10 +51,10 @@ class AuxiliaryProblem:
                 f"potentials do not represent the force on the region: "
                 f"max residual {rep.max:.3e} > {self.rep_tol:.1e}"
             )
-        v_vals = [abs(self.potentials.V.value(p)) for p in self.region.samples()]
-        v_max = max(v_vals)
+        v_vals = np.abs(self.potentials.V.values(self.region.samples()))
+        v_max = float(np.max(v_vals))
         floor = self.v_floor_rel * v_max
-        if min(v_vals) < floor:
+        if np.min(v_vals) < floor:
             raise NumericalError(
                 f"|V| falls below its floor {floor:.3e} on the region; "
                 "the 1/V momentum rescaling would blow up"
@@ -96,7 +96,17 @@ def auxiliary_force(prob):
             f = f + W.gradient(p)
         return f / v
 
-    return fieldkit.CallableVectorField(fn, F.dimension, F.domain)
+    def batch(P):
+        v = V.values(P)
+        if np.any(np.abs(v) < floor):
+            # ``values`` then takes fn row by row, which names the point
+            raise NumericalError("V below the rescaling floor")
+        f = F.values(P)
+        if W is not None:
+            f = f + np.array([W.gradient(p) for p in P])
+        return f / v[:, None]
+
+    return fieldkit.CallableVectorField(fn, F.dimension, F.domain, batch)
 
 
 def auxiliary_hamiltonian(x, p, U, mass):
@@ -111,7 +121,7 @@ def auxiliary_trajectory(prob, x0, v0, cfg):
     cfg = dataclasses.replace(cfg, mass=prob.mass)
     traj = dynamics.integrate(auxiliary_force(prob), x0, v0, cfg)
     U = prob.potentials.U
-    H = traj.kinetic + np.array([U.value(x) for x in traj.x])
+    H = traj.kinetic + U.values(traj.x)
     drift = float(np.max(np.abs(H - H[0])))
     return traj, drift
 
@@ -185,18 +195,13 @@ def nonlocal_hamiltonian_series(traj, prob, refine=1):
     pbar = p0[None, :] - first
     xbar = x0[None, :] + np.outer(t, v0) - second / m
 
-    H = np.empty(len(t))
-    truncated = False
-    n_valid = len(t)
-    for i, xb in enumerate(xbar):
-        if not U.domain.contains(xb):
-            truncated = True
-            n_valid = i
-            break
-        H[i] = float(np.dot(pbar[i], pbar[i]) / (2.0 * m) + U.value(xb))
-
+    inside = U.domain.contains_rows(xbar)
+    truncated = not inside.all()
+    n_valid = int(np.argmin(inside)) if truncated else len(t)
     if n_valid == 0:
         raise OutOfDomainError("auxiliary position starts outside the domain", x0)
-    t, pbar, xbar, H = t[:n_valid], pbar[:n_valid], xbar[:n_valid], H[:n_valid]
+    t, pbar, xbar = t[:n_valid], pbar[:n_valid], xbar[:n_valid]
+    # matmul takes the kernel of np.dot, so each p . p rounds as np.dot's
+    H = np.matmul(pbar[:, None, :], pbar[:, :, None])[:, 0, 0] / (2.0 * m) + U.values(xbar)
     drift = float(np.max(np.abs(H - H[0])))
     return AuxiliarySeries(t=t, pbar=pbar, xbar=xbar, H=H, drift=drift, truncated=truncated)

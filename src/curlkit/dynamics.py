@@ -7,6 +7,19 @@ the work-energy diagnostic at the integrator's own order: for every
 produced trajectory max |K(t) - K(0) - W_cum(t)| stays at the tolerance
 of the solver (fourth-order step scaling for fixed-step RK4).
 
+The quadrature is deferred and batched. The step callback records each
+interval (its ends in t and in the step's dense-output theta, the dense
+output itself and the two boundary states); once ``QUAD_BLOCK``
+intervals are pending, and at the end, the block is integrated at once.
+Each doubling round evaluates the new nodes of every interval still
+refining through one dense(theta-array) call per step and one batch
+``F.values`` call, with the node thetas, composite sums, per-interval
+convergence test and running work total of a per-node loop. Errors are
+those of that loop: if anything in a block fails, the block is redone one
+interval at a time with the pointwise force, and if the integrator raises,
+the pending intervals are integrated first, so a node error from an
+earlier step is the one raised.
+
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
 ``exited=True``; the example fields are singular on the coordinate axes,
@@ -15,6 +28,7 @@ so running into a wall is an expected outcome, not an exception.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +36,11 @@ from typing import Optional
 import numpy as np
 
 from ._ode import IntegratorStats, integrate_dopri45, integrate_rk4
-from .errors import DimensionMismatchError, EvalDomainError, OutOfDomainError
+from .errors import EVAL_ERRORS, DimensionMismatchError, EvalDomainError, OutOfDomainError
+
+# recorded intervals whose work is computed together; bounds the pending
+# dense outputs and node values
+QUAD_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -94,43 +112,81 @@ def integrate(F, x0, v0, cfg):
     def power(y):
         return float(np.dot(force(y[:dim]), y[dim:]))
 
+    def pointwise_powers(Y):
+        return np.array([power(y) for y in Y])
+
+    def batch_powers(Y):
+        # matmul takes the kernel of np.dot, so each row rounds as in power
+        return np.matmul(F.values(Y[:, :dim])[:, None, :], Y[:, dim:, None])[:, 0, 0]
+
+    def block_work(block, powers):
+        # Simpson on dense-output samples, one composite rule per recorded
+        # interval of the block. For rk4 the panel width is tied to the
+        # half-step, so the quadrature order matches the scheme and the
+        # work-energy defect scales as h^4. For dopri45 panels are doubled
+        # until the increment stabilizes below the controller's own error
+        # budget (wide accepted steps would otherwise dominate). The
+        # intervals still refining share one level, so a doubling round
+        # makes one dense call per step and one ``powers`` call.
+        ta, tb, tha, thb, denses, ya, yb = zip(*block)
+        ta, tb, tha, thb = (np.array(c) for c in (ta, tb, tha, thb))
+        tol = np.maximum(1e-16, cfg.atol * (tb - ta) / cfg.t_end)
+        # g[i, j] is F.v at u = j / k on the i-th refining interval, that
+        # is at the state dense(tha + u * (thb - tha))
+        g = powers(np.array([y for pair in zip(ya, yb) for y in pair])).reshape(-1, 2)
+        k = 1
+        active = np.arange(len(block))
+        out = np.empty(len(block))
+        prev = None
+        while active.size:
+            u = np.arange(1, 2 * k, 2) / (2 * k)  # the new nodes, exact dyadics
+            theta = tha[active, None] + u * (thb - tha)[active, None]
+            states, pos = [], 0
+            # the intervals cut from one step are adjacent and share its dense
+            for dense, group in itertools.groupby(active, key=denses.__getitem__):
+                size = len(list(group))
+                states.append(dense(theta[pos : pos + size].ravel()))
+                pos += size
+            finer = np.empty((active.size, 2 * k + 1))
+            finer[:, ::2] = g
+            finer[:, 1::2] = powers(np.concatenate(states)).reshape(-1, k)
+            g, k = finer, 2 * k
+            n = k // 2  # Simpson panels
+            if cfg.integrator == "rk4" and n < 2:
+                continue
+            # cumsum adds left to right, as a running total does
+            panels = g[:, :-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2]
+            total = np.cumsum(panels, axis=1)[:, -1] * (tb - ta)[active] * (1.0 / n) / 6.0
+            if prev is None:
+                done = np.full(active.size, cfg.integrator == "rk4")
+            else:
+                done = (np.abs(total - prev) <= tol[active]) | (n >= 512)
+            out[active[done]] = total[done]
+            keep = ~done
+            active, g, prev = active[keep], g[keep], total[keep]
+        return out
+
     ts = [0.0]
     xs = [x0.copy()]
     vs = [v0.copy()]
     work = [0.0]
+    pending = []  # (ta, tb, tha, thb, dense, y(ta), y(tb)) of each recorded interval
 
-    def interval_work(dense, ta, tb, tha, thb, g_left, g_right):
-        # Simpson on dense-output samples. For rk4 the panel width is tied
-        # to the half-step, so the quadrature order matches the scheme and
-        # the work-energy defect scales as h^4. For dopri45 panels are
-        # doubled until the increment stabilizes below the controller's
-        # own error budget (wide accepted steps would otherwise dominate).
-        values = {0.0: g_left, 1.0: g_right}
-
-        def g(u):
-            if u not in values:
-                values[u] = power(dense(tha + u * (thb - tha)))
-            return values[u]
-
-        def composite(n):
-            total = 0.0
-            w = 1.0 / n
-            for j in range(n):
-                a = j * w
-                total += g(a) + 4.0 * g(a + 0.5 * w) + g(a + w)
-            return total * (tb - ta) * w / 6.0
-
-        if cfg.integrator == "rk4":
-            return composite(2)
-        tol = max(1e-16, cfg.atol * (tb - ta) / cfg.t_end)
-        prev = None
-        n = 1
-        while True:
-            total = composite(n)
-            if prev is not None and (abs(total - prev) <= tol or n >= 512):
-                return total
-            prev = total
-            n *= 2
+    def flush():
+        block = pending.copy()
+        pending.clear()  # a block that raises is not integrated again
+        if not block:
+            return
+        try:
+            increments = block_work(block, batch_powers)
+        except EVAL_ERRORS:
+            # redo the block one interval at a time with the pointwise force,
+            # which meets the nodes in the order of a per-node loop and so
+            # raises that loop's first error (or finishes, when the batch
+            # only failed on a node past the domain box)
+            increments = [block_work([iv], pointwise_powers)[0] for iv in block]
+        for inc in increments:
+            work.append(work[-1] + float(inc))
 
     def on_step(t0, y0, t1, y1, dense):
         span = t1 - t0
@@ -139,39 +195,54 @@ def integrate(F, x0, v0, cfg):
             # tolerate float fuzz so a step of nominally record_dt width
             # does not get split in two
             pieces = max(1, int(math.ceil(span / cfg.record_dt - 1e-9)))
-        g_left = power(y0)
+        j = np.arange(pieces + 1)
+        t, theta = t0 + span * j / pieces, j / pieces
+        try:
+            inner = dense(theta[1:-1])
+        except EVAL_ERRORS:
+            # only the rk4 end slope can fail here: take the pieces one at
+            # a time, so that the ones before its first use are pending
+            # when it raises, as their nodes came first in a per-node loop
+            inner = None
+        ya = y0
         for i in range(1, pieces + 1):
-            ta = t0 + span * (i - 1) / pieces
-            tb = t0 + span * i / pieces
-            tha, thb = (i - 1) / pieces, i / pieces
-            yb = y1 if i == pieces else dense(thb)
-            g_right = power(yb)
-            work.append(
-                work[-1] + interval_work(dense, ta, tb, tha, thb, g_left, g_right)
-            )
-            ts.append(tb)
-            xs.append(yb[:dim].copy())
-            vs.append(yb[dim:].copy())
-            g_left = g_right
+            if i == pieces:
+                yb = y1
+            else:
+                yb = dense(theta[i]) if inner is None else inner[i - 1]
+            pending.append((t[i - 1], t[i], theta[i - 1], theta[i], dense, ya, yb))
+            ts.append(t[i])
+            xs.append(yb[:dim])
+            vs.append(yb[dim:])
+            ya = yb
+            if len(pending) == QUAD_BLOCK:
+                flush()
 
     inside = lambda y: F.domain.contains(y[:dim])
     y0 = np.concatenate((x0, v0))
-    if cfg.integrator == "dopri45":
-        res = integrate_dopri45(
-            rhs,
-            0.0,
-            y0,
-            cfg.t_end,
-            atol=cfg.atol,
-            rtol=cfg.rtol,
-            h_max=cfg.h_max,
-            inside=inside,
-            on_step=on_step,
-        )
-    else:
-        res = integrate_rk4(
-            rhs, 0.0, y0, cfg.t_end, cfg.h, inside=inside, on_step=on_step
-        )
+    try:
+        if cfg.integrator == "dopri45":
+            res = integrate_dopri45(
+                rhs,
+                0.0,
+                y0,
+                cfg.t_end,
+                atol=cfg.atol,
+                rtol=cfg.rtol,
+                h_max=cfg.h_max,
+                inside=inside,
+                on_step=on_step,
+            )
+        else:
+            res = integrate_rk4(
+                rhs, 0.0, y0, cfg.t_end, cfg.h, inside=inside, on_step=on_step
+            )
+    except Exception:
+        # a per-node loop would have met the pending nodes before this
+        # failure, so an error among them comes first
+        flush()
+        raise
+    flush()
 
     t_arr = np.array(ts)
     v_arr = np.array(vs)

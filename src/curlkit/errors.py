@@ -58,3 +58,8 @@ class ProblemFileError(CurlkitError):
         if self.diagnostics:
             message = message + "\n  - " + "\n  - ".join(self.diagnostics)
         super().__init__(message)
+
+
+# what evaluating a field can raise: the package's errors, and the math
+# domain errors and overflow of the pointwise evaluator
+EVAL_ERRORS = (CurlkitError, ArithmeticError, ValueError)

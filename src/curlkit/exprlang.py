@@ -291,7 +291,12 @@ class _Parser:
     def primary(self):
         kind, text, start, end = self.advance()
         if kind == "num":
-            return Num((start, end), float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"number {text!r} is beyond the double range", (start, end), self.source
+                )
+            return Num((start, end), value)
         if kind == "ident":
             nkind, ntext, nstart, nend = self.peek()
             if nkind == "op" and ntext == "(":
@@ -454,6 +459,10 @@ def _apply_function(name, x, span):
 def _pow_value(a, b, span):
     if a == 0.0 and b < 0.0:
         raise EvalDomainError("zero raised to a negative power", span)
+    if a < 0.0 and not math.isfinite(b):
+        # int() of an infinite or NaN exponent would raise outside the
+        # package's errors
+        raise EvalDomainError("negative base with non-finite exponent", span)
     if a < 0.0 and b != int(b):
         raise EvalDomainError("negative base with non-integer exponent", span)
     try:

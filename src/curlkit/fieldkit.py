@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .errors import DimensionMismatchError, EvalDomainError, OutOfDomainError
+from .errors import EVAL_ERRORS, DimensionMismatchError, EvalDomainError, OutOfDomainError
 
 FD_STEP_FACTOR = 6.06e-6
 
@@ -313,10 +313,16 @@ class CallableVectorField:
     Used where values exist pointwise but not in closed form (the
     conservative/non-conservative split, rescaled forces). Jacobian and
     curl are finite-difference only.
+
+    ``batch``, if given, maps an (N, dimension) array of points inside the
+    domain to the (N, dimension) values of ``fn`` at its rows; ``values``
+    uses it and takes ``fn`` row by row when it raises, so the error is the
+    one of the pointwise loop.
     """
 
-    def __init__(self, fn, dimension, domain):
+    def __init__(self, fn, dimension, domain, batch=None):
         self._fn = fn
+        self._batch = batch
         self.dimension = dimension
         self.domain = domain
 
@@ -330,14 +336,18 @@ class CallableVectorField:
         return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=float)
 
     def values(self, P):
-        """``value`` at each row of the (N, dimension) array P, one sampler
-        call per row."""
+        """``value`` at each row of the (N, dimension) array P, from the
+        batch sampler or else one sampler call per row."""
         P = _as_points(P, self.dimension)
-        return _rows_in_order(
-            self.domain,
-            P,
-            lambda Q: np.array([self._fn(q) for q in Q], dtype=float).reshape(-1, self.dimension),
-        )
+        return _rows_in_order(self.domain, P, self._rows)
+
+    def _rows(self, Q):
+        if self._batch is not None:
+            try:
+                return np.asarray(self._batch(Q), dtype=float)
+            except EVAL_ERRORS:
+                pass
+        return np.array([self._fn(q) for q in Q], dtype=float).reshape(-1, self.dimension)
 
     def jacobian(self, p, mode="fd"):
         if mode != "fd":

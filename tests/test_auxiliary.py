@@ -5,6 +5,7 @@ import pytest
 
 from curlkit.auxiliary import (
     AuxiliaryProblem,
+    _cumtrapz,
     auxiliary_force,
     auxiliary_hamiltonian,
     auxiliary_trajectory,
@@ -212,3 +213,90 @@ def test_nonlocal_3d_with_w_term():
     traj = integrate(F, (0.5, 0.2, 0.1), (0.1, 0.0, -0.2), cfg)
     series = nonlocal_hamiltonian_series(traj, prob)
     assert len(series.t) == len(traj.t) or series.truncated
+
+
+# --- batched evaluation against the per-point loops ------------------------------
+
+def w_term_problem():
+    # the problem of test_nonlocal_3d_with_w_term; V = 2 + x reaches 0 at x = -2
+    dom = Box((-3, -3, -3), (3, 3, 3))
+    F = VectorFieldDef.from_source(
+        ["-(2 + x)*y - 2*x", "-(2 + x)*x - 2*y", "-2*z"], 3, domain=dom
+    )
+    P = PotentialSet(
+        U=ScalarFieldDef.from_source("x*y", 3, domain=dom),
+        V=ScalarFieldDef.from_source("2 + x", 3, domain=dom),
+        W=ScalarFieldDef.from_source("x^2 + y^2 + z^2", 3, domain=dom),
+    )
+    region = Region.random(Box((-1, -1, -1), (1, 1, 1)), 60, seed=5)
+    return AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=region)
+
+
+@pytest.mark.parametrize("make", [berry_problem, w_term_problem])
+def test_auxiliary_force_batch_matches_sampler(make):
+    prob = make()
+    fbar = auxiliary_force(prob)
+    P = prob.region.samples()
+    want = np.array([fbar.value(p) for p in P])
+    got = fbar.values(P)
+    assert np.allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_auxiliary_force_batch_floor_error_is_the_pointwise_one():
+    prob = w_term_problem()
+    fbar = auxiliary_force(prob)
+    # V = 2 + x is below its floor at the last two rows; the first of them
+    # is named, as by the pointwise loop
+    P = np.array([[0.5, 0.1, 0.2], [-2.0, 0.3, 0.0], [-2.0 + 1e-12, 0.0, 0.0]])
+    with pytest.raises(NumericalError) as want:
+        [fbar.value(p) for p in P]
+    with pytest.raises(NumericalError) as got:
+        fbar.values(P)
+    assert str(got.value) == str(want.value)
+
+
+def test_region_floor_check_batched():
+    V = berry_problem().potentials.V
+    v_max = max(abs(V.value(p)) for p in REGION.samples())
+    assert berry_problem().v_floor == pytest.approx(1e-9 * v_max, rel=4 * np.finfo(float).eps)
+    # V spans 3e-7 .. 3125 over the whole domain: below 1e-9 of its maximum
+    prob = berry_problem()
+    with pytest.raises(NumericalError, match="falls below its floor"):
+        AuxiliaryProblem(F=prob.F, potentials=prob.potentials, mass=1.0,
+                         region=Region.grid(DOM, (5, 5)))
+
+
+def reference_h_series(series_t, pbar, xbar, U, m):
+    """The per-point H loop: stop at the first auxiliary position outside
+    U's domain. Returns (n_valid, truncated, H)."""
+    H = []
+    for i, xb in enumerate(xbar):
+        if not U.domain.contains(xb):
+            return i, True, np.array(H)
+        H.append(float(np.dot(pbar[i], pbar[i]) / (2.0 * m) + U.value(xb)))
+    return len(series_t), False, np.array(H)
+
+
+@pytest.mark.parametrize("v0", [(-0.5, 0.3), (0.2, -0.1)])
+def test_nonlocal_h_batched_matches_pointwise_loop(v0):
+    prob = berry_problem()
+    traj = integrate(prob.F, (1.0, 1.0), v0, SimConfig(t_end=1.0, record_dt=1e-2))
+    series = nonlocal_hamiltonian_series(traj, prob)
+    # the whole series before truncation (W is None: the integrand is grad U)
+    U, m = prob.potentials.U, prob.mass
+    first = _cumtrapz(np.array([U.gradient(x) for x in traj.x]), traj.t)
+    pbar = m * traj.v[0] - first
+    xbar = traj.x[0] + np.outer(traj.t, traj.v[0]) - _cumtrapz(first, traj.t) / m
+    n_valid, truncated, H = reference_h_series(traj.t, pbar, xbar, U, m)
+    assert (len(series.t), series.truncated) == (n_valid, truncated)
+    assert truncated == (v0 == (-0.5, 0.3))
+    assert np.array_equal(series.H, H)
+
+
+def test_auxiliary_trajectory_h_matches_pointwise():
+    prob = berry_problem()
+    cfg = SimConfig(t_end=1.0)
+    traj, drift = auxiliary_trajectory(prob, (1.0, 1.0), (0.2, -0.1), cfg)
+    U = prob.potentials.U
+    H = traj.kinetic + np.array([U.value(x) for x in traj.x])
+    assert drift == float(np.max(np.abs(H - H[0])))

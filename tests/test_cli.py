@@ -82,6 +82,14 @@ def test_exit_input(tmp_path, problem):
     assert report is None
 
 
+def test_exit_input_for_literal_beyond_double_range(tmp_path, problem, capsys):
+    bad = dict(HARMONIC, force=["pow(x - 10, 1e400)", "0"])
+    code, report = run(tmp_path, "classify", problem(bad))
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "force[0]: number '1e400' is beyond the double range" in capsys.readouterr().err
+
+
 def test_exit_numerical_for_nan_start(tmp_path, problem):
     code, report = run(tmp_path, "simulate", problem(HARMONIC), "--x0", "nan,0",
                        "--v0", "0,1", "--t-end", "1")

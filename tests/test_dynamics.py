@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from curlkit.dynamics import SimConfig, integrate, work_energy_residual
-from curlkit.errors import OutOfDomainError
-from curlkit.fieldkit import Box, VectorFieldDef
+from curlkit._ode import integrate_dopri45, integrate_rk4
+from curlkit.auxiliary import AuxiliaryProblem, auxiliary_force, auxiliary_trajectory
+from curlkit.darboux import PotentialSet
+from curlkit.dynamics import QUAD_BLOCK, SimConfig, integrate, work_energy_residual
+from curlkit.errors import EvalDomainError, NumericalError, OutOfDomainError
+from curlkit.fieldkit import Box, CallableVectorField, Region, ScalarFieldDef, VectorFieldDef
 
 
 def free_field():
@@ -151,3 +156,237 @@ def test_stats_populated():
     traj = integrate(harmonic_field(), (1, 0), (0, 1), SimConfig(t_end=2.0))
     assert traj.stats.n_steps == len(traj) - 1
     assert traj.stats.n_fev > 0
+
+
+# --- the batched work quadrature against the per-node loop ---------------------
+
+def reference_integrate(F, x0, v0, cfg):
+    """``integrate`` as it was before the quadrature was batched: every
+    Simpson node is evaluated with the pointwise force inside the step
+    callback. Kept as the reference for the batched quadrature; returns
+    (t, x, v, work)."""
+    dim = F.dimension
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    m = cfg.mass
+    lo = np.asarray(F.domain.lo)
+    hi = np.asarray(F.domain.hi)
+
+    def force(x):
+        try:
+            return F.value_unchecked(x)
+        except EvalDomainError:
+            return F.value(np.clip(x, lo, hi))
+
+    def rhs(t, y):
+        return np.concatenate((y[dim:], force(y[:dim]) / m))
+
+    def power(y):
+        return float(np.dot(force(y[:dim]), y[dim:]))
+
+    ts, xs, vs, work = [0.0], [x0.copy()], [v0.copy()], [0.0]
+
+    def interval_work(dense, ta, tb, tha, thb, g_left, g_right):
+        values = {0.0: g_left, 1.0: g_right}
+
+        def g(u):
+            if u not in values:
+                values[u] = power(dense(tha + u * (thb - tha)))
+            return values[u]
+
+        def composite(n):
+            total = 0.0
+            w = 1.0 / n
+            for j in range(n):
+                a = j * w
+                total += g(a) + 4.0 * g(a + 0.5 * w) + g(a + w)
+            return total * (tb - ta) * w / 6.0
+
+        if cfg.integrator == "rk4":
+            return composite(2)
+        tol = max(1e-16, cfg.atol * (tb - ta) / cfg.t_end)
+        prev = None
+        n = 1
+        while True:
+            total = composite(n)
+            if prev is not None and (abs(total - prev) <= tol or n >= 512):
+                return total
+            prev = total
+            n *= 2
+
+    def on_step(t0, y0, t1, y1, dense):
+        span = t1 - t0
+        pieces = 1
+        if cfg.record_dt is not None and span > cfg.record_dt:
+            pieces = max(1, int(math.ceil(span / cfg.record_dt - 1e-9)))
+        g_left = power(y0)
+        for i in range(1, pieces + 1):
+            ta = t0 + span * (i - 1) / pieces
+            tb = t0 + span * i / pieces
+            tha, thb = (i - 1) / pieces, i / pieces
+            yb = y1 if i == pieces else dense(thb)
+            g_right = power(yb)
+            work.append(work[-1] + interval_work(dense, ta, tb, tha, thb, g_left, g_right))
+            ts.append(tb)
+            xs.append(yb[:dim].copy())
+            vs.append(yb[dim:].copy())
+            g_left = g_right
+
+    inside = lambda y: F.domain.contains(y[:dim])
+    y0 = np.concatenate((x0, v0))
+    if cfg.integrator == "dopri45":
+        integrate_dopri45(rhs, 0.0, y0, cfg.t_end, atol=cfg.atol, rtol=cfg.rtol,
+                          h_max=cfg.h_max, inside=inside, on_step=on_step)
+    else:
+        integrate_rk4(rhs, 0.0, y0, cfg.t_end, cfg.h, inside=inside, on_step=on_step)
+    return np.array(ts), np.array(xs), np.array(vs), np.array(work)
+
+
+def assert_matches_reference(F, x0, v0, cfg):
+    traj = integrate(F, x0, v0, cfg)
+    t, x, v, work = reference_integrate(F, x0, v0, cfg)
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.x, x)
+    assert np.array_equal(traj.v, v)
+    # F.values may round a node's force differently from the pointwise
+    # evaluation in the last bit; each interval adds at most a few ulps
+    bound = 4 * len(t) * np.spacing(np.max(np.abs(work)))
+    assert np.max(np.abs(traj.work - work)) <= bound
+    return traj
+
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=15)
+COEF = st.integers(-200, 200).map(lambda c: c / 100)
+
+
+@st.composite
+def linear_curl_fields(draw, box):
+    """F = (a x + b y, c x + d y) with curl c - b != 0."""
+    a, b, c, d = (draw(COEF) for _ in range(4))
+    assume(b != c)
+    sources = [f"{a!r}*x + {b!r}*y", f"{c!r}*x + {d!r}*y"]
+    return VectorFieldDef.from_source(sources, 2, domain=box)
+
+
+POINT = st.tuples(COEF, COEF)
+WIDE = Box((-50, -50), (50, 50))
+
+
+@REPEATABLE
+@given(F=linear_curl_fields(WIDE), x0=POINT, v0=POINT)
+def test_batched_work_matches_pointwise_rk4(F, x0, v0):
+    assert_matches_reference(F, x0, v0, SimConfig(integrator="rk4", h=0.05, t_end=1.0))
+
+
+@REPEATABLE
+@given(F=linear_curl_fields(WIDE), x0=POINT, v0=POINT)
+def test_batched_work_matches_pointwise_dopri45(F, x0, v0):
+    assert_matches_reference(F, x0, v0, SimConfig(t_end=1.0))
+
+
+@REPEATABLE
+@given(F=linear_curl_fields(WIDE), x0=POINT, v0=POINT)
+def test_batched_work_matches_pointwise_record_dt(F, x0, v0):
+    # 250 recorded intervals: more than one block of QUAD_BLOCK
+    cfg = SimConfig(t_end=1.0, record_dt=0.004)
+    traj = assert_matches_reference(F, x0, v0, cfg)
+    assert len(traj) - 1 > QUAD_BLOCK
+
+
+@REPEATABLE
+@given(
+    F=linear_curl_fields(Box((-3, -3), (3, 3))),
+    x0=POINT,
+    angle=st.integers(0, 359),
+    integrator=st.sampled_from(["dopri45", "rk4"]),
+)
+def test_batched_work_matches_pointwise_through_the_wall(F, x0, angle, integrator):
+    # |F| <= 4 |x| < 17 in the box, so a speed of 40 crosses it in well
+    # under a second: the last step is the clipped dense output
+    v0 = (40 * math.cos(math.radians(angle)), 40 * math.sin(math.radians(angle)))
+    cfg = SimConfig(integrator=integrator, h=0.01, t_end=2.0)
+    traj = assert_matches_reference(F, x0, v0, cfg)
+    assert traj.exited
+
+
+def failing_field(bad):
+    """F = (-y, x) as a sampler that raises at the points in ``bad``, a
+    dict from point tuples to messages."""
+
+    def fn(p):
+        key = tuple(float(c) for c in p)
+        if key in bad:
+            raise NumericalError(bad[key])
+        return np.array([-p[1], p[0]])
+
+    return CallableVectorField(fn, 2, Box((-5, -5), (5, 5)))
+
+
+def evaluated_points(integrator, cfg, x0, v0):
+    """The points the per-node loop evaluates, in the order of their first
+    evaluation, and the set of those the integrator alone evaluates (its
+    stages), for the field of ``failing_field``."""
+    seen = []
+
+    def fn(p):
+        seen.append(tuple(float(c) for c in p))
+        return np.array([-p[1], p[0]])
+
+    F = CallableVectorField(fn, 2, Box((-5, -5), (5, 5)))
+    reference_integrate(F, x0, v0, cfg)
+    ordered = list(dict.fromkeys(seen))
+    seen.clear()
+    rhs = lambda t, y: np.concatenate((y[2:], fn(y[:2])))
+    y0 = np.concatenate((x0, v0))
+    if integrator == "dopri45":
+        integrate_dopri45(rhs, 0.0, y0, cfg.t_end, atol=cfg.atol, rtol=cfg.rtol)
+    else:
+        integrate_rk4(rhs, 0.0, y0, cfg.t_end, cfg.h)
+    return ordered, set(seen)
+
+
+def raised(run):
+    with pytest.raises(Exception) as err:
+        run()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+@pytest.mark.parametrize("stage_fails_later", [False, True])
+def test_node_error_is_the_per_node_loop_error(integrator, stage_fails_later):
+    cfg = SimConfig(integrator=integrator, h=0.05, t_end=3.0)
+    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ordered, stages = evaluated_points(integrator, cfg, x0, v0)
+    nodes = [p for p in ordered if p not in stages]
+    # a node that only the quadrature evaluates, a few steps into the run,
+    # and all the nodes the per-node loop meets after it, of which a batch
+    # in another order would meet one first
+    bad = dict.fromkeys(nodes[41:], "later node fails")
+    bad[nodes[40]] = "node fails"
+    if stage_fails_later:
+        # a stage first evaluated a step or two later: the integrator fails
+        # there while the node is still pending
+        later = ordered[ordered.index(nodes[40]):]
+        bad[[p for p in later if p in stages][10]] = "stage fails"
+    F = failing_field(bad)
+    want = raised(lambda: reference_integrate(F, x0, v0, cfg))
+    assert want == (NumericalError, "node fails")
+    assert raised(lambda: integrate(F, x0, v0, cfg)) == want
+
+
+def test_v_floor_crossed_mid_run_raises_the_per_node_loop_error():
+    dom = Box((0.05, 0.05), (5.0, 5.0))
+    F = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=dom)
+    P = PotentialSet(
+        U=ScalarFieldDef.from_source("-(1/x + 1/y)", 2, domain=dom),
+        V=ScalarFieldDef.from_source("x^3*y^2", 2, domain=dom),
+    )
+    region = Region.random(Box((0.5, 0.5), (2.0, 2.0)), 100, seed=9)
+    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=region, v_floor_rel=1e-3)
+    fbar = auxiliary_force(prob)
+    x0, v0 = (1.0, 1.0), (-0.5, -0.5)
+    for cfg in (SimConfig(t_end=2.0), SimConfig(integrator="rk4", h=0.01, t_end=2.0)):
+        want = raised(lambda: reference_integrate(fbar, x0, v0, cfg))
+        assert want[0] is NumericalError and "floor" in want[1]
+        assert raised(lambda: integrate(fbar, x0, v0, cfg)) == want
+        assert raised(lambda: auxiliary_trajectory(prob, x0, v0, cfg)) == want

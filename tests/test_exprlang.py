@@ -147,6 +147,13 @@ def test_scientific_notation():
     assert ev("1e-3 + 2.5e2", (0.0, 0.0)) == pytest.approx(250.001, abs=0)
 
 
+def test_literal_beyond_double_range_is_a_parse_error():
+    with pytest.raises(ParseError, match="beyond the double range") as err:
+        parse("pow(x - 10, 1e400)", 2, set())
+    assert err.value.span == (12, 17)
+    assert ev("1e-400 + x", (1.0, 0.0)) == 1.0  # underflow to zero is still a number
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ParseError):
         parse("2x", 2, set())
@@ -204,6 +211,21 @@ def test_sqrt_negative():
 def test_negative_base_fractional_power():
     with pytest.raises(EvalDomainError):
         ev("x^0.5", (-1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    # an unchecked sum overflows to inf, and inf - inf is NaN
+    ["x*1e308 + x*1e308", "(x*1e308 + x*1e308) - (x*1e308 + x*1e308)"],
+)
+def test_negative_base_non_finite_exponent(exponent):
+    tree = parse(f"pow(-0.5, {exponent})", 2)
+    with pytest.raises(EvalDomainError, match="non-finite exponent"):
+        eval_at(tree, (1.0, 0.0), {})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        EvalDomainError, match="non-finite exponent"
+    ):
+        exprlang.eval_many([tree], [np.array([1.0]), np.array([0.0])], {})
 
 
 def test_missing_constant_rejected():

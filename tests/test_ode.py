@@ -187,3 +187,74 @@ def test_sample_every_hits_each_sample_time_once():
     for k, y in enumerate(samples, start=1):
         t = k * ds
         assert y == pytest.approx([math.cos(t), -math.sin(t)], abs=1e-9)
+
+
+def test_rk4_dense_stays_valid_after_its_step():
+    # each step's dense output uses its own end slope f(t1, y1), also when
+    # evaluated after later steps have computed theirs
+    kept, during = [], []
+
+    def on_step(t0, y0, t1, y1, dense):
+        kept.append(dense)
+        during.append(dense(0.75))
+
+    integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, 0.1, on_step=on_step)
+    late = kept[0](0.75)
+    assert np.array_equal(late, during[0])
+    assert late == pytest.approx([math.cos(0.075), -math.sin(0.075)], abs=1e-7)
+
+
+def classic_rk4(f, t, y, t_end, h):
+    """Two classic RK4 half-steps per step, each computing its own k1."""
+
+    def half_step(t, y, h):
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    states = []
+    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        step = min(h, t_end - t)
+        y = half_step(t + 0.5 * step, half_step(t, y, 0.5 * step), 0.5 * step)
+        t += step
+        states.append(y)
+    return states
+
+
+def test_rk4_reuses_the_end_slope_as_next_k1():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return harmonic(t, y)
+
+    states = []
+    res = integrate_rk4(f, 0.0, np.array([1.0, 0.0]), 1.0, 0.1,
+                        on_step=lambda t0, y0, t1, y1, dense: states.append(y1))
+    assert res.stats.n_steps == 10
+    assert res.stats.n_fev == len(calls) == 8 * 10
+    for got, want in zip(states, classic_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, 0.1)):
+        assert np.array_equal(got, want)
+    # the last step's end slope is evaluated only when its dense output needs it
+    res = integrate_rk4(f, 0.0, np.array([1.0, 0.0]), 1.0, 0.1,
+                        on_step=lambda t0, y0, t1, y1, dense: dense(0.75))
+    assert res.stats.n_fev == 8 * 10 + 1
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_dense_accepts_theta_array(integrator):
+    records = []
+    on_step = lambda t0, y0, t1, y1, dense: records.append(dense)
+    if integrator == "dopri45":
+        integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, on_step=on_step)
+    else:
+        integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, 0.1, on_step=on_step)
+    thetas = np.array([0.0, 0.1, 0.5, 0.6, 0.75, 1.0])
+    for dense in records:
+        rows = dense(thetas)
+        assert rows.shape == (len(thetas), 2)
+        for theta, row in zip(thetas, rows):
+            assert np.array_equal(row, dense(float(theta)))
+        assert dense(np.array([])).shape == (0, 2)
