@@ -103,7 +103,7 @@ def auxiliary_force(prob):
             raise NumericalError("V below the rescaling floor")
         f = F.values(P)
         if W is not None:
-            f = f + np.array([W.gradient(p) for p in P])
+            f = f + W.gradients(P)
         return f / v[:, None]
 
     return fieldkit.CallableVectorField(fn, F.dimension, F.domain, batch)
@@ -172,19 +172,21 @@ def nonlocal_hamiltonian_series(traj, prob, refine=1):
     else:
         t, x = _hermite_refine(traj, refine)
 
-    g = np.empty_like(x)
-    for i, xi in enumerate(x):
-        gi = U.gradient(xi)
-        if W is not None:
-            v = V.value(xi)
-            if abs(v) < floor:
-                raise NumericalError(
-                    f"V={v:.3e} below the rescaling floor {floor:.3e} along "
-                    "the trajectory; the 1/V factor in the momentum "
-                    "rescaling is no longer usable"
-                )
-            gi = gi + W.gradient(xi) / v
-        g[i] = gi
+    def integrand(Q):
+        g = U.gradients(Q)
+        if W is None:
+            return g
+        v = V.values(Q)
+        low = np.abs(v) < floor
+        if low.any():
+            raise NumericalError(
+                f"V={v[np.argmax(low)]:.3e} below the rescaling floor {floor:.3e} along "
+                "the trajectory; the 1/V factor in the momentum "
+                "rescaling is no longer usable"
+            )
+        return g + W.gradients(Q) / v[:, None]
+
+    g = fieldkit.per_row(x, integrand)
 
     x0 = x[0]
     v0 = traj.v[0]

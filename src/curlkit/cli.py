@@ -374,7 +374,7 @@ def cmd_decompose3d(args, problem):
         + [f"Fc_{a}" for a in "xyz"]
         + [f"Fnc_{a}" for a in "xyz"]
     )
-    rows = ([*p, *dec.grad_u(p), *dec.f_c(p), *dec.f_nc(p)] for p in pts)
+    rows = np.hstack([pts, dec.grad_u(pts), dec.f_c(pts), dec.f_nc(pts)])
     run.emit_with("samples", lambda path: write_csv(path, header, rows))
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
     return run.finish()

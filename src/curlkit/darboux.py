@@ -116,15 +116,23 @@ def _check_region(F, region):
     return pts
 
 
+def _scale(J, region):
+    """``sampled_scale`` from the (N, dim, dim) Jacobians J."""
+    jmax = float(np.max(np.sum(np.abs(J), axis=2), initial=0.0))
+    return max(jmax * region.box.diameter(), SCALE_FLOOR)
+
+
+def _refuse_first(bad, Q, message):
+    """NumericalError naming the first row of Q flagged in ``bad``."""
+    if bad.any():
+        raise NumericalError(message.format(tuple(Q[int(np.argmax(bad))])))
+
+
 def sampled_scale(F, region, points=None, mode="analytic"):
     """max over samples of ||jacobian||_inf times the region diameter,
     floored to avoid dividing by zero for the zero field."""
     pts = _check_region(F, region) if points is None else points
-    jmax = 0.0
-    for p in pts:
-        J = F.jacobian(p, mode)
-        jmax = max(jmax, float(np.max(np.sum(np.abs(J), axis=1))))
-    return max(jmax * region.box.diameter(), SCALE_FLOOR)
+    return _scale(F.jacobians(pts, mode), region)
 
 
 def classify(F, region, thresholds=ClassifyThresholds(), mode="analytic"):
@@ -134,24 +142,19 @@ def classify(F, region, thresholds=ClassifyThresholds(), mode="analytic"):
     identically zero in the plane.
     """
     pts = _check_region(F, region)
-    scale = sampled_scale(F, region, points=pts, mode=mode)
+    J = F.jacobians(pts, mode)
+    scale = _scale(J, region)
+    f = F.values(pts)
+    c = fieldkit.curl_of_jacobian(J).reshape(len(pts), -1)
 
-    curl_max = 0.0
-    hel_max = 0.0
-    fmag_max = 0.0
-    for p in pts:
-        c = fieldkit.curl(F, p, mode)
-        curl_max = max(curl_max, float(np.linalg.norm(np.atleast_1d(c))))
-        fmag_max = max(fmag_max, float(np.linalg.norm(F.value(p))))
-        if F.dimension == 3:
-            hel_max = max(hel_max, abs(float(np.dot(F.value(p), c))))
-
-    curl_stat = curl_max / scale
+    curl_stat = float(np.max(np.linalg.norm(c, axis=1))) / scale
     hel_stat = None
     label = "two-potential"
     if curl_stat <= thresholds.conservative:
         label = "conservative"
     if F.dimension == 3:
+        hel_max = float(np.max(np.abs(np.einsum("ij,ij->i", f, c))))
+        fmag_max = float(np.max(np.linalg.norm(f, axis=1)))
         hel_stat = hel_max / max(scale * fmag_max, SCALE_FLOOR)
         if label != "conservative" and hel_stat > thresholds.chiral:
             label = "chiral three-potential"
@@ -170,14 +173,16 @@ def verify_representation(F, potentials, region, mode="analytic"):
     if potentials.dimension != F.dimension:
         raise DimensionMismatchError("potential set dimension differs from field")
     pts = _check_region(F, region)
-    mags = []
-    for p in pts:
-        r = F.value(p) + potentials.V.value(p) * potentials.U.gradient(p, mode)
-        if potentials.W is not None:
-            r = r + potentials.W.gradient(p, mode)
-        mags.append(np.linalg.norm(r))
-    tag = "F + V*grad(U)" + (" + grad(W)" if potentials.W is not None else "")
-    return _residual_report(mags, pts, tag)
+    U, V, W = potentials.U, potentials.V, potentials.W
+
+    def residuals(Q):
+        r = F.values(Q) + V.values(Q)[:, None] * U.gradients(Q, mode)
+        if W is not None:
+            r = r + W.gradients(Q, mode)
+        return np.linalg.norm(r, axis=1)
+
+    tag = "F + V*grad(U)" + (" + grad(W)" if W is not None else "")
+    return _residual_report(fieldkit.per_row(pts, residuals), pts, tag)
 
 
 def vpde_residual(F, V, region, mode="analytic"):
@@ -189,18 +194,17 @@ def vpde_residual(F, V, region, mode="analytic"):
     if V.dimension != F.dimension:
         raise DimensionMismatchError("V dimension differs from field")
     pts = _check_region(F, region)
-    mags = []
-    for p in pts:
-        gv = V.gradient(p, mode)
-        f = F.value(p)
-        c = fieldkit.curl(F, p, mode)
-        v = V.value(p)
+
+    def residuals(Q):
+        gv = V.gradients(Q, mode)
+        f = F.values(Q)
+        c = fieldkit.curl_many(F, Q, mode)
+        v = V.values(Q)
         if F.dimension == 2:
-            res = gv[0] * f[1] - gv[1] * f[0] - v * c
-            mags.append(abs(res))
-        else:
-            mags.append(np.linalg.norm(np.cross(gv, f) - v * c))
-    return _residual_report(mags, pts, "grad(V) x F - V*curl(F)")
+            return np.abs(gv[:, 0] * f[:, 1] - gv[:, 1] * f[:, 0] - v * c)
+        return np.linalg.norm(np.cross(gv, f) - v[:, None] * c, axis=1)
+
+    return _residual_report(fieldkit.per_row(pts, residuals), pts, "grad(V) x F - V*curl(F)")
 
 
 def gauge_transform(potentials, f_tree, region=None):
@@ -228,13 +232,13 @@ def gauge_transform(potentials, f_tree, region=None):
     V_new = fieldkit.ScalarFieldDef(V.dimension, v_new_tree, constants, V.domain)
 
     if region is not None:
-        for p in region.samples():
-            u_val = U.value(p)
-            d = exprlang.eval_at(fprime, (u_val,), constants)
-            if abs(d) < GRAD_V_FLOOR:
-                raise NumericalError(
-                    f"gauge derivative f'(U) vanishes at sample {tuple(p)}"
-                )
+
+        def probe(Q):
+            d = exprlang.eval_many([fprime], (U.values(Q),), constants)[0]
+            message = "gauge derivative f'(U) vanishes at sample {}"
+            _refuse_first(np.abs(d) < GRAD_V_FLOOR, Q, message)
+
+        fieldkit.per_row(region.samples(), probe)
     return PotentialSet(U=U_new, V=V_new, W=potentials.W)
 
 
@@ -244,29 +248,44 @@ def independence_metric(U, V, region, mode="analytic"):
     if U.dimension != V.dimension:
         raise DimensionMismatchError("U and V dimensions differ")
     pts = region.samples()
-    mags = []
-    for p in pts:
-        gu = U.gradient(p, mode)
-        gv = V.gradient(p, mode)
+
+    def magnitudes(Q):
+        gu = U.gradients(Q, mode)
+        gv = V.gradients(Q, mode)
         if U.dimension == 2:
-            mags.append(abs(gv[0] * gu[1] - gv[1] * gu[0]))
-        else:
-            mags.append(np.linalg.norm(np.cross(gv, gu)))
-    return _residual_report(mags, pts, "|grad(V) x grad(U)|", worst="min")
+            return np.abs(gv[:, 0] * gu[:, 1] - gv[:, 1] * gu[:, 0])
+        return np.linalg.norm(np.cross(gv, gu), axis=1)
+
+    return _residual_report(
+        fieldkit.per_row(pts, magnitudes), pts, "|grad(V) x grad(U)|", worst="min"
+    )
 
 
 @dataclass(frozen=True)
 class Decomposition3D:
-    """Gauge-fixed split F = F_c + F_nc with pointwise samplers.
+    """Gauge-fixed split F = F_c + F_nc with samplers.
 
     grad_u is generally not a closed-form expression of the inputs, hence
-    samplers rather than expression trees.
+    samplers rather than expression trees; each takes a point or an (N, 3)
+    array of points.
     """
 
-    grad_u: object   # point -> vector
-    f_c: object      # point -> vector (conservative part)
-    f_nc: object     # point -> vector (non-conservative part)
+    grad_u: object   # points -> vectors
+    f_c: object      # points -> vectors (conservative part)
+    f_nc: object     # points -> vectors (non-conservative part)
     diagnostics: dict
+
+
+def _sampler(rows):
+    """Point-or-rows sampler from ``rows``, a function of an (N, 3) array;
+    its errors are those of a loop over the points (``fieldkit.per_row``)."""
+
+    def sample(P):
+        P = np.asarray(P, dtype=float)
+        out = fieldkit.per_row(np.atleast_2d(P), rows)
+        return out[0] if P.ndim == 1 else out
+
+    return sample
 
 
 def decompose3d(F, V, region, admissibility_rtol=1e-6):
@@ -276,59 +295,64 @@ def decompose3d(F, V, region, admissibility_rtol=1e-6):
     is recovered from grad U = (grad V x curl F) / ||grad V||^2, then
     F_nc = -V grad U and F_c = F - F_nc. Preconditions: grad V bounded
     away from zero on the region and V constant along the curl
-    characteristics (grad V . curl F ~ 0).
+    characteristics (grad V . curl F ~ 0). A split whose F_c has a curl
+    above ``admissibility_rtol * scale`` is refused: no U in this gauge
+    has the gradient it needs.
     """
     if F.dimension != 3 or V.dimension != 3:
         raise DimensionMismatchError("decompose3d requires 3D fields")
     pts = _check_region(F, region)
-    scale = sampled_scale(F, region, points=pts)
+    bound = admissibility_rtol * sampled_scale(F, region, points=pts)
 
-    worst_dot = 0.0
-    for p in pts:
-        gv = V.gradient(p)
-        ngv = np.linalg.norm(gv)
-        if ngv < GRAD_V_FLOOR:
-            raise NumericalError(f"||grad V|| below floor at sample {tuple(p)}")
-        worst_dot = max(worst_dot, abs(float(np.dot(gv, fieldkit.curl(F, p)))))
-    if worst_dot > admissibility_rtol * scale:
-        raise NumericalError(
-            "V is not constant along the curl characteristics: "
-            f"max |grad V . curl F| = {worst_dot:.3e} exceeds "
-            f"{admissibility_rtol:.1e} * scale = {admissibility_rtol * scale:.3e}"
-        )
+    def require_below(worst, quantity, reason):
+        if worst > bound:
+            raise NumericalError(f"{reason}: max {quantity} = {worst:.3e} exceeds "
+                                 f"{admissibility_rtol:.1e} * scale = {bound:.3e}")
 
-    def grad_u(p):
-        gv = V.gradient(p)
-        ngv2 = float(np.dot(gv, gv))
-        if ngv2 < GRAD_V_FLOOR**2:
-            raise NumericalError(f"||grad V|| below floor at {tuple(p)}")
-        return np.cross(gv, fieldkit.curl(F, p)) / ngv2
+    def admissibility(Q):
+        gv = V.gradients(Q)
+        _refuse_first(np.linalg.norm(gv, axis=1) < GRAD_V_FLOOR, Q,
+                      "||grad V|| below floor at sample {}")
+        return np.abs(np.einsum("ij,ij->i", gv, fieldkit.curl_many(F, Q)))
 
-    def f_nc(p):
-        return -V.value(p) * grad_u(p)
+    require_below(float(np.max(fieldkit.per_row(pts, admissibility))), "|grad V . curl F|",
+                  "V is not constant along the curl characteristics")
 
-    def f_c(p):
-        return F.value(p) - f_nc(p)
+    def split(Q):
+        gv = V.gradients(Q)
+        ngv2 = np.einsum("ij,ij->i", gv, gv)
+        _refuse_first(ngv2 < GRAD_V_FLOOR**2, Q, "||grad V|| below floor at {}")
+        grad_u = np.cross(gv, fieldkit.curl_many(F, Q)) / ngv2[:, None]
+        f_nc = -V.values(Q)[:, None] * grad_u
+        return grad_u, F.values(Q) - f_nc, f_nc
 
-    # diagnostics over the same samples
-    sum_resid, gauge_dot, curl_fc, curl_agree = [], [], [], []
-    fc_field = fieldkit.CallableVectorField(f_c, 3, F.domain)
-    fnc_field = fieldkit.CallableVectorField(f_nc, 3, F.domain)
-    for p in pts:
-        sum_resid.append(np.linalg.norm(F.value(p) - f_c(p) - f_nc(p)))
-        gauge_dot.append(abs(float(np.dot(V.gradient(p), grad_u(p)))))
-        curl_fc.append(np.linalg.norm(fieldkit.curl(fc_field, p, "fd")))
-        cn = fieldkit.curl(fnc_field, p, "fd")
-        curl_agree.append(np.linalg.norm(cn - fieldkit.curl(F, p)))
+    grad_u, f_c, f_nc = (_sampler(lambda Q, i=i: split(Q)[i]) for i in range(3))
+    fc_field = fieldkit.CallableVectorField(f_c, 3, F.domain, lambda Q: split(Q)[1])
+    fnc_field = fieldkit.CallableVectorField(f_nc, 3, F.domain, lambda Q: split(Q)[2])
 
-    diagnostics = {
-        "sum_identity": _residual_report(sum_resid, pts, "F - F_c - F_nc"),
-        "gauge_orthogonality": _residual_report(gauge_dot, pts, "grad(V) . grad(U)"),
-        "curl_f_c": _residual_report(curl_fc, pts, "||curl F_c|| (fd)"),
-        "curl_f_nc_agreement": _residual_report(
-            curl_agree, pts, "||curl F_nc - curl F|| (fd vs analytic)"
-        ),
+    def diagnose(Q):
+        g, fc, fnc = split(Q)
+        return np.stack([
+            np.linalg.norm(F.values(Q) - fc - fnc, axis=1),
+            np.abs(np.einsum("ij,ij->i", V.gradients(Q), g)),
+            np.linalg.norm(fieldkit.curl_many(fc_field, Q, "fd"), axis=1),
+            np.linalg.norm(
+                fieldkit.curl_many(fnc_field, Q, "fd") - fieldkit.curl_many(F, Q), axis=1
+            ),
+        ])
+
+    definitions = {
+        "sum_identity": "F - F_c - F_nc",
+        "gauge_orthogonality": "grad(V) . grad(U)",
+        "curl_f_c": "||curl F_c|| (fd)",
+        "curl_f_nc_agreement": "||curl F_nc - curl F|| (fd vs analytic)",
     }
+    diagnostics = {
+        name: _residual_report(values, pts, definition)
+        for (name, definition), values in zip(definitions.items(), fieldkit.per_row(pts, diagnose))
+    }
+    require_below(diagnostics["curl_f_c"].max, "||curl F_c||",
+                  "the split is not conservative (no U in the gauge grad V . grad U = 0)")
     return Decomposition3D(grad_u=grad_u, f_c=f_c, f_nc=f_nc, diagnostics=diagnostics)
 
 

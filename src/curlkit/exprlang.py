@@ -13,13 +13,20 @@ Grammar (tightest binding first):
 Literals are decimal (scientific notation accepted, e.g. ``1e-3``); there
 is no implicit multiplication (``2x`` is a syntax error). Identifiers are
 coordinates, declared constants, or the builtin functions ``sin cos tan
-exp log sqrt abs pow``. Every node carries the byte span of its source
+exp log sqrt abs sign pow``; ``sign`` is -1, 0 or 1, the derivative of
+``abs`` (0 at the kink). Every node carries the byte span of its source
 text, which error messages reference.
 
-Evaluation is IEEE double precision. ``eval_at(tree, coords, constants)``
-returns the value; ``grad_at`` with the same arguments returns a
-:class:`DualValue` whose partials are exact forward-mode derivatives with
-respect to each declared variable.
+Evaluation is IEEE double precision, and every node's result is checked:
+a domain error or a non-finite result raises EvalDomainError at that
+node's span. ``eval_at(tree, coords, constants)`` returns the value.
+
+Derivatives are symbolic: ``derivative(tree, var)``, cached per tree and
+variable in ``tree.partials``. Their nodes carry the span of the source
+node they differentiate, which raises where no derivative exists: sqrt'
+at 0 divides by zero, a varying exponent needs the log of its base.
+``grad_at`` evaluates the value and then each partial tree at one point;
+the value comes first, so d log(x) = 1/x gives no answer at x < 0.
 
 ``eval_at`` is the single-point path and the reference. ``eval_many``
 evaluates several trees at N points in one walk per tree over NumPy
@@ -34,6 +41,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +59,7 @@ FUNCTION_ARITY = {
     "log": 1,
     "sqrt": 1,
     "abs": 1,
+    "sign": 1,
     "pow": 2,
 }
 
@@ -106,76 +116,23 @@ class SyntaxTree:
     source: str = ""
 
     def referenced_constants(self):
-        found = set()
+        return _leaf_names(self.root, Const)
 
-        def walk(node):
-            if isinstance(node, Const):
-                found.add(node.name)
-            elif isinstance(node, Neg):
-                walk(node.operand)
-            elif isinstance(node, BinOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, Call):
-                for a in node.args:
-                    walk(a)
-
-        walk(self.root)
-        return found
+    @cached_property
+    def partials(self):
+        """The derivative tree for each variable, in variable order."""
+        return tuple(derivative(self, v) for v in self.variables)
 
 
-@dataclass
-class DualValue:
-    """A real value together with its partial derivatives.
-
-    Arithmetic obeys the product, quotient, and chain rules exactly, so a
-    tree evaluated in DualValue arithmetic yields forward-mode derivatives.
-    """
-
-    value: float
-    partials: np.ndarray
-
-    def __add__(self, other):
-        if isinstance(other, DualValue):
-            return DualValue(self.value + other.value, self.partials + other.partials)
-        return DualValue(self.value + other, self.partials)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualValue):
-            return DualValue(self.value - other.value, self.partials - other.partials)
-        return DualValue(self.value - other, self.partials)
-
-    def __rsub__(self, other):
-        return DualValue(other - self.value, -self.partials)
-
-    def __mul__(self, other):
-        if isinstance(other, DualValue):
-            return DualValue(
-                self.value * other.value,
-                self.value * other.partials + self.partials * other.value,
-            )
-        return DualValue(self.value * other, self.partials * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualValue):
-            return DualValue(
-                self.value / other.value,
-                (self.partials * other.value - self.value * other.partials)
-                / (other.value * other.value),
-            )
-        return DualValue(self.value / other, self.partials / other)
-
-    def __rtruediv__(self, other):
-        return DualValue(
-            other / self.value, -other * self.partials / (self.value * self.value)
-        )
-
-    def __neg__(self):
-        return DualValue(-self.value, -self.partials)
+def _leaf_names(node, kind, found=None):
+    """Names of the leaves of type ``kind`` (Var or Const) under ``node``."""
+    found = set() if found is None else found
+    if isinstance(node, kind):
+        found.add(node.name)
+    for child in ((node.operand,) if isinstance(node, Neg) else (node.left, node.right)
+                  if isinstance(node, BinOp) else getattr(node, "args", ())):
+        _leaf_names(child, kind, found)
+    return found
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -453,6 +410,8 @@ def _apply_function(name, x, span):
         return math.sqrt(x)
     if name == "abs":
         return abs(x)
+    if name == "sign":
+        return math.copysign(1.0, x) if x != 0.0 else 0.0
     raise EvalDomainError(f"unknown function {name!r}", span)
 
 
@@ -487,9 +446,9 @@ def _eval_float(node, coords, constants):
         a = _eval_float(node.left, coords, constants)
         b = _eval_float(node.right, coords, constants)
         if node.op == "+":
-            return a + b
+            return _check_finite(a + b, node.span)
         if node.op == "-":
-            return a - b
+            return _check_finite(a - b, node.span)
         if node.op == "*":
             return _check_finite(a * b, node.span)
         if node.op == "/":
@@ -507,87 +466,6 @@ def _eval_float(node, coords, constants):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _dual_pow(a, b, span):
-    value = _pow_value(a.value, b.value, span)
-    if not b.partials.any():
-        # constant exponent: plain power rule, valid for negative bases too
-        if b.value == 0.0:
-            return DualValue(value, np.zeros_like(a.partials))
-        grad = b.value * _pow_value(a.value, b.value - 1.0, span) * a.partials
-        return DualValue(value, grad)
-    if a.value <= 0.0:
-        raise EvalDomainError(
-            "derivative of power needs a positive base for a varying exponent", span
-        )
-    grad = value * (b.partials * math.log(a.value) + b.value * a.partials / a.value)
-    return DualValue(value, grad)
-
-
-def _dual_function(name, arg, span):
-    x = arg.value
-    value = _apply_function(name, x, span)
-    if name == "sin":
-        d = math.cos(x)
-    elif name == "cos":
-        d = -math.sin(x)
-    elif name == "tan":
-        c = math.cos(x)
-        d = 1.0 / (c * c)
-    elif name == "exp":
-        d = value
-    elif name == "log":
-        d = 1.0 / x
-    elif name == "sqrt":
-        if x == 0.0:
-            raise EvalDomainError("derivative of sqrt at zero", span)
-        d = 0.5 / value
-    else:  # abs; subgradient 0 at the kink
-        d = math.copysign(1.0, x) if x != 0.0 else 0.0
-    return DualValue(value, d * arg.partials)
-
-
-def _eval_dual(node, coords, constants, n):
-    if isinstance(node, Num):
-        return DualValue(node.value, np.zeros(n))
-    if isinstance(node, Var):
-        partials = np.zeros(n)
-        partials[node.index] = 1.0
-        return DualValue(coords[node.index], partials)
-    if isinstance(node, Const):
-        try:
-            return DualValue(constants[node.name], np.zeros(n))
-        except KeyError:
-            raise EvalDomainError(f"constant {node.name!r} not bound", node.span) from None
-    if isinstance(node, Neg):
-        return -_eval_dual(node.operand, coords, constants, n)
-    if isinstance(node, BinOp):
-        a = _eval_dual(node.left, coords, constants, n)
-        b = _eval_dual(node.right, coords, constants, n)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            out = a * b
-            _check_finite(out.value, node.span)
-            return out
-        if node.op == "/":
-            if b.value == 0.0:
-                raise EvalDomainError("division by zero", node.span)
-            out = a / b
-            _check_finite(out.value, node.span)
-            return out
-        return _dual_pow(a, b, node.span)
-    if isinstance(node, Call):
-        if node.func == "pow":
-            a = _eval_dual(node.args[0], coords, constants, n)
-            b = _eval_dual(node.args[1], coords, constants, n)
-            return _dual_pow(a, b, node.span)
-        arg = _eval_dual(node.args[0], coords, constants, n)
-        return _dual_function(node.func, arg, node.span)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def eval_at(tree, coords, constants):
     """Value of ``tree`` at ``coords`` (ordered as ``tree.variables``) with
     ``constants`` mapping constant names to numbers, in IEEE double
@@ -596,11 +474,17 @@ def eval_at(tree, coords, constants):
     return _eval_float(tree.root, coords, constants)
 
 
+Gradient = NamedTuple("Gradient", [("value", float), ("partials", np.ndarray)])
+
+
 def grad_at(tree, coords, constants):
-    """Value and exact forward-mode partials of ``tree`` with respect to
-    each declared variable, in declaration order, as a DualValue; the
-    arguments and errors are those of ``eval_at``."""
-    return _eval_dual(tree.root, coords, constants, len(tree.variables))
+    """Value of ``tree`` and its partials with respect to each declared
+    variable, in declaration order, from ``tree.partials``. The arguments
+    are those of ``eval_at``; the value is evaluated first, so its error
+    wins over a partial's."""
+    value = _eval_float(tree.root, coords, constants)
+    partials = np.array([_eval_float(d.root, coords, constants) for d in tree.partials])
+    return Gradient(value, partials)
 
 
 class _PointFailed(Exception):
@@ -632,10 +516,10 @@ def _eval_columns(node, cols, constants):
         a = _eval_columns(node.left, cols, constants)
         b = _eval_columns(node.right, cols, constants)
         if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
+            out = a + b
+        elif node.op == "-":
+            out = a - b
+        elif node.op == "*":
             out = a * b
         elif node.op == "/":
             _require(b != 0.0)
@@ -666,6 +550,8 @@ def _eval_columns(node, cols, constants):
         # math.sin/cos/tan reject infinities, so every non-finite argument
         # goes to the pointwise evaluator
         _require(np.isfinite(x))
+        if node.func == "sign":
+            return np.sign(x)
         if node.func == "sin":
             return np.sin(x)
         if node.func == "cos":
@@ -702,6 +588,8 @@ def eval_many(trees, columns, constants):
     n = len(cols[0])
     out = np.empty((len(trees), n))
     try:
+        if n == 1:
+            raise _PointFailed  # one point is cheaper pointwise, and then exact
         with np.errstate(all="ignore"):
             for row, tree in zip(out, trees):
                 row[:] = _eval_columns(tree.root, cols, constants)
@@ -722,44 +610,44 @@ def _is_literal(node, value):
     return isinstance(node, Num) and node.value == value
 
 
-def _add(a, b):
+def _add(a, b, span=(0, 0)):
     if _is_literal(a, 0.0):
         return b
     if _is_literal(b, 0.0):
         return a
-    return BinOp((0, 0), "+", a, b)
+    return BinOp(span, "+", a, b)
 
 
-def _sub(a, b):
+def _sub(a, b, span=(0, 0)):
     if _is_literal(b, 0.0):
         return a
     if _is_literal(a, 0.0):
-        return Neg((0, 0), b)
-    return BinOp((0, 0), "-", a, b)
+        return Neg(span, b)
+    return BinOp(span, "-", a, b)
 
 
-def _mul(a, b):
+def _mul(a, b, span=(0, 0)):
     if _is_literal(a, 0.0) or _is_literal(b, 0.0):
         return _num(0.0)
     if _is_literal(a, 1.0):
         return b
     if _is_literal(b, 1.0):
         return a
-    return BinOp((0, 0), "*", a, b)
+    return BinOp(span, "*", a, b)
 
 
-def _div(a, b):
+def _div(a, b, span=(0, 0)):
     if _is_literal(b, 1.0):
         return a
     if _is_literal(a, 0.0):
         return _num(0.0)
-    return BinOp((0, 0), "/", a, b)
+    return BinOp(span, "/", a, b)
 
 
-def _pow(a, b):
+def _pow(a, b, span=(0, 0)):
     if _is_literal(b, 1.0):
         return a
-    return BinOp((0, 0), "^", a, b)
+    return BinOp(span, "^", a, b)
 
 
 def substitute(tree, var_name, replacement):
@@ -797,65 +685,75 @@ def substitute(tree, var_name, replacement):
 def derivative(tree, var_name):
     """Symbolic derivative with respect to one variable.
 
-    Used for gauge transformations and for constructing closed-form test
-    fields; no simplification beyond dropping exact zero/one factors.
+    No simplification beyond dropping exact zero/one factors. Every node
+    built for a source node carries that node's span, so a derivative that
+    fails to evaluate names the expression it came from.
     """
 
     def d(node):
-        if isinstance(node, Num) or isinstance(node, Const):
+        if isinstance(node, (Num, Const)):
             return _num(0.0)
         if isinstance(node, Var):
             return _num(1.0) if node.name == var_name else _num(0.0)
+        at = node.span
         if isinstance(node, Neg):
             inner = d(node.operand)
-            return _num(0.0) if _is_literal(inner, 0.0) else Neg((0, 0), inner)
+            return _num(0.0) if _is_literal(inner, 0.0) else Neg(at, inner)
         if isinstance(node, BinOp):
             a, b = node.left, node.right
             da, db = d(a), d(b)
             if node.op == "+":
-                return _add(da, db)
+                return _add(da, db, at)
             if node.op == "-":
-                return _sub(da, db)
+                return _sub(da, db, at)
             if node.op == "*":
-                return _add(_mul(da, b), _mul(a, db))
+                return _add(_mul(da, b, at), _mul(a, db, at), at)
             if node.op == "/":
-                return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _num(2.0)))
-            return _d_power(a, b, da, db)
+                numerator = _sub(_mul(da, b, at), _mul(a, db, at), at)
+                return _div(numerator, _pow(b, _num(2.0), at), at)
+            return _d_power(a, b, da, db, at)
         if isinstance(node, Call):
             if node.func == "pow":
                 a, b = node.args
-                return _d_power(a, b, d(a), d(b))
+                return _d_power(a, b, d(a), d(b), at)
             (a,) = node.args
             da = d(a)
             if node.func == "sin":
-                outer = Call((0, 0), "cos", (a,))
+                outer = Call(at, "cos", (a,))
             elif node.func == "cos":
-                outer = Neg((0, 0), Call((0, 0), "sin", (a,)))
+                outer = Neg(at, Call(at, "sin", (a,)))
             elif node.func == "tan":
-                outer = _div(_num(1.0), _pow(Call((0, 0), "cos", (a,)), _num(2.0)))
+                outer = _div(_num(1.0), _pow(Call(at, "cos", (a,)), _num(2.0), at), at)
             elif node.func == "exp":
-                outer = Call((0, 0), "exp", (a,))
+                outer = Call(at, "exp", (a,))
             elif node.func == "log":
-                outer = _div(_num(1.0), a)
+                outer = _div(_num(1.0), a, at)
             elif node.func == "sqrt":
-                outer = _div(_num(1.0), _mul(_num(2.0), Call((0, 0), "sqrt", (a,))))
+                # divides by zero at a = 0, where sqrt has no derivative
+                outer = _div(_num(1.0), _mul(_num(2.0), Call(at, "sqrt", (a,)), at), at)
             elif node.func == "abs":
-                outer = _div(Call((0, 0), "abs", (a,)), a)
+                outer = Call(at, "sign", (a,))  # 0 at the kink
+            elif node.func == "sign":
+                outer = _num(0.0)
             else:
                 raise ValueError(f"no derivative rule for {node.func!r}")
-            return _mul(outer, da)
+            return _mul(outer, da, at)
         raise TypeError(f"unknown node {node!r}")
 
-    def _d_power(a, b, da, db):
-        if isinstance(b, Num):
-            n = b.value
+    def _d_power(a, b, da, db, at):
+        if not _leaf_names(b, Var):
+            # constant exponent: the power rule, valid for negative bases too
+            n = b.value if isinstance(b, Num) else None
             if n == 0.0:
                 return _num(0.0)
-            exponent = _num(n - 1.0) if n - 1.0 >= 0.0 else Neg((0, 0), _num(1.0 - n))
-            return _mul(_mul(_num(n), _pow(a, exponent)), da)
-        # general case a^b * (db log a + b da / a); requires a > 0 at eval
-        logterm = _mul(db, Call((0, 0), "log", (a,)))
-        ratio = _div(_mul(b, da), a)
-        return _mul(_pow(a, b), _add(logterm, ratio))
+            if n is None:
+                exponent = _sub(b, _num(1.0), at)
+            else:
+                exponent = _num(n - 1.0) if n - 1.0 >= 0.0 else Neg(at, _num(1.0 - n))
+            return _mul(_mul(b, _pow(a, exponent, at), at), da, at)
+        # varying exponent: a^b (db log(a) + b da / a), which needs a > 0
+        logterm = _mul(db, Call(at, "log", (a,)), at)
+        ratio = _div(_mul(b, da, at), a, at)
+        return _mul(_pow(a, b, at), _add(logterm, ratio, at), at)
 
     return SyntaxTree(d(tree.root), tree.variables, tree.constants, "")

@@ -1,17 +1,19 @@
 """Dimension-tagged scalar and vector fields over axis-aligned boxes.
 
-Derivatives are available in two modes: ``analytic`` uses forward-mode
-duals on the defining expressions, ``fd`` uses central differences with
-step h = max(1, |x_i|) * 6.06e-6 per axis (cube-root-of-epsilon scaling).
-Points on an open boundary are rejected; on a closed boundary the fd mode
-falls back to second-order one-sided stencils.
+Derivatives are available in two modes: ``analytic`` evaluates the
+symbolic derivative trees of the expressions (``SyntaxTree.partials``),
+``fd`` uses central differences with step h = max(1, |x_i|) * 6.06e-6 per
+axis (cube-root-of-epsilon scaling). Points on an open boundary are
+rejected; on a closed boundary the fd mode falls back to second-order
+one-sided stencils.
 
-``values(P)`` evaluates a field at every row of an (N, dim) array in one
-batch (``exprlang.eval_many``), and ``curl_many`` the analytic curl from
-the symbolic derivative trees. Both apply the ``Box.contains`` rule to
-every row and fail as the pointwise loop would: rows before the first one
-outside the box are evaluated, so their expression errors come first, and
-any batch failure falls back to the pointwise path.
+Each pointwise method has a batch form over the rows of an (N, dim) array
+(``values``, ``gradients``, ``jacobians``, ``curl_many``): one
+``exprlang.eval_many`` call with each value tree ahead of its partials, or
+one call for every fd stencil point. The batch forms apply the
+``Box.contains`` rule to every row and fail as the pointwise loop would:
+rows before the first one outside the box come first, and a failed batch
+is redone point by point, as ``per_row`` does for a consumer's function.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .errors import EVAL_ERRORS, DimensionMismatchError, EvalDomainError, OutOfDomainError
+from .errors import EVAL_ERRORS, DimensionMismatchError, OutOfDomainError
 
 FD_STEP_FACTOR = 6.06e-6
 
@@ -87,13 +89,65 @@ class Box:
 
 
 def _radical_inverse(index, base):
-    inv = 0.0
+    """Radical inverse of each entry of the integer array ``index``."""
+    inv = np.zeros(len(index))
     f = 1.0 / base
-    while index > 0:
+    while index.any():
         inv += f * (index % base)
-        index //= base
+        index = index // base
         f /= base
     return inv
+
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const, mult):
+    """numpy SeedSequence's word hash, whose constant advances per call."""
+
+    def hash_word(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _M32) & _M32
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _random_doubles(seed, n):
+    """``numpy.random.default_rng(seed).random(n)`` as a list, bit for bit:
+    SeedSequence entropy mixing, then PCG64 (128-bit LCG, XSL-RR output).
+    Written out because importing numpy.random loads OpenSSL's hashing."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    state_hash = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [state_hash(pool[i % 4]) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (inc_hi << 64 | inc_lo) << 1 | 1
+    state = (inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc
+    out = []
+    for _ in range(n):
+        state = state * _PCG_MULT + inc & ((1 << 128) - 1)
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
+    return out
 
 
 _HALTON_BASES = (2, 3, 5)
@@ -133,11 +187,11 @@ class Region:
             return np.stack([m.ravel() for m in mesh], axis=-1)
         count, seed = self.plan[1], self.plan[2]
         dim = self.box.dimension
-        shift = np.random.default_rng(seed).random(dim)
+        shift = _random_doubles(seed, dim)
         pts = np.empty((count, dim))
         for j in range(dim):
             base = _HALTON_BASES[j]
-            col = np.array([_radical_inverse(i + 1, base) for i in range(count)])
+            col = _radical_inverse(np.arange(1, count + 1), base)
             pts[:, j] = (col + shift[j]) % 1.0
         return lo + pts * (hi - lo)
 
@@ -171,6 +225,41 @@ def _rows_in_order(domain, P, evaluate):
     if k < len(P):
         raise OutOfDomainError("point outside field domain", P[k])
     return out
+
+
+def per_row(P, evaluate):
+    """``evaluate(P)`` for a function of the rows of P that raises for the
+    first bad row it meets, with the error a loop over the rows meets first:
+    the first row goes alone (cheap, and a function undefined everywhere
+    fails there), and a failed batch is redone one row at a time."""
+    if len(P) > 1:
+        evaluate(P[:1])
+    try:
+        return evaluate(P)
+    except EVAL_ERRORS:
+        for i in range(1, len(P)):
+            evaluate(P[i:i + 1])
+        raise
+
+
+def _expression_rows(trees, constants):
+    """Q -> values of ``trees`` at the rows of Q, shape (len(Q), len(trees)),
+    without the domain test."""
+    return lambda Q: exprlang.eval_many(trees, Q.T, constants).T
+
+
+def _jacobian_rows(trees, constants, domain, mode):
+    """Q -> Jacobians of ``trees`` at the rows of Q, shape (len(Q),
+    len(trees), dim); analytic ones come from one batch that evaluates each
+    tree ahead of its partials."""
+    if mode == "fd":
+        return lambda Q: _fd_jacobians(_expression_rows(trees, constants), Q, domain)
+    if mode != "analytic":
+        raise ValueError(f"unknown mode {mode!r}")
+    batch = [t for tree in trees for t in (tree, *tree.partials)]
+    shape = (len(trees), len(batch) // len(trees))
+    return lambda Q: exprlang.eval_many(batch, Q.T, constants).reshape(
+        *shape, len(Q))[:, 1:, :].transpose(2, 0, 1)
 
 
 class ScalarFieldDef:
@@ -221,19 +310,22 @@ class ScalarFieldDef:
         of shape (N,), from one batch evaluation; errors are those of the
         pointwise loop (see ``exprlang.eval_many``)."""
         P = _as_points(P, self.dimension)
-        return _rows_in_order(
-            self.domain, P, lambda Q: exprlang.eval_many([self.tree], Q.T, self.constants)[0]
-        )
+        return _rows_in_order(self.domain, P, _expression_rows([self.tree], self.constants))[:, 0]
 
     def gradient(self, p, mode="analytic"):
         p = _as_point(p, self.dimension)
         self._require_inside(p)
         if mode == "analytic":
             return exprlang.grad_at(self.tree, tuple(p), self.constants).partials
-        if mode == "fd":
-            f = lambda q: exprlang.eval_at(self.tree, tuple(q), self.constants)
-            return _fd_gradient(f, p, self.domain)
-        raise ValueError(f"unknown mode {mode!r}")
+        return self.gradients(p[None, :], mode)[0]
+
+    def gradients(self, P, mode="analytic"):
+        """``gradient`` at each row of the (N, dimension) array P, as an
+        (N, dimension) array from one batch; errors are those of the
+        pointwise loop."""
+        P = _as_points(P, self.dimension)
+        evaluate = _jacobian_rows([self.tree], self.constants, self.domain, mode)
+        return _rows_in_order(self.domain, P, evaluate)[:, 0, :]
 
 
 class VectorFieldDef:
@@ -249,6 +341,7 @@ class VectorFieldDef:
         self.components = tuple(
             ScalarFieldDef(dimension, t, constants, domain) for t in trees
         )
+        self.trees = tuple(trees)
         self.dimension = dimension
         self.constants = dict(constants)
         self.domain = domain
@@ -266,25 +359,18 @@ class VectorFieldDef:
         if not self.domain.contains(p):
             raise OutOfDomainError("point outside field domain", p)
         coords = tuple(p)
-        return np.array(
-            [exprlang.eval_at(c.tree, coords, self.constants) for c in self.components]
-        )
+        return np.array([exprlang.eval_at(t, coords, self.constants) for t in self.trees])
 
     def value_unchecked(self, p):
         coords = tuple(p)
-        return np.array(
-            [exprlang.eval_at(c.tree, coords, self.constants) for c in self.components]
-        )
+        return np.array([exprlang.eval_at(t, coords, self.constants) for t in self.trees])
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, as an
         (N, dimension) array, from one batch evaluation of the components;
         errors are those of the pointwise loop (see ``exprlang.eval_many``)."""
         P = _as_points(P, self.dimension)
-        trees = [c.tree for c in self.components]
-        return _rows_in_order(
-            self.domain, P, lambda Q: exprlang.eval_many(trees, Q.T, self.constants).T
-        )
+        return _rows_in_order(self.domain, P, _expression_rows(self.trees, self.constants))
 
     def jacobian(self, p, mode="analytic"):
         p = _as_point(p, self.dimension)
@@ -292,19 +378,17 @@ class VectorFieldDef:
             raise OutOfDomainError("point outside field domain", p)
         if mode == "analytic":
             coords = tuple(p)
-            return np.array(
-                [
-                    exprlang.grad_at(c.tree, coords, self.constants).partials
-                    for c in self.components
-                ]
-            )
-        if mode == "fd":
-            rows = []
-            for c in self.components:
-                f = lambda q, tree=c.tree: exprlang.eval_at(tree, tuple(q), self.constants)
-                rows.append(_fd_gradient(f, p, self.domain))
-            return np.array(rows)
-        raise ValueError(f"unknown mode {mode!r}")
+            return np.array([exprlang.grad_at(t, coords, self.constants).partials
+                             for t in self.trees])
+        return self.jacobians(p[None, :], mode)[0]
+
+    def jacobians(self, P, mode="analytic"):
+        """``jacobian`` at each row of the (N, dimension) array P, as an
+        (N, dimension, dimension) array from one batch; errors are those of
+        the pointwise loop."""
+        P = _as_points(P, self.dimension)
+        evaluate = _jacobian_rows(self.trees, self.constants, self.domain, mode)
+        return _rows_in_order(self.domain, P, evaluate)
 
 
 class CallableVectorField:
@@ -314,10 +398,10 @@ class CallableVectorField:
     conservative/non-conservative split, rescaled forces). Jacobian and
     curl are finite-difference only.
 
-    ``batch``, if given, maps an (N, dimension) array of points inside the
-    domain to the (N, dimension) values of ``fn`` at its rows; ``values``
-    uses it and takes ``fn`` row by row when it raises, so the error is the
-    one of the pointwise loop.
+    ``batch``, if given, maps an (N, dimension) array of points to the
+    (N, dimension) values of ``fn`` at its rows; ``values`` and the fd
+    stencils use it and take ``fn`` row by row when it raises, so the error
+    is the one of the pointwise loop.
     """
 
     def __init__(self, fn, dimension, domain, batch=None):
@@ -350,87 +434,79 @@ class CallableVectorField:
         return np.array([self._fn(q) for q in Q], dtype=float).reshape(-1, self.dimension)
 
     def jacobian(self, p, mode="fd"):
+        return self.jacobians(_as_point(p, self.dimension)[None, :], mode)[0]
+
+    def jacobians(self, P, mode="fd"):
+        """``jacobian`` at each row of the (N, dimension) array P, with the
+        stencil points of all rows in one sampler batch."""
         if mode != "fd":
             raise ValueError("sampler-backed fields support fd mode only")
-        p = _as_point(p, self.dimension)
-        if not self.domain.contains(p):
-            raise OutOfDomainError("point outside field domain", p)
-        rows = []
-        for i in range(self.dimension):
-            f = lambda q, idx=i: float(self._fn(q)[idx])
-            rows.append(_fd_gradient(f, p, self.domain))
-        return np.array(rows)
+        P = _as_points(P, self.dimension)
+        return _rows_in_order(self.domain, P, lambda Q: _fd_jacobians(self._rows, Q, self.domain))
 
 
-def _fd_gradient(f, p, box):
-    out = np.empty(len(p))
-    for axis, xi in enumerate(p):
-        h = max(1.0, abs(xi)) * FD_STEP_FACTOR
-        out[axis] = _fd_partial(f, p, axis, h, box)
-    return out
+# per stencil: the shifts of its points, in steps h, and their weights
+_STENCILS = (((1, -1), (1, -1)), ((0, 1, 2), (-3, 4, -1)), ((0, -1, -2), (3, -4, 1)))
 
 
-def _fd_partial(f, p, axis, h, box):
-    def shifted(delta):
-        q = np.array(p)
-        q[axis] += delta
-        return q
+def _fd_jacobians(sample, P, box):
+    """Finite-difference Jacobians at the rows of P, shape (N, k, dim), where
+    ``sample(Q)`` gives the k values at each row of Q without a domain test.
+    Per axis a row takes the central stencil when p + h and p - h lie in
+    the box, else the second-order one-sided stencil into it (from a closed
+    face), its points in one-point loop order; a row with no room either way
+    raises after the axes before it. All stencil points go through one
+    ``sample`` call, redone row by row on failure (``per_row``)."""
+    return per_row(P, lambda Q: _fd_stencil(sample, Q, box))
 
-    hi_ok = box.contains(shifted(h))
-    lo_ok = box.contains(shifted(-h))
-    if hi_ok and lo_ok:
-        return (f(shifted(h)) - f(shifted(-h))) / (2 * h)
-    if hi_ok:
-        # second-order forward stencil for points on the low face
-        return (-3 * f(p) + 4 * f(shifted(h)) - f(shifted(2 * h))) / (2 * h)
-    if lo_ok:
-        return (3 * f(p) - 4 * f(shifted(-h)) + f(shifted(-2 * h))) / (2 * h)
-    raise OutOfDomainError("no room for a difference stencil", p)
+
+def _fd_stencil(sample, P, box):
+    H = np.maximum(1.0, np.abs(P)) * FD_STEP_FACTOR
+    chunks, parts, cramped = [], [], None
+    for axis in range(P.shape[1]):
+        step = H[:, axis, None] * np.eye(P.shape[1])[axis]
+        hi_ok, lo_ok = box.contains_rows(P + step), box.contains_rows(P - step)
+        if not (hi_ok | lo_ok).all():
+            cramped = P[int(np.argmin(hi_ok | lo_ok))]
+            break
+        kinds = (hi_ok & lo_ok, hi_ok & ~lo_ok, lo_ok & ~hi_ok)  # central, forward, backward
+        for rows, (shifts, weights) in zip(kinds, _STENCILS):
+            if rows.any():
+                parts.append((axis, rows, weights))
+                chunks.extend(P[rows] + k * step[rows] for k in shifts)
+    values = sample(np.concatenate(chunks) if chunks else P[:0])
+    if cramped is not None:
+        raise OutOfDomainError("no room for a difference stencil", cramped)
+    J = np.empty((len(P), values.shape[1], P.shape[1]))
+    at = 0
+    for axis, rows, weights in parts:
+        m = int(rows.sum())
+        diff = sum(w * values[at + i * m:at + (i + 1) * m] for i, w in enumerate(weights))
+        at += len(weights) * m
+        J[rows, :, axis] = diff / (2 * H[rows, axis])[:, None]
+    return J
 
 
 # --- differential operators -------------------------------------------------
 
+def curl_of_jacobian(J):
+    """Curl from Jacobians J of shape (..., dim, dim): the scalar
+    dFy/dx - dFx/dy in 2D, the usual vector in 3D."""
+    if J.shape[-1] == 2:
+        return J[..., 1, 0] - J[..., 0, 1]
+    return np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
+                     J[..., 1, 0] - J[..., 0, 1]], axis=-1)
+
+
 def curl(F, p, mode="analytic"):
     """Curl at a point: scalar dFy/dx - dFx/dy in 2D, the usual vector in 3D."""
-    J = F.jacobian(p, mode)
-    if F.dimension == 2:
-        return J[1, 0] - J[0, 1]
-    return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
+    return curl_of_jacobian(F.jacobian(p, mode))
 
 
-# Jacobian entries (component, variable) whose differences make up the
-# curl: d1 - d2 per curl component, in the order of ``curl``
-_CURL_TERMS = {
-    2: ((1, 0), (0, 1)),
-    3: ((2, 1), (1, 2), (0, 2), (2, 0), (1, 0), (0, 1)),
-}
-
-
-def curl_many(F, P):
-    """Analytic ``curl`` at each row of the (N, dimension) array P: shape
-    (N,) in 2D, (N, 3) in 3D.
-
-    An expression field evaluates the symbolic derivative trees of its
-    components in one batch. A row outside the domain, an expression-domain
-    error or a sampler-backed field takes ``curl`` row by row instead, which
-    raises its error and keeps its dual-number rules where the symbolic ones
-    fail: at the kink of abs, d/da abs(a) = abs(a)/a divides by zero, while
-    the dual numbers give 0.
-    """
-    P = _as_points(P, F.dimension)
-    if isinstance(F, VectorFieldDef) and F.domain.contains_rows(P).all():
-        trees = [
-            exprlang.derivative(F.components[i].tree, F.components[i].tree.variables[j])
-            for i, j in _CURL_TERMS[F.dimension]
-        ]
-        try:
-            d = exprlang.eval_many(trees, P.T, F.constants)
-        except EvalDomainError:
-            pass
-        else:
-            c = d[0::2] - d[1::2]
-            return c[0] if F.dimension == 2 else c.T
-    return np.array([curl(F, p) for p in P])
+def curl_many(F, P, mode="analytic"):
+    """``curl`` at each row of the (N, dimension) array P: shape (N,) in 2D,
+    (N, 3) in 3D, from one ``jacobians`` batch, with its errors."""
+    return curl_of_jacobian(F.jacobians(P, mode))
 
 
 def helicity(F, p, mode="analytic"):

@@ -18,7 +18,7 @@ and ``curl_many``, ``exprlang.eval_many`` for parametric paths). When a
 batch fails, the chunk is evaluated again point by point in node order
 (edge, then panel, then Gauss node), so the error raised is the one the
 pointwise loop raises first: a path leaving the domain names the same
-``s=``, and at a kink of abs the dual-number velocities and curls apply.
+``s=``.
 
 Orientation: vertex order defines it; counterclockwise is positive in 2D
 and the right-hand rule applies to the vertex order in 3D.
@@ -185,9 +185,8 @@ class ParamPath:
 
 def _pointwise_dot(F, path, s, P, V):
     """F(c(s)) . c'(s) node by node, in node order: the fallback of a failed
-    batch. Its error names the first failing node, and parametric
-    velocities are dual numbers. Polylines pass their node points P and
-    edge vectors V; parametric paths pass None."""
+    batch. Its error names the first failing node. Polylines pass their
+    node points P and edge vectors V; parametric paths pass None."""
     out = np.empty(len(s))
     for i, si in enumerate(s):
         p = P[i] if path.is_polyline else path.point(si)
@@ -213,7 +212,7 @@ def line_work(F, path, q=QuadratureConfig()):
     else:
         n_edges = 1
         panels = q.initial_segments
-        rates = [exprlang.derivative(t, "s") for t in path.trees]
+        rates = [t.partials[0] for t in path.trees]
 
     def weighted_power(n, k):
         """Weighted F . dx summed over the flat node indices n of a round

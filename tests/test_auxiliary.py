@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,3 +301,51 @@ def test_auxiliary_trajectory_h_matches_pointwise():
     U = prob.potentials.U
     H = traj.kinetic + np.array([U.value(x) for x in traj.x])
     assert drift == float(np.max(np.abs(H - H[0])))
+
+
+def reference_integrand(x, prob):
+    """The per-point integrand loop of nonlocal_hamiltonian_series before it
+    was batched: grad U + grad W / V, with the floor check on V."""
+    U, V, W = prob.potentials.U, prob.potentials.V, prob.potentials.W
+    floor = prob.v_floor
+    g = np.empty_like(x)
+    for i, xi in enumerate(x):
+        gi = U.gradient(xi)
+        if W is not None:
+            v = V.value(xi)
+            if abs(v) < floor:
+                raise NumericalError(
+                    f"V={v:.3e} below the rescaling floor {floor:.3e} along "
+                    "the trajectory; the 1/V factor in the momentum "
+                    "rescaling is no longer usable"
+                )
+            gi = gi + W.gradient(xi) / v
+        g[i] = gi
+    return g
+
+
+@pytest.mark.parametrize("make", [berry_problem, w_term_problem])
+def test_nonlocal_integrand_matches_the_pointwise_loop(make):
+    prob = make()
+    x0 = (1.0, 1.0) if make is berry_problem else (0.5, 0.2, 0.1)
+    v0 = (0.2, -0.1) if make is berry_problem else (0.1, 0.0, -0.2)
+    traj = integrate(prob.F, x0, v0, SimConfig(t_end=0.5, record_dt=1e-2))
+    series = nonlocal_hamiltonian_series(traj, prob)
+    g = reference_integrand(traj.x, prob)
+    pbar = prob.mass * traj.v[0] - _cumtrapz(g, traj.t)
+    n = len(series.t)
+    assert series.pbar == pytest.approx(pbar[:n], rel=1e-14, abs=1e-14)
+
+
+def test_nonlocal_floor_error_names_the_first_row():
+    prob = w_term_problem()
+    # a path through V = 2 + x = 0 at x = -2: rows 3 and 4 are below the floor
+    x = np.array([[-1.0, 0.0, 0.0], [-1.5, 0.1, 0.0], [-1.9, 0.2, 0.0],
+                  [-2.0, 0.3, 0.0], [-2.0 + 1e-12, 0.4, 0.0], [-1.8, 0.5, 0.0]])
+    traj = SimpleNamespace(t=np.linspace(0.0, 0.5, len(x)), x=x, v=np.zeros_like(x))
+    with pytest.raises(NumericalError) as want:
+        reference_integrand(x, prob)
+    with pytest.raises(NumericalError) as got:
+        nonlocal_hamiltonian_series(traj, prob)
+    assert str(got.value) == str(want.value)
+    assert "V=0.000e+00" in str(got.value)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from curlkit import cli, dynamics
+from curlkit import cli, dynamics, exprlang
 from curlkit.problemfile import load_problem
 
 BERRY = {
@@ -88,6 +88,40 @@ def test_exit_input_for_literal_beyond_double_range(tmp_path, problem, capsys):
     assert code == cli.EXIT_INPUT
     assert report is None
     assert "force[0]: number '1e400' is beyond the double range" in capsys.readouterr().err
+
+
+def test_overflowing_sum_at_a_probe_point_is_an_input_error(tmp_path, problem, capsys):
+    # the sum overflows at every point of [1, 5]^2, the load probe included
+    bad = {"dimension": 2, "force": ["sin(x*1e308 + x*1e308)", "y"],
+           "domain": [[1.0, 5.0], [1.0, 5.0]]}
+    code, report = run(tmp_path, "classify", problem(bad), "--samples", "20")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "force[0]: probe at (1.0, 1.0) failed: non-finite result" in capsys.readouterr().err
+
+
+def test_overflowing_sum_inside_the_domain_exits_numerical(tmp_path, problem, capsys):
+    # a = 0.5 + 0.45 sin(pi x) is 0.5 at the probe points (integer x) and
+    # above 0.9 near x = 1.5, where a*1e308 + a*1e308 overflows
+    a = "(0.5 + 0.45*sin(3.141592653589793*x))"
+    bad = {"dimension": 2, "force": [f"sin({a}*1e308 + {a}*1e308)", "y"],
+           "domain": [[1.0, 5.0], [1.0, 5.0]]}
+    code, report = run(tmp_path, "classify", problem(bad), "--samples", "50")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    assert "non-finite result" in capsys.readouterr().err
+
+
+def test_decompose3d_exits_numerical_when_the_split_is_not_conservative(
+    tmp_path, problem, capsys
+):
+    probe = {"dimension": 3, "force": ["-(y + z)", "-(y + z)*2*y", "0"],
+             "domain": [[0.5, 2.0]] * 3}
+    code, report = run(tmp_path, "decompose3d", problem(probe), "--v", "y + z",
+                       "--samples", "40")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    assert "not conservative" in capsys.readouterr().err
 
 
 def test_exit_numerical_for_nan_start(tmp_path, problem):
@@ -185,3 +219,13 @@ def test_decompose3d_results_keys(tmp_path, problem):
         assert set(rep) == RESIDUAL_KEYS
     with open(report["artifacts"]["samples"], newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 10
+
+
+def test_gauge_prints_derivative_trees_that_parse_back(tmp_path, problem):
+    # f'(u) = abs(u) + u*sign(u) holds the sign builtin
+    code, report = run(tmp_path, "gauge", problem(BERRY), "--samples", "20",
+                       "--f", "u*abs(u)")
+    assert code == cli.EXIT_OK
+    v_prime = report["results"]["v_prime"]
+    assert "sign(" in v_prime
+    assert exprlang.to_source(exprlang.parse(v_prime, 2)) == v_prime

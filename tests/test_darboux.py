@@ -332,3 +332,95 @@ def test_characteristic_domain_exit_reported():
     V = ScalarFieldDef.from_source("y", 3, domain=DOM3)
     with pytest.raises(OutOfDomainError):
         characteristic_deviation(F, V, (1.0, 1.0, 1.0), 4.0)  # x = e^4 > 10
+
+
+# --- batch consumers -------------------------------------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curlkit.errors import EvalDomainError
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@REPEATABLE
+@given(
+    st.sampled_from(["{a}*u + {b}", "{a}*u + {b}*u^3", "exp({k}*u)", "{a}*u - {b}*exp(u)"]),
+    st.floats(0.5, 3.0),
+    st.floats(0.0, 2.0),
+    st.sampled_from([-1.0, -0.5, 0.25, 1.0]),
+)
+def test_verify_residual_is_gauge_invariant(template, a, b, k):
+    # every f here has f' != 0 on U(R2) = [-4, -1]
+    F, P = berry_field(), berry_potentials()
+    f = exprlang.parse_in_variables(template.format(a=repr(a), b=repr(b), k=repr(k)), ("u",))
+    base = verify_representation(F, P, R2)
+    after = verify_representation(F, gauge_transform(P, f, region=R2), R2)
+    assert base.max <= 1e-12 and after.max <= 1e-12
+    assert after.sample_count == base.sample_count
+
+
+def reference_verify(F, potentials, pts):
+    """The per-sample loop of verify_representation: the first error raised."""
+    mags = []
+    for p in pts:
+        r = F.value(p) + potentials.V.value(p) * potentials.U.gradient(p)
+        if potentials.W is not None:
+            r = r + potentials.W.gradient(p)
+        mags.append(np.linalg.norm(r))
+    return np.array(mags)
+
+
+def test_verify_fails_at_the_first_sample_a_loop_fails_at():
+    # samples run x-major: U's gradient fails at the second one (y = 1.5),
+    # F's value only from the seventh (x = 1.5), so the loop meets U's error
+    # first while a batch of F's values fails first
+    F = VectorFieldDef.from_source(["-x*y^2 + 1/(x - 1.5)", "-x^3"], 2, domain=DOM2)
+    U = ScalarFieldDef.from_source("-(1/x + 1/y) + abs(y - 1.5)^0.5", 2, domain=DOM2)
+    P = PotentialSet(U=U, V=berry_potentials().V)
+    region = Region.grid(Box((0.5, 1.0), (1.5, 2.0)), (3, 3))
+    pts = region.samples()
+    with pytest.raises(EvalDomainError) as want:
+        reference_verify(F, P, pts)
+    with pytest.raises(EvalDomainError) as got:
+        verify_representation(F, P, region)
+    assert str(got.value) == str(want.value)
+    assert "zero raised to a negative power" in str(got.value)
+
+
+def test_verify_matches_the_pointwise_loop():
+    F, P = berry_field(), berry_potentials()
+    rep = verify_representation(F, P, R2)
+    want = reference_verify(F, P, R2.samples())
+    assert rep.max == pytest.approx(want.max(), abs=4e-15)
+    assert rep.sample_count == len(want)
+
+
+def test_classify_takes_the_jacobians_once(monkeypatch):
+    F = berry_field()
+    calls = []
+    real = VectorFieldDef.jacobians
+    monkeypatch.setattr(VectorFieldDef, "jacobians",
+                        lambda self, P, mode="analytic": calls.append(len(P)) or real(self, P, mode))
+    assert classify(F, R2).canonical_class == "two-potential"
+    assert calls == [len(R2.samples())]
+
+
+def test_decompose_refuses_a_split_that_is_not_conservative():
+    # V = y + z is a valid first integral of curl F here, but the gauge
+    # grad V . grad U = 0 admits no potential: curl F_c is O(1)
+    F = VectorFieldDef.from_source(["-(y + z)", "-(y + z)*2*y", "0"], 3, domain=DOM3)
+    V = ScalarFieldDef.from_source("y + z", 3, domain=DOM3)
+    region = Region.random(Box((0.5,) * 3, (2.0,) * 3), 40, seed=3)
+    with pytest.raises(NumericalError, match="not conservative"):
+        decompose3d(F, V, region)
+
+
+def test_decompose_samplers_take_points_or_rows():
+    dec = decompose3d(triple_field(), ScalarFieldDef.from_source("y", 3, domain=DOM3), R3)
+    pts = R3.samples()[:5]
+    for sampler in (dec.grad_u, dec.f_c, dec.f_nc):
+        rows = sampler(pts)
+        assert rows.shape == (5, 3)
+        assert np.array_equal(rows, np.array([sampler(p) for p in pts]))

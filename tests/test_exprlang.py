@@ -213,19 +213,33 @@ def test_negative_base_fractional_power():
         ev("x^0.5", (-1.0, 0.0))
 
 
+_UNCHECKED_SUMS = ["x*1e308 + x*1e308", "(x*1e308 + x*1e308) - (x*1e308 + x*1e308)"]
+
+
 @pytest.mark.parametrize(
-    "exponent",
+    "exponent,unchecked",
     # an unchecked sum overflows to inf, and inf - inf is NaN
-    ["x*1e308 + x*1e308", "(x*1e308 + x*1e308) - (x*1e308 + x*1e308)"],
+    list(zip(_UNCHECKED_SUMS, [math.inf, math.nan])),
+    ids=_UNCHECKED_SUMS,
 )
-def test_negative_base_non_finite_exponent(exponent):
+def test_negative_base_non_finite_exponent(exponent, unchecked):
+    cols = [np.array([1.0]), np.array([0.0])]
+    # the checked sum refuses the overflow at its own span
     tree = parse(f"pow(-0.5, {exponent})", 2)
+    first_sum = (exponent.index("x"), exponent.index("x") + len("x*1e308 + x*1e308"))
+    for evaluate in (lambda: eval_at(tree, (1.0, 0.0), {}),
+                     lambda: exprlang.eval_many([tree], cols, {})):
+        with np.errstate(over="ignore"), pytest.raises(
+            EvalDomainError, match="non-finite result"
+        ) as err:
+            evaluate()
+        assert err.value.span == (10 + first_sum[0], 10 + first_sum[1])
+    # the value it would have had still meets the power's own check
+    tree = parse("pow(-0.5, c)", 2, {"c"})
     with pytest.raises(EvalDomainError, match="non-finite exponent"):
-        eval_at(tree, (1.0, 0.0), {})
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        EvalDomainError, match="non-finite exponent"
-    ):
-        exprlang.eval_many([tree], [np.array([1.0]), np.array([0.0])], {})
+        eval_at(tree, (1.0, 0.0), {"c": unchecked})
+    with pytest.raises(EvalDomainError, match="non-finite exponent"):
+        exprlang.eval_many([tree], cols, {"c": unchecked})
 
 
 def test_missing_constant_rejected():
@@ -429,6 +443,7 @@ def _value_and_bound(node, coords, constants):
         "log": lambda: 1.0 / x,
         "sqrt": lambda: 0.5 / value if value > 0.0 else math.inf,
         "abs": lambda: 1.0,
+        "sign": lambda: 0.0,
     }[node.func]()
     return value, _propagated(slope, ex) + 4 * _EPS * abs(value)
 
@@ -437,18 +452,24 @@ _LITERALS = st.sampled_from(["0", "1", "2", "0.5", "3", "1e-3", "709", "1.5"])
 _LEAVES = st.one_of(st.sampled_from(["x", "y", "c"]), _LITERALS)
 
 
-def _extend(children):
-    binary = st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
-        lambda t: f"({t[1]} {t[0]} {t[2]})"
-    )
-    unary = st.tuples(
-        st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-"]), children
-    ).map(lambda t: f"{t[0]}({t[1]})")
-    power = st.tuples(children, children).map(lambda t: f"pow({t[0]}, {t[1]})")
-    return st.one_of(binary, unary, power)
+def _extender(functions):
+    def extend(children):
+        binary = st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+            lambda t: f"({t[1]} {t[0]} {t[2]})"
+        )
+        unary = st.tuples(st.sampled_from(functions + ["-"]), children).map(
+            lambda t: f"{t[0]}({t[1]})"
+        )
+        power = st.tuples(children, children).map(lambda t: f"pow({t[0]}, {t[1]})")
+        return st.one_of(binary, unary, power)
+
+    return extend
 
 
-_SOURCES = st.recursive(_LEAVES, _extend, max_leaves=8)
+_DUAL_FUNCTIONS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]
+# sign is not in the dual-number reference's language
+_SOURCES = st.recursive(_LEAVES, _extender(_DUAL_FUNCTIONS + ["sign"]), max_leaves=8)
+_DUAL_SOURCES = st.recursive(_LEAVES, _extender(_DUAL_FUNCTIONS), max_leaves=8)
 _COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), st.floats(-4.0, 4.0))
 _POINTS = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6)
 
@@ -557,3 +578,296 @@ def test_eval_many_exp_threshold_is_pointwise():
     tree = parse("exp(x)", 2)
     with pytest.raises(EvalDomainError, match="non-finite"):
         eval_many([tree], [np.array([1.0, 709.5]), np.array([0.0, 0.0])], {})
+
+
+# --- symbolic partials against the dual numbers they replaced ----------------------
+
+from curlkit.exprlang import _apply_function, _check_finite, _pow_value
+
+
+class DualValue:
+    """The parent's forward-mode dual number, kept as the reference for the
+    symbolic partials: a value with its partials, obeying the product,
+    quotient and chain rules exactly."""
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+
+    def __add__(self, other):
+        if isinstance(other, DualValue):
+            return DualValue(self.value + other.value, self.partials + other.partials)
+        return DualValue(self.value + other, self.partials)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, DualValue):
+            return DualValue(self.value - other.value, self.partials - other.partials)
+        return DualValue(self.value - other, self.partials)
+
+    def __rsub__(self, other):
+        return DualValue(other - self.value, -self.partials)
+
+    def __mul__(self, other):
+        if isinstance(other, DualValue):
+            return DualValue(
+                self.value * other.value,
+                self.value * other.partials + self.partials * other.value,
+            )
+        return DualValue(self.value * other, self.partials * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, DualValue):
+            return DualValue(
+                self.value / other.value,
+                (self.partials * other.value - self.value * other.partials)
+                / (other.value * other.value),
+            )
+        return DualValue(self.value / other, self.partials / other)
+
+    def __neg__(self):
+        return DualValue(-self.value, -self.partials)
+
+
+def _dual_pow(a, b, span):
+    value = _pow_value(a.value, b.value, span)
+    if not b.partials.any():
+        # constant exponent: plain power rule, valid for negative bases too
+        if b.value == 0.0:
+            return DualValue(value, np.zeros_like(a.partials))
+        grad = b.value * _pow_value(a.value, b.value - 1.0, span) * a.partials
+        return DualValue(value, grad)
+    if a.value <= 0.0:
+        raise EvalDomainError(
+            "derivative of power needs a positive base for a varying exponent", span
+        )
+    grad = value * (b.partials * math.log(a.value) + b.value * a.partials / a.value)
+    return DualValue(value, grad)
+
+
+def _dual_function(name, arg, span):
+    x = arg.value
+    value = _apply_function(name, x, span)
+    if name == "sin":
+        d = math.cos(x)
+    elif name == "cos":
+        d = -math.sin(x)
+    elif name == "tan":
+        c = math.cos(x)
+        d = 1.0 / (c * c)
+    elif name == "exp":
+        d = value
+    elif name == "log":
+        d = 1.0 / x
+    elif name == "sqrt":
+        if x == 0.0:
+            raise EvalDomainError("derivative of sqrt at zero", span)
+        d = 0.5 / value
+    else:  # abs; subgradient 0 at the kink
+        d = math.copysign(1.0, x) if x != 0.0 else 0.0
+    return DualValue(value, d * arg.partials)
+
+
+def _eval_dual(node, coords, constants, n):
+    if isinstance(node, Num):
+        return DualValue(node.value, np.zeros(n))
+    if isinstance(node, Var):
+        partials = np.zeros(n)
+        partials[node.index] = 1.0
+        return DualValue(coords[node.index], partials)
+    if isinstance(node, Const):
+        try:
+            return DualValue(constants[node.name], np.zeros(n))
+        except KeyError:
+            raise EvalDomainError(f"constant {node.name!r} not bound", node.span) from None
+    if isinstance(node, Neg):
+        return -_eval_dual(node.operand, coords, constants, n)
+    if isinstance(node, BinOp):
+        a = _eval_dual(node.left, coords, constants, n)
+        b = _eval_dual(node.right, coords, constants, n)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            out = a * b
+            _check_finite(out.value, node.span)
+            return out
+        if node.op == "/":
+            if b.value == 0.0:
+                raise EvalDomainError("division by zero", node.span)
+            out = a / b
+            _check_finite(out.value, node.span)
+            return out
+        return _dual_pow(a, b, node.span)
+    if isinstance(node, Call):
+        if node.func == "pow":
+            a = _eval_dual(node.args[0], coords, constants, n)
+            b = _eval_dual(node.args[1], coords, constants, n)
+            return _dual_pow(a, b, node.span)
+        arg = _eval_dual(node.args[0], coords, constants, n)
+        return _dual_function(node.func, arg, node.span)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def dual_grad_at(tree, coords, constants):
+    return _eval_dual(tree.root, coords, constants, len(tree.variables))
+
+
+def _outcome(f):
+    try:
+        with np.errstate(all="ignore"):  # the dual partials are unchecked
+            return f()
+    except EvalDomainError as e:
+        return e
+
+
+def _same_error(a, b):
+    return (isinstance(a, EvalDomainError) and isinstance(b, EvalDomainError)
+            and str(a) == str(b) and a.span == b.span)
+
+
+def _node_at(node, span):
+    """The node of a parsed tree with this source span (spans are unique)."""
+    if node.span == span:
+        return node
+    children = {Neg: lambda n: (n.operand,), BinOp: lambda n: (n.left, n.right),
+                Call: lambda n: n.args}.get(type(node), lambda n: ())(node)
+    for child in children:
+        found = _node_at(child, span)
+        if found is not None:
+            return found
+    return None
+
+
+def _value_defined(tree, node, coords, constants):
+    sub = exprlang.SyntaxTree(node, tree.variables, tree.constants)
+    return not isinstance(_outcome(lambda: eval_at(sub, coords, constants)), EvalDomainError)
+
+
+@REPEATABLE
+@given(_DUAL_SOURCES, st.tuples(_COORD, _COORD), st.floats(-3.0, 3.0))
+def test_grad_at_matches_the_dual_numbers(source, coords, c):
+    constants = {"c": c}
+    tree = parse(source, 2, {"c"})
+    value = _outcome(lambda: eval_at(tree, coords, constants))
+    got = _outcome(lambda: grad_at(tree, coords, constants))
+    ref = _outcome(lambda: dual_grad_at(tree, coords, constants))
+    if isinstance(value, EvalDomainError):
+        # the value is evaluated first, so its error wins
+        assert _same_error(got, value), (got, value)
+        # the dual numbers raise it too, unless their walk met a derivative
+        # rule first (at a node whose value is defined) or the value error is
+        # a sum overflowing, which they did not check
+        ref_node = _node_at(tree.root, ref.span) if isinstance(ref, EvalDomainError) else None
+        overflowing_sum = isinstance(_node_at(tree.root, value.span), BinOp) and (
+            _node_at(tree.root, value.span).op in "+-"
+        )
+        if not overflowing_sum and not (
+            ref_node is not None and _value_defined(tree, ref_node, coords, constants)
+        ):
+            assert _same_error(ref, value), (ref, value)
+        return
+    if isinstance(ref, EvalDomainError) or not np.all(np.isfinite(ref.partials)):
+        return
+    if isinstance(got, EvalDomainError):
+        # the symbolic power rules need a^(b-1) for a constant exponent and
+        # log(a), a > 0, for a varying one; the dual numbers branch on the
+        # point instead (b = 0, or exponent partials that vanish there)
+        node = _node_at(tree.root, got.span)
+        assert (isinstance(node, BinOp) and node.op == "^") or (
+            isinstance(node, Call) and node.func == "pow"
+        ), (source, coords, got)
+        return
+    assert got.value == value == ref.value
+    for i, dtree in enumerate(tree.partials):
+        want, drift = _value_and_bound(dtree.root, coords, constants)
+        assert got.partials[i] == want
+        assert abs(ref.partials[i] - want) <= 2 * drift, (source, coords, i)
+
+
+@REPEATABLE
+@given(_SOURCES)
+def test_print_parse_roundtrip_with_derivative_trees(source):
+    tree = parse(source, 2, {"c"})
+    for t in (tree, *tree.partials, *tree.partials[0].partials):
+        again = parse_in_variables(to_source(t), ("x", "y"), {"c"})
+        assert again.root == t.root, to_source(t)
+
+
+def test_partials_are_built_once(monkeypatch):
+    tree = parse("x^2*sin(y)", 2)
+    calls = []
+    real = exprlang.derivative
+    monkeypatch.setattr(exprlang, "derivative", lambda t, v: calls.append(v) or real(t, v))
+    first = tree.partials
+    assert tree.partials is first and calls == ["x", "y"]
+    grad_at(tree, (1.0, 2.0), {})
+    assert calls == ["x", "y"]
+
+
+def test_sign_is_a_builtin_with_zero_derivative():
+    tree = parse("sign(x)*y", 2)
+    assert [eval_at(tree, (x, 2.0), {}) for x in (-3.0, 0.0, -0.0, 0.5)] == [-2.0, 0.0, 0.0, 2.0]
+    assert to_source(tree.partials[0]) == "0"
+    with pytest.raises(ParseError):
+        parse("sign(x, y)", 2)
+
+
+def test_abs_derivative_is_zero_at_the_kink():
+    tree = parse("abs(x - 1)*y", 2)
+    assert to_source(tree.partials[0]) == "sign(x - 1)*y"
+    assert list(grad_at(tree, (1.0, 3.0), {}).partials) == [0.0, 0.0]
+    assert list(grad_at(tree, (0.5, 3.0), {}).partials) == [-3.0, 0.5]
+
+
+def test_value_error_wins_over_the_partials():
+    # d log(x) = 1/x is defined at x = -1, log(x) is not
+    tree = parse("y + log(x)", 2)
+    with pytest.raises(EvalDomainError, match="log of non-positive") as err:
+        grad_at(tree, (-1.0, 0.0), {})
+    assert err.value.span == (4, 10)
+
+
+@pytest.mark.parametrize(
+    "source,coords,message,span",
+    [
+        # sqrt' at 0, where the value sqrt(0) = 0 is defined
+        ("y + sqrt(x*x)", (0.0, 1.0), "division by zero", (4, 13)),
+        # a varying exponent needs a positive base, even where the power is
+        # defined
+        ("1 + x^y", (-2.0, 2.0), "log of non-positive", (4, 7)),
+        ("1 + pow(x, y)", (0.0, 2.0), "division by zero", (4, 13)),
+    ],
+)
+def test_derivative_errors_name_the_source_node(source, coords, message, span):
+    tree = parse(source, 2)
+    eval_at(tree, coords, {})
+    with pytest.raises(EvalDomainError, match=message) as err:
+        grad_at(tree, coords, {})
+    assert err.value.span == span
+
+
+def test_constant_exponent_power_rule_takes_negative_bases():
+    tree = parse("x^c + pow(x, -(2))", 2, {"c"})
+    g = grad_at(tree, (-2.0, 0.0), {"c": 3.0})
+    assert list(g.partials) == [3.0 * 4.0 + 2.0 / 8.0, 0.0]
+    # and a zero base, where a varying exponent's b da / a would divide by 0
+    assert list(grad_at(parse("x^c", 2, {"c"}), (0.0, 1.0), {"c": 2.0}).partials) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("source", ["x*1e308 + x*1e308", "x*1e308 - (0 - x)*1e308"])
+@pytest.mark.parametrize("wrap", ["{}", "sin({})"])
+def test_sum_overflow_is_a_domain_error(source, wrap):
+    tree = parse(wrap.format(source), 2)
+    cols = [np.array([0.5, 1.0]), np.array([0.0, 0.0])]
+    start = wrap.index("{")
+    for evaluate in (lambda: eval_at(tree, (1.0, 0.0), {}), lambda: eval_many([tree], cols, {})):
+        with np.errstate(over="ignore"), pytest.raises(
+            EvalDomainError, match="non-finite result"
+        ) as err:
+            evaluate()
+        assert err.value.span == (start, start + len(source))

@@ -361,3 +361,172 @@ def test_curl_many_keeps_dual_rules_at_a_kink():
 def test_curl_many_outside_domain_raises_like_curl(berry):
     with pytest.raises(OutOfDomainError):
         curl_many(berry, [[1.0, 1.0], [9.0, 1.0]])
+
+
+# --- the sample plan's random shift without numpy.random --------------------------
+
+import subprocess
+import sys
+
+from curlkit.fieldkit import _random_doubles
+
+_SEEDS = list(range(2200)) + [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3,
+                              2**128 + 7, 3**126, 2**199 + 12345, 2**200 - 1]
+
+
+def test_random_doubles_match_numpy_default_rng():
+    for seed in _SEEDS:
+        for n in range(1, 6):
+            want = np.random.default_rng(seed).random(n)
+            assert _random_doubles(seed, n) == list(want), (seed, n)
+
+
+def test_random_plan_is_the_numpy_shifted_halton_set():
+    def radical_inverse(index, base):
+        inv, f = 0.0, 1.0 / base
+        while index > 0:
+            inv += f * (index % base)
+            index //= base
+            f /= base
+        return inv
+
+    for dim, seed, count in [(2, 0, 1), (2, 977, 300), (3, 2**40 + 1, 64)]:
+        box = Box((0.05,) * dim, (5.0,) * dim)
+        shift = np.random.default_rng(seed).random(dim)
+        unit = np.array([[(radical_inverse(i + 1, b) + shift[j]) % 1.0
+                          for j, b in enumerate((2, 3, 5)[:dim])] for i in range(count)])
+        want = np.asarray(box.lo) + unit * (np.asarray(box.hi) - np.asarray(box.lo))
+        assert np.array_equal(Region.random(box, count, seed).samples(), want)
+
+
+def test_random_plan_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        Region.random(box2(), 5, seed=-1).samples()
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+
+
+def test_classify_on_a_random_plan_does_not_import_numpy_random(tmp_path):
+    problem = tmp_path / "berry.json"
+    problem.write_text(
+        '{"dimension": 2, "force": ["-x*y^2", "-x^3"], "domain": [[0.05, 5], [0.05, 5]]}'
+    )
+    code = (
+        "import sys\n"
+        "from curlkit import cli\n"
+        f"code = cli.main(['classify', {str(problem)!r}, '--samples', '50', '--seed', '7',"
+        f" '--out', {str(tmp_path / 'out.json')!r}])\n"
+        "assert code == 0, code\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# --- batch derivatives against the pointwise ones --------------------------------
+
+import os
+from pathlib import Path
+
+_SCALARS = {
+    2: ["x*y^2 - 3*x", "sin(x)*exp(y/3)", "log(x + 3.5)*y", "1/(x - 0.25) + y", "abs(x*y)"],
+    3: ["x*y*z", "cos(x - z)*y", "sqrt(x + 3.5) - z^2", "1/(y + 0.75)", "x^2*abs(z)"],
+}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (EvalDomainError, OutOfDomainError) as e:
+        return e
+
+
+def _assert_same(got, want, exact):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert not isinstance(got, Exception), got
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _field_case(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    lo = [draw(st.sampled_from([-3.0, -1.0, 0.0, 0.5])) for _ in range(dim)]
+    hi = [a + draw(st.sampled_from([0.5, 1.0, 3.0])) for a in lo]
+    box = Box(lo, hi, closed_lo=tuple(draw(st.booleans()) for _ in range(dim)),
+              closed_hi=tuple(draw(st.booleans()) for _ in range(dim)))
+    sources = draw(st.lists(st.sampled_from(_SCALARS[dim]), min_size=dim, max_size=dim))
+    counts = [draw(st.integers(1, 4)) for _ in range(dim)]
+    # a grid touching every face, and points near and on the faces inside
+    P = Region.grid(box, counts).samples()
+    extra = [[draw(st.one_of(st.sampled_from([a, b, a + 1e-6, b - 1e-6]), st.floats(a, b)))
+              for a, b in zip(lo, hi)] for _ in range(draw(st.integers(0, 3)))]
+    if extra:
+        P = np.vstack([P, extra])
+    if draw(st.booleans()):
+        P = P[draw(st.permutations(range(len(P))))]
+    return box, sources, P
+
+
+@REPEATABLE
+@given(_field_case(), st.sampled_from(["analytic", "fd"]))
+def test_batch_derivatives_match_pointwise_rows(case, mode):
+    box, sources, P = case
+    dim = box.dimension
+    F = VectorFieldDef.from_source(sources, dim, domain=box)
+    U = F.components[0]
+    cases = [
+        (lambda: F.jacobians(P, mode), lambda: np.array([F.jacobian(p, mode) for p in P])),
+        (lambda: U.gradients(P, mode), lambda: np.array([U.gradient(p, mode) for p in P])),
+        (lambda: curl_many(F, P, mode), lambda: np.array([curl(F, p, mode) for p in P])),
+    ]
+    if mode == "fd":
+        G = CallableVectorField(F.value_unchecked, dim, box, batch=lambda Q: F.values(Q))
+        cases.append(
+            (lambda: G.jacobians(P), lambda: np.array([G.jacobian(p) for p in P]))
+        )
+    for batch, pointwise in cases:
+        # fd rows share the stencil code, analytic ones differ from eval_at by
+        # NumPy's rounding of exp, log, sin and cos
+        _assert_same(_outcome(batch), _outcome(pointwise), exact=mode == "fd")
+
+
+def test_fd_one_sided_rows_in_a_batch():
+    # every grid point of the closed unit square lies on a face or corner
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    F = VectorFieldDef.from_source(["x^3*y", "exp(x)*y^2"], 2, domain=box)
+    P = Region.grid(box, (2, 2)).samples()
+    J = F.jacobians(P, "fd")
+    assert np.array_equal(J, np.array([F.jacobian(p, "fd") for p in P]))
+    assert J == pytest.approx(F.jacobians(P), rel=1e-8, abs=1e-8)
+
+
+def test_fd_no_room_raises_after_the_earlier_rows():
+    # the y stencil fits nowhere in a box 1e-6 high; the x stencil of the
+    # first row is evaluated before, and fails first
+    box = Box((0.0, 0.0), (1.0, 1e-6))
+    F = VectorFieldDef.from_source(["sqrt(x - 0.5)", "y"], 2, domain=box)
+    P = np.array([[0.5, 0.0], [0.75, 0.0]])
+    with pytest.raises(EvalDomainError) as want:
+        [F.jacobian(p, "fd") for p in P]
+    with pytest.raises(EvalDomainError) as got:
+        F.jacobians(P, "fd")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(OutOfDomainError, match="no room"):
+        F.jacobians(P[1:], "fd")
+
+
+def test_curl_many_reads_the_cached_partials(berry, monkeypatch):
+    P = np.array([[1.0, 2.0], [0.5, 0.7]])
+    curl_many(berry, P)
+    calls = []
+    real = exprlang.derivative
+    monkeypatch.setattr(exprlang, "derivative", lambda t, v: calls.append(v) or real(t, v))
+    assert curl_many(berry, P) == pytest.approx([-3.0 + 4.0, -0.75 + 0.7], rel=1e-15)
+    assert calls == []
