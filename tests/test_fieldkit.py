@@ -365,8 +365,10 @@ def test_curl_many_outside_domain_raises_like_curl(berry):
 
 # --- the sample plan's random shift without numpy.random --------------------------
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from curlkit.fieldkit import _random_doubles
 
@@ -426,9 +428,6 @@ def test_classify_on_a_random_plan_does_not_import_numpy_random(tmp_path):
 
 
 # --- batch derivatives against the pointwise ones --------------------------------
-
-import os
-from pathlib import Path
 
 _SCALARS = {
     2: ["x*y^2 - 3*x", "sin(x)*exp(y/3)", "log(x + 3.5)*y", "1/(x - 0.25) + y", "abs(x*y)"],
