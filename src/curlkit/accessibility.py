@@ -26,7 +26,7 @@ import numpy as np
 from . import fieldkit
 from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
-from .pathwork import ParamPath
+from .pathwork import ParamPath, _cross3
 
 FIELD_FLOOR = 1e-12
 FLOW_TOL = 1e-10
@@ -172,9 +172,9 @@ def kernel_frame_3d(F, x, axis=None):
     k = _least_aligned_axis(n) if axis is None else axis
     e = np.zeros(3)
     e[k] = 1.0
-    X = np.cross(e, n)
+    X = _cross3(e, n)
     X /= np.linalg.norm(X)
-    Y = np.cross(n, X)
+    Y = _cross3(n, X)
     return KernelFrame(point=tuple(float(c) for c in x), X=X, Y=Y, normal=n)
 
 
@@ -287,5 +287,5 @@ def frame_bracket_defect(F, x, fd_step=1e-5):
 
     bracket = JY @ base.X - JX @ base.Y
     lhs = float(np.dot(F.value_unchecked(x), bracket))
-    rhs = -float(np.dot(fieldkit.curl(F, x), np.cross(base.X, base.Y)))
+    rhs = -float(np.dot(fieldkit.curl(F, x), _cross3(base.X, base.Y)))
     return lhs, rhs, abs(lhs - rhs)

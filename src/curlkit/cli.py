@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,11 @@ try:
     # the builtin SHA-256 spares every run the OpenSSL library that hashlib
     # loads (about 3.6 MB resident), as the standard random module does
     from _sha256 import sha256
-except ImportError:  # not built, or named _sha2 from Python 3.12 on
-    from hashlib import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # its name from Python 3.12 on
+    except ImportError:  # not built
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -703,10 +707,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    # built once per process: building costs some twenty parses, which leave it unchanged
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

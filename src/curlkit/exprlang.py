@@ -19,7 +19,15 @@ text, which error messages reference.
 
 Evaluation is IEEE double precision, and every node's result is checked:
 a domain error or a non-finite result raises EvalDomainError at that
-node's span. ``eval_at(tree, coords, constants)`` returns the value.
+node's span. One emitter (``compiled``) writes a tuple of trees as one
+Python function, compiled on first use and kept on the first tree, with
+each node rule (``_RULES``) written once for two backends: ``math`` on
+Python floats for one point (``eval_at``, ``grad_at``, the fields' points),
+which raises the error a recursive walk meets first, and ``numpy`` over
+columns of N points (``eval_many``), whose tests are supersets of the
+checks. If any point of a batch fails one, the points are evaluated again
+with ``eval_at`` in order, so a batch raises exactly the error (type,
+message and span) that the pointwise loop raises first.
 
 Derivatives are symbolic: ``derivative(tree, var)``, cached per tree and
 variable in ``tree.partials``. Their nodes carry the span of the source
@@ -27,13 +35,6 @@ node they differentiate, which raises where no derivative exists: sqrt'
 at 0 divides by zero, a varying exponent needs the log of its base.
 ``grad_at`` evaluates the value and then each partial tree at one point;
 the value comes first, so d log(x) = 1/x gives no answer at x < 0.
-
-``eval_at`` is the single-point path and the reference. ``eval_many``
-evaluates several trees at N points in one walk per tree over NumPy
-columns, making every check of ``eval_at`` over all points at each node.
-If any point fails one, the batch is discarded and the points are
-evaluated again with ``eval_at`` in order, so a batch raises exactly the
-error (type, message and span) that the pointwise loop raises first.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +115,8 @@ class SyntaxTree:
     variables: tuple
     constants: frozenset
     source: str = ""
+    # the functions ``compiled`` built for this tree, alone or first of several
+    functions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def referenced_constants(self):
         return _leaf_names(self.root, Const)
@@ -122,6 +125,7 @@ class SyntaxTree:
     def partials(self):
         """The derivative tree for each variable, in variable order."""
         return tuple(derivative(self, v) for v in self.variables)
+
 
 
 def _leaf_names(node, kind, found=None):
@@ -385,93 +389,161 @@ def to_source(tree):
 
 # --- evaluation ------------------------------------------------------------
 
-def _check_finite(value, span):
-    if not math.isfinite(value):
-        raise EvalDomainError("non-finite result", span)
-    return value
+class _PointFailed(Exception):
+    """Some point of a batch may fail a check of the math backend."""
 
 
-def _apply_function(name, x, span):
-    if name == "sin":
-        return math.sin(x)
-    if name == "cos":
-        return math.cos(x)
-    if name == "tan":
-        return _check_finite(math.tan(x), span)
-    if name == "exp":
-        return _check_finite(math.exp(x) if x < 709.0 else math.inf, span)
-    if name == "log":
-        if x <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {x!r}", span)
-        return math.log(x)
-    if name == "sqrt":
-        if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x!r}", span)
-        return math.sqrt(x)
-    if name == "abs":
-        return abs(x)
-    if name == "sign":
-        return math.copysign(1.0, x) if x != 0.0 else 0.0
-    raise EvalDomainError(f"unknown function {name!r}", span)
+# the names an emitted function sees, per backend
+_FUNCTIONS = ("isfinite", "exp", "log", "sqrt", "sin", "cos", "tan")
+_NAMESPACES = {
+    "math": {"E": EvalDomainError, "pow": math.pow,
+             "sign": lambda x: math.copysign(1.0, x) if x != 0.0 else 0.0,
+             **{name: getattr(math, name) for name in _FUNCTIONS}},
+    "numpy": {"PF": _PointFailed, "all_": np.all, "pow": np.power, "sign": np.sign, "abs": np.abs,
+              **{name: getattr(np, name) for name in _FUNCTIONS}},
+}
+
+# A check is (the math backend's failure test and message, the NumPy
+# backend's pass test, which NaN fails too), None where a backend has none;
+# {0} and {1} are the operands. math.sin/cos/tan reject infinities, so the
+# NumPy backend reruns every non-finite argument of theirs pointwise.
+_FINITE_ARG = (None, None, "isfinite({0})")
+_POW_CHECKS = (
+    ("{0} == 0.0 and {1} < 0.0", "'zero raised to a negative power'", None),
+    # int() of an infinite or NaN exponent would raise outside the package's errors
+    ("{0} < 0.0 and not isfinite({1})", "'negative base with non-finite exponent'", None),
+    ("{0} < 0.0 and {1} != int({1})", "'negative base with non-integer exponent'", None),
+    # np.power gives inf or NaN for the others, but may not for an infinite exponent
+    _FINITE_ARG,
+    (None, None, "isfinite({1})"),
+)
+# operator or function -> (checks, operation, whether the result must be finite)
+_RULES = {
+    **{op: ((), f"{{0}} {op} {{1}}", True) for op in "+-*"},
+    "/": ((("{1} == 0.0", "'division by zero'", "{1} != 0.0"),), "{0} / {1}", True),
+    "pow": (_POW_CHECKS, "pow({0}, {1})", True),  # the operator ^ too
+    # math.exp is finite below 709; the test also turns NaN away
+    "exp": ((("not {0} < 709.0", "'non-finite result'", "{0} < 709.0"),), "exp({0})", False),
+    "log": ((("{0} <= 0.0", "f'log of non-positive value {{{0}!r}}'", "{0} > 0.0"),),
+            "log({0})", False),
+    "sqrt": ((("{0} < 0.0", "f'sqrt of negative value {{{0}!r}}'", "{0} >= 0.0"),),
+             "sqrt({0})", False),
+    "abs": ((), "abs({0})", False),
+    "sign": ((_FINITE_ARG,), "sign({0})", False),
+    "sin": ((_FINITE_ARG,), "sin({0})", False),
+    "cos": ((_FINITE_ARG,), "cos({0})", False),
+    "tan": ((_FINITE_ARG,), "tan({0})", True),
+}
 
 
-def _pow_value(a, b, span):
-    if a == 0.0 and b < 0.0:
-        raise EvalDomainError("zero raised to a negative power", span)
-    if a < 0.0 and not math.isfinite(b):
-        # int() of an infinite or NaN exponent would raise outside the
-        # package's errors
-        raise EvalDomainError("negative base with non-finite exponent", span)
-    if a < 0.0 and b != int(b):
-        raise EvalDomainError("negative base with non-integer exponent", span)
-    try:
-        return _check_finite(math.pow(a, b), span)
-    except OverflowError:
-        raise EvalDomainError("overflow in power", span) from None
+class _Emitter:
+    """One function of the trees under some roots, for a backend. Each node
+    is evaluated after its operands, left to right, and checked at once, so
+    the first failing check is the one a recursive walk meets first. A node
+    object met again (derivative trees share subtrees) reuses its value.
+    Only node fields reach the source: literals through ``repr`` (exact for
+    doubles) or bound as names, constant names through ``repr``, spans as
+    integer tuples."""
+
+    def __init__(self, backend):
+        self.numpy = backend == "numpy"
+        self.namespace = dict(_NAMESPACES[backend])
+        self.lines = []
+        self.names = {}  # id(node) -> expression of its value
+        self.known = set()  # pass tests made already, or true of literals
+        self.coords = set()
+
+    def expr(self, node):
+        if id(node) not in self.names:
+            self.names[id(node)] = self.value(node)
+        return self.names[id(node)]
+
+    def check(self, fail, message, ok, span):
+        if self.numpy and ok is not None and ok not in self.known:
+            self.known.add(ok)
+            self.lines.append(f"if not all_({ok}): raise PF")
+        elif not self.numpy and fail is not None:
+            self.lines.append(f"if {fail}: raise E({message}, {span})")
+
+    def assign(self, operation):
+        self.lines.append(f"v{len(self.lines)} = {operation}")
+        return f"v{len(self.lines) - 1}"
+
+    def value(self, node):
+        if isinstance(node, Num):
+            if math.isfinite(node.value):
+                self.known.add(f"isfinite({float(node.value)!r})")
+                return repr(float(node.value))
+            name = f"k{len(self.namespace)}"
+            self.namespace[name] = node.value
+            return name
+        if isinstance(node, Var):
+            self.coords.add(int(node.index))
+            return f"x{int(node.index)}"
+        span = repr(tuple(int(i) for i in node.span))
+        if isinstance(node, Const):
+            key = repr(str(node.name))
+            self.check(f"{key} not in C", repr(f"constant {node.name!r} not bound"),
+                       f"{key} in C", span)
+            return self.assign(f"C[{key}]")
+        if isinstance(node, Neg):
+            return self.assign(f"-{self.expr(node.operand)}")
+        if isinstance(node, BinOp):
+            # as in a parsed tree, an operator other than + - * / is a power
+            rule = node.op if node.op in ("+", "-", "*", "/") else "pow"
+            args = (node.left, node.right)
+        elif isinstance(node, Call) and node.func in FUNCTION_ARITY:
+            rule, args = node.func, node.args[:2 if node.func == "pow" else 1]
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        operands = [self.expr(a) for a in args]
+        checks, operation, finite = _RULES[rule]
+        for fail, message, ok in checks:
+            self.check(fail and fail.format(*operands), message and message.format(*operands),
+                       ok and ok.format(*operands), span)
+        out = self.assign(operation.format(*operands))
+        if checks is _POW_CHECKS and not self.numpy:  # math.pow raises on overflow
+            self.lines[-1:] = ["try:", f" {self.lines[-1]}", "except OverflowError:",
+                               f" raise E('overflow in power', {span}) from None"]
+        if finite:
+            self.check(f"not isfinite({out})", "'non-finite result'", f"isfinite({out})", span)
+        return out
+
+    def function(self, roots):
+        results = "".join(f"{self.expr(root)}, " for root in roots)
+        convert = "X[{0}]" if self.numpy else "float(X[{0}])"
+        entry = [f"x{i} = {convert.format(i)}" for i in sorted(self.coords)]
+        source = "\n ".join(["def f(X, C):", *entry, *self.lines, f"return ({results})"])
+        exec(_code(source), self.namespace)
+        return self.namespace["f"]
 
 
-def _eval_float(node, coords, constants):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return coords[node.index]
-    if isinstance(node, Const):
-        try:
-            return constants[node.name]
-        except KeyError:
-            raise EvalDomainError(f"constant {node.name!r} not bound", node.span) from None
-    if isinstance(node, Neg):
-        return -_eval_float(node.operand, coords, constants)
-    if isinstance(node, BinOp):
-        a = _eval_float(node.left, coords, constants)
-        b = _eval_float(node.right, coords, constants)
-        if node.op == "+":
-            return _check_finite(a + b, node.span)
-        if node.op == "-":
-            return _check_finite(a - b, node.span)
-        if node.op == "*":
-            return _check_finite(a * b, node.span)
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero", node.span)
-            return _check_finite(a / b, node.span)
-        return _pow_value(a, b, node.span)
-    if isinstance(node, Call):
-        if node.func == "pow":
-            a = _eval_float(node.args[0], coords, constants)
-            b = _eval_float(node.args[1], coords, constants)
-            return _pow_value(a, b, node.span)
-        x = _eval_float(node.args[0], coords, constants)
-        return _apply_function(node.func, x, node.span)
-    raise TypeError(f"unknown node {node!r}")
+@lru_cache(maxsize=256)
+def _code(source):
+    # trees parsed again from the same text emit the same source
+    return compile(source, "<curlkit expression>", "exec")
+
+
+def compiled(trees, backend):
+    """``f(X, C)``: the values of ``trees`` at coordinates ``X`` (Python
+    floats for ``"math"``, columns of shape (N,) for ``"numpy"``, which runs
+    under ``np.errstate(all="ignore")`` and raises ``_PointFailed``) with
+    constants ``C``, as a tuple; built once and kept on the first tree."""
+    key = backend if len(trees) == 1 else (backend, *[id(t.root) for t in trees[1:]])
+    kept = trees[0].functions.get(key)
+    if kept is None:
+        roots = tuple(tree.root for tree in trees)
+        # the roots are kept too, so that their ids stay theirs
+        kept = trees[0].functions[key] = (roots, _Emitter(backend).function(roots))
+    return kept[1]
 
 
 def eval_at(tree, coords, constants):
     """Value of ``tree`` at ``coords`` (ordered as ``tree.variables``) with
     ``constants`` mapping constant names to numbers, in IEEE double
-    precision. An unbound constant or a domain error raises
-    EvalDomainError carrying the failing node's span."""
-    return _eval_float(tree.root, coords, constants)
+    precision on Python floats. An unbound constant or a domain error
+    raises EvalDomainError carrying the failing node's span."""
+    return compiled((tree,), "math")(coords, constants)[0]
 
 
 Gradient = NamedTuple("Gradient", [("value", float), ("partials", np.ndarray)])
@@ -482,107 +554,17 @@ def grad_at(tree, coords, constants):
     variable, in declaration order, from ``tree.partials``. The arguments
     are those of ``eval_at``; the value is evaluated first, so its error
     wins over a partial's."""
-    value = _eval_float(tree.root, coords, constants)
-    partials = np.array([_eval_float(d.root, coords, constants) for d in tree.partials])
-    return Gradient(value, partials)
-
-
-class _PointFailed(Exception):
-    """Some point of a batch fails a check of the pointwise evaluator."""
-
-
-def _require(ok):
-    # ok is a boolean array, or a plain bool for a subtree without variables
-    if not np.all(ok):
-        raise _PointFailed
-
-
-def _eval_columns(node, cols, constants):
-    """``_eval_float`` over NumPy columns; raises _PointFailed wherever a
-    point may fail one of its checks. Each test is a superset of the
-    pointwise one (NaN fails every comparison here), so a batch that passes
-    holds no point the pointwise evaluator would reject."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return cols[node.index]
-    if isinstance(node, Const):
-        if node.name not in constants:
-            raise _PointFailed
-        return constants[node.name]
-    if isinstance(node, Neg):
-        return -_eval_columns(node.operand, cols, constants)
-    if isinstance(node, BinOp):
-        a = _eval_columns(node.left, cols, constants)
-        b = _eval_columns(node.right, cols, constants)
-        if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
-        elif node.op == "/":
-            _require(b != 0.0)
-            out = a / b
-        else:
-            out = _pow_columns(a, b)
-        _require(np.isfinite(out))
-        return out
-    if isinstance(node, Call):
-        if node.func == "pow":
-            a = _eval_columns(node.args[0], cols, constants)
-            b = _eval_columns(node.args[1], cols, constants)
-            out = _pow_columns(a, b)
-            _require(np.isfinite(out))
-            return out
-        x = _eval_columns(node.args[0], cols, constants)
-        if node.func == "exp":
-            _require(x < 709.0)
-            return np.exp(x)
-        if node.func == "log":
-            _require(x > 0.0)
-            return np.log(x)
-        if node.func == "sqrt":
-            _require(x >= 0.0)
-            return np.sqrt(x)
-        if node.func == "abs":
-            return np.abs(x)
-        # math.sin/cos/tan reject infinities, so every non-finite argument
-        # goes to the pointwise evaluator
-        _require(np.isfinite(x))
-        if node.func == "sign":
-            return np.sign(x)
-        if node.func == "sin":
-            return np.sin(x)
-        if node.func == "cos":
-            return np.cos(x)
-        if node.func == "tan":
-            out = np.tan(x)
-            _require(np.isfinite(out))
-            return out
-        raise _PointFailed
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _pow_columns(a, b):
-    # a zero base with a negative exponent gives inf and a negative base with
-    # a non-integer exponent NaN, both caught by the caller; an infinite
-    # exponent can give a finite power where the pointwise rule fails
-    _require(np.isfinite(a) & np.isfinite(b))
-    return np.power(a, b)
+    value, *partials = compiled((tree, *tree.partials), "math")(coords, constants)
+    return Gradient(value, np.array(partials))
 
 
 def eval_many(trees, columns, constants):
     """Values of several trees over the same variables at N points, as an
-    array of shape (len(trees), N).
-
-    ``columns`` holds one array of shape (N,) per variable, ordered as
-    ``tree.variables``. Each tree is walked once over whole columns. The
-    results agree with ``eval_at`` to a few ulps: NumPy's ``exp``,
-    ``log``, ``tan`` and ``power`` may round differently from libm in the
-    last bit. Every check of ``eval_at`` is made at each node over all
-    points; if any point fails one, all points are evaluated again with
-    ``eval_at``, point by point and tree by tree within a point, so the
+    array of shape (len(trees), N), from ``columns``, one array of shape
+    (N,) per variable. They agree with ``eval_at`` to a few ulps (NumPy's
+    ``exp``, ``log``, ``tan`` and ``power`` may round differently from
+    libm). If any point may fail a check, all points are evaluated again
+    with ``eval_at``, point by point and tree by tree within a point, so the
     error raised is exactly the one the pointwise loop raises first."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = len(cols[0])
@@ -591,8 +573,8 @@ def eval_many(trees, columns, constants):
         if n == 1:
             raise _PointFailed  # one point is cheaper pointwise, and then exact
         with np.errstate(all="ignore"):
-            for row, tree in zip(out, trees):
-                row[:] = _eval_columns(tree.root, cols, constants)
+            for row, values in zip(out, compiled(trees, "numpy")(cols, constants)):
+                row[:] = values
     except _PointFailed:
         for i in range(n):
             coords = tuple(c[i] for c in cols)

@@ -7,7 +7,8 @@ axis (cube-root-of-epsilon scaling). Points on an open boundary are
 rejected; on a closed boundary the fd mode falls back to second-order
 one-sided stencils.
 
-Each pointwise method has a batch form over the rows of an (N, dim) array
+A pointwise method calls one function compiled from the field's trees
+(``exprlang``). Each has a batch form over the rows of an (N, dim) array
 (``values``, ``gradients``, ``jacobians``, ``curl_many``): one
 ``exprlang.eval_many`` call with each value tree ahead of its partials, or
 one call for every fd stencil point. The batch forms apply the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -205,6 +207,14 @@ def _as_point(p, dimension):
     return q
 
 
+def _point_in(field, p):
+    """``p`` as a point of the field's dimension, which must lie in its domain."""
+    p = _as_point(p, field.dimension)
+    if not field.domain.contains(p):
+        raise OutOfDomainError("point outside field domain", p)
+    return p
+
+
 def _as_points(P, dimension):
     Q = np.asarray(P, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != dimension:
@@ -291,19 +301,14 @@ class ScalarFieldDef:
             domain = Box((-1e6,) * dimension, (1e6,) * dimension)
         return cls(dimension, tree, constants, domain)
 
-    def _require_inside(self, p):
-        if not self.domain.contains(p):
-            raise OutOfDomainError("point outside field domain", p)
-
     def value(self, p):
-        p = _as_point(p, self.dimension)
-        self._require_inside(p)
-        return exprlang.eval_at(self.tree, tuple(p), self.constants)
+        p = _point_in(self, p)
+        return exprlang.eval_at(self.tree, p, self.constants)
 
     def value_unchecked(self, p):
         """Evaluate without the domain-box test; expression-domain errors
         still raise. Integrators probing trial points past a wall use this."""
-        return exprlang.eval_at(self.tree, tuple(p), self.constants)
+        return exprlang.eval_at(self.tree, p, self.constants)
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, as an array
@@ -313,10 +318,9 @@ class ScalarFieldDef:
         return _rows_in_order(self.domain, P, _expression_rows([self.tree], self.constants))[:, 0]
 
     def gradient(self, p, mode="analytic"):
-        p = _as_point(p, self.dimension)
-        self._require_inside(p)
+        p = _point_in(self, p)
         if mode == "analytic":
-            return exprlang.grad_at(self.tree, tuple(p), self.constants).partials
+            return exprlang.grad_at(self.tree, p, self.constants).partials
         return self.gradients(p[None, :], mode)[0]
 
     def gradients(self, P, mode="analytic"):
@@ -354,16 +358,21 @@ class VectorFieldDef:
             domain = Box((-1e6,) * dimension, (1e6,) * dimension)
         return cls(dimension, trees, constants, domain)
 
+    @cached_property
+    def _at(self):
+        return exprlang.compiled(self.trees, "math")
+
+    @cached_property
+    def _jacobian_at(self):
+        # each component's value ahead of its partials, whose errors it wins over
+        return exprlang.compiled([u for t in self.trees for u in (t, *t.partials)], "math")
+
     def value(self, p):
-        p = _as_point(p, self.dimension)
-        if not self.domain.contains(p):
-            raise OutOfDomainError("point outside field domain", p)
-        coords = tuple(p)
-        return np.array([exprlang.eval_at(t, coords, self.constants) for t in self.trees])
+        p = _point_in(self, p)
+        return np.array(self._at(p, self.constants))
 
     def value_unchecked(self, p):
-        coords = tuple(p)
-        return np.array([exprlang.eval_at(t, coords, self.constants) for t in self.trees])
+        return np.array(self._at(p, self.constants))
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, as an
@@ -373,13 +382,9 @@ class VectorFieldDef:
         return _rows_in_order(self.domain, P, _expression_rows(self.trees, self.constants))
 
     def jacobian(self, p, mode="analytic"):
-        p = _as_point(p, self.dimension)
-        if not self.domain.contains(p):
-            raise OutOfDomainError("point outside field domain", p)
+        p = _point_in(self, p)
         if mode == "analytic":
-            coords = tuple(p)
-            return np.array([exprlang.grad_at(t, coords, self.constants).partials
-                             for t in self.trees])
+            return np.reshape(self._jacobian_at(p, self.constants), (self.dimension, -1))[:, 1:]
         return self.jacobians(p[None, :], mode)[0]
 
     def jacobians(self, P, mode="analytic"):
@@ -411,9 +416,7 @@ class CallableVectorField:
         self.domain = domain
 
     def value(self, p):
-        p = _as_point(p, self.dimension)
-        if not self.domain.contains(p):
-            raise OutOfDomainError("point outside field domain", p)
+        p = _point_in(self, p)
         return np.asarray(self._fn(p), dtype=float)
 
     def value_unchecked(self, p):

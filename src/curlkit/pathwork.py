@@ -145,9 +145,7 @@ class ParamPath:
 
     def point(self, s):
         if self.trees is not None:
-            return np.array(
-                [exprlang.eval_at(t, (s,), self.constants) for t in self.trees]
-            )
+            return np.array(exprlang.compiled(self.trees, "math")((s,), self.constants))
         verts = self.vertices
         n_edges = len(verts) - 1
         u = min(max(s, 0.0), 1.0) * n_edges
@@ -158,12 +156,9 @@ class ParamPath:
     def velocity(self, s):
         """dc/ds; for polylines the edge vector scaled by the edge count."""
         if self.trees is not None:
-            return np.array(
-                [
-                    exprlang.grad_at(t, (s,), self.constants).partials[0]
-                    for t in self.trees
-                ]
-            )
+            # each component's value ahead of its rate, whose errors it wins over
+            rates = [u for t in self.trees for u in (t, *t.partials)]
+            return np.array(exprlang.compiled(rates, "math")((s,), self.constants)[1::2])
         verts = self.vertices
         n_edges = len(verts) - 1
         i = min(int(s * n_edges), n_edges - 1)
@@ -272,11 +267,19 @@ def _loop_vertices(path):
     return verts
 
 
+def _cross3(a, b):
+    """``np.cross`` of two 3-vector arrays, bit for bit: the same products
+    and differences on Python floats, without its per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _newell_normal(verts):
     n = np.zeros(3)
     for i in range(len(verts)):
         a, b = verts[i], verts[(i + 1) % len(verts)]
-        n += np.cross(a, b)
+        n += _cross3(a, b)
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise NumericalError("degenerate polygon (zero area)")
@@ -345,9 +348,9 @@ def stokes_work(F, loop, q=QuadratureConfig()):
         _check_planar(verts, normal)
         origin = verts.mean(axis=0)
         seed = np.eye(3)[int(np.argmin(np.abs(normal)))]
-        e1 = np.cross(seed, normal)
+        e1 = _cross3(seed, normal)
         e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
+        e2 = _cross3(normal, e1)
         uv = np.column_stack(((verts - origin) @ e1, (verts - origin) @ e2))
 
         def integrand(points):

@@ -1,5 +1,11 @@
 import csv
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +235,48 @@ def test_gauge_prints_derivative_trees_that_parse_back(tmp_path, problem):
     v_prime = report["results"]["v_prime"]
     assert "sign(" in v_prime
     assert exprlang.to_source(exprlang.parse(v_prime, 2)) == v_prime
+
+
+# --- one parser per process, builtin SHA-256 -----------------------------------------
+
+
+def _fresh_process(argv, cwd):
+    """cli.main on argv in a new interpreter; returns its exit code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from curlkit import cli; sys.exit(cli.main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True).returncode
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, problem):
+    path = problem(BERRY)
+    commands = [
+        ("classify", path, "--samples", "20"),
+        ("simulate", path, "--x0", "1,1"),  # no --v0: a usage error
+        ("verify", path, "--samples", "20", "--seed", "3"),
+        ("classify", path, "--samples", "20"),
+    ]
+    in_process = [run(tmp_path, *argv) for argv in commands]
+    assert cli._parser() is cli._parser()
+    assert [code for code, _ in in_process] == [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+    for argv, (code, report) in zip(commands, in_process):
+        out = tmp_path / "fresh.json"
+        out.unlink(missing_ok=True)
+        assert _fresh_process([*argv, "--out", str(out)], tmp_path) == code
+        fresh = json.loads(out.read_text()) if out.exists() else None
+        assert (fresh is None) == (report is None)
+        if report is not None:
+            assert fresh["results"] == report["results"]
+            assert fresh["inputs_digest"] == report["inputs_digest"]
+
+
+def test_digest_takes_the_builtin_sha256():
+    data = bytes(range(256)) * 300
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    h = cli.sha256()
+    h.update(b"curl")
+    h.update(b"kit")
+    assert h.hexdigest() == hashlib.sha256(b"curlkit").hexdigest()
+    if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
+        assert cli.sha256 is not hashlib.sha256

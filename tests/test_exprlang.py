@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -582,7 +583,90 @@ def test_eval_many_exp_threshold_is_pointwise():
 
 # --- symbolic partials against the dual numbers they replaced ----------------------
 
-from curlkit.exprlang import _apply_function, _check_finite, _pow_value
+
+# The parent's recursive pointwise walker, which the emitted functions
+# replaced; the dual-number reference below uses its node rules too.
+
+def _check_finite(value, span):
+    if not math.isfinite(value):
+        raise EvalDomainError("non-finite result", span)
+    return value
+
+
+def _apply_function(name, x, span):
+    if name == "sin":
+        return math.sin(x)
+    if name == "cos":
+        return math.cos(x)
+    if name == "tan":
+        return _check_finite(math.tan(x), span)
+    if name == "exp":
+        return _check_finite(math.exp(x) if x < 709.0 else math.inf, span)
+    if name == "log":
+        if x <= 0.0:
+            raise EvalDomainError(f"log of non-positive value {x!r}", span)
+        return math.log(x)
+    if name == "sqrt":
+        if x < 0.0:
+            raise EvalDomainError(f"sqrt of negative value {x!r}", span)
+        return math.sqrt(x)
+    if name == "abs":
+        return abs(x)
+    if name == "sign":
+        return math.copysign(1.0, x) if x != 0.0 else 0.0
+    raise EvalDomainError(f"unknown function {name!r}", span)
+
+
+def _pow_value(a, b, span):
+    if a == 0.0 and b < 0.0:
+        raise EvalDomainError("zero raised to a negative power", span)
+    if a < 0.0 and not math.isfinite(b):
+        # int() of an infinite or NaN exponent would raise outside the
+        # package's errors
+        raise EvalDomainError("negative base with non-finite exponent", span)
+    if a < 0.0 and b != int(b):
+        raise EvalDomainError("negative base with non-integer exponent", span)
+    try:
+        return _check_finite(math.pow(a, b), span)
+    except OverflowError:
+        raise EvalDomainError("overflow in power", span) from None
+
+
+def _eval_float(node, coords, constants):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return coords[node.index]
+    if isinstance(node, Const):
+        try:
+            return constants[node.name]
+        except KeyError:
+            raise EvalDomainError(f"constant {node.name!r} not bound", node.span) from None
+    if isinstance(node, Neg):
+        return -_eval_float(node.operand, coords, constants)
+    if isinstance(node, BinOp):
+        a = _eval_float(node.left, coords, constants)
+        b = _eval_float(node.right, coords, constants)
+        if node.op == "+":
+            return _check_finite(a + b, node.span)
+        if node.op == "-":
+            return _check_finite(a - b, node.span)
+        if node.op == "*":
+            return _check_finite(a * b, node.span)
+        if node.op == "/":
+            if b == 0.0:
+                raise EvalDomainError("division by zero", node.span)
+            return _check_finite(a / b, node.span)
+        return _pow_value(a, b, node.span)
+    if isinstance(node, Call):
+        if node.func == "pow":
+            a = _eval_float(node.args[0], coords, constants)
+            b = _eval_float(node.args[1], coords, constants)
+            return _pow_value(a, b, node.span)
+        x = _eval_float(node.args[0], coords, constants)
+        return _apply_function(node.func, x, node.span)
+    raise TypeError(f"unknown node {node!r}")
+
 
 
 class DualValue:
@@ -872,3 +956,92 @@ def test_sum_overflow_is_a_domain_error(source, wrap):
         ) as err:
             evaluate()
         assert err.value.span == (start, start + len(source))
+
+
+# --- the emitted functions against the parent's walker ---------------------------
+
+_WALKER_COORD = st.one_of(_COORD, st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+
+
+def _walk(root, coords, constants):
+    """The parent's walker at a point, on Python floats: the value or the
+    exception it raised."""
+    try:
+        return _eval_float(root, tuple(float(c) for c in coords), constants)
+    except (EvalDomainError, ValueError, OverflowError) as e:
+        return e
+
+
+def _same_outcome(got, want):
+    """Bit-identical values, or exceptions of one type with one message
+    (and one span, for EvalDomainError)."""
+    if isinstance(want, Exception):
+        return (type(got) is type(want) and str(got) == str(want)
+                and getattr(got, "span", None) == getattr(want, "span", None))
+    return not isinstance(got, Exception) and struct.pack("d", got) == struct.pack("d", want)
+
+
+@REPEATABLE
+@given(_SOURCES, st.tuples(_WALKER_COORD, _WALKER_COORD), st.one_of(st.none(), st.floats(-3.0, 3.0)),
+       st.booleans())
+def test_eval_at_matches_the_parent_walker(source, coords, c, numpy_scalars):
+    # c None leaves the constant unbound; NumPy scalar coordinates give the
+    # values and messages of Python floats
+    constants = {} if c is None else {"c": c}
+    tree = parse(source, 2, {"c"})
+    point = tuple(np.float64(v) for v in coords) if numpy_scalars else coords
+    got = _outcome(lambda: eval_at(tree, point, constants))
+    assert _same_outcome(got, _walk(tree.root, coords, constants)), (source, coords, got)
+
+
+@REPEATABLE
+@given(_SOURCES, st.tuples(_WALKER_COORD, _WALKER_COORD), st.one_of(st.none(), st.floats(-3.0, 3.0)))
+def test_grad_at_matches_the_parent_walker_tree_by_tree(source, coords, c):
+    # one function of the tree and its partials, which share subtrees,
+    # gives what walking each tree in turn gives
+    constants = {} if c is None else {"c": c}
+    tree = parse(source, 2, {"c"})
+    got = _outcome(lambda: grad_at(tree, coords, constants))
+    for t in (tree, *tree.partials):
+        want = _walk(t.root, coords, constants)
+        if isinstance(want, Exception):
+            assert _same_outcome(got, want), (source, coords, got, want)
+            return
+    assert _same_outcome(got.value, _walk(tree.root, coords, constants))
+    for d, partial in zip(tree.partials, got.partials):
+        assert _same_outcome(float(partial), _walk(d.root, coords, constants)), (source, coords)
+
+
+def test_messages_print_python_floats_from_numpy_scalars():
+    tree = parse("y + log(x)", 2)
+    cols = [np.array([1.0, -1.0]), np.array([0.0, 0.0])]
+    for evaluate in (lambda: eval_at(tree, (np.float64(-1.0), np.float64(0.0)), {}),
+                     lambda: eval_many([tree], cols, {})):
+        with pytest.raises(EvalDomainError) as err:
+            evaluate()
+        assert str(err.value).startswith("log of non-positive value -1.0 ")
+
+
+def test_compiled_functions_are_kept_on_the_first_tree():
+    tree = parse("x*y + sin(x)", 2)
+    f = exprlang.compiled((tree,), "math")
+    assert exprlang.compiled([tree], "math") is f
+    both = exprlang.compiled((tree, *tree.partials), "math")
+    assert both is not f and exprlang.compiled((tree, *tree.partials), "math") is both
+    assert both((0.5, 2.0), {}) == (1.0 + math.sin(0.5), 2.0 + math.cos(0.5), 0.5)
+    # a structurally equal tree has other spans, so it gets its own function
+    other = parse(" x*y + sin(x)", 2)
+    assert other.root == tree.root and exprlang.compiled((other,), "math") is not f
+
+
+def test_emission_quotes_constant_names_and_binds_non_finite_literals():
+    # the emitter reads node fields only, so text in the tree's source
+    # never reaches exec
+    tree = exprlang.SyntaxTree(
+        BinOp((0, 1), "+", Const((0, 1), "__import__('os')"), Num((2, 3), math.inf)),
+        ("x", "y"), frozenset({"__import__('os')"}), "__import__('os').system('false')",
+    )
+    with pytest.raises(EvalDomainError, match="non-finite result"):
+        eval_at(tree, (0.0, 0.0), {"__import__('os')": -1.0})
+    with pytest.raises(EvalDomainError, match="not bound"):
+        eval_at(tree, (0.0, 0.0), {})

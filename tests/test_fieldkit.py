@@ -529,3 +529,47 @@ def test_curl_many_reads_the_cached_partials(berry, monkeypatch):
     monkeypatch.setattr(exprlang, "derivative", lambda t, v: calls.append(v) or real(t, v))
     assert curl_many(berry, P) == pytest.approx([-3.0 + 4.0, -0.75 + 0.7], rel=1e-15)
     assert calls == []
+
+
+# --- analytic against finite-difference Jacobians -----------------------------------
+
+# smooth trees only: no abs or sign, and every quotient, square root and log
+# takes an argument of at least 1, so no kink or singularity lies in a box
+_SMOOTH = st.recursive(
+    st.sampled_from(["x", "y", "0.5", "1.5", "2"]),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), children, children).map(
+            lambda t: f"({t[1]} {t[0]} {t[2]})"),
+        st.tuples(children, children).map(lambda t: f"({t[0]}/(1 + {t[1]}^2))"),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["exp(sin({}))", "sqrt(1 + {}^2)", "log(1 + {}^2)",
+                                   "pow(1 + {}^2, 1.5)", "({})^3"]), children).map(
+            lambda t: t[0].format(t[1])),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _smooth_field_and_points(draw):
+    lo = [draw(st.floats(-2.0, 2.0)) for _ in range(2)]
+    box = Box(lo, [a + draw(st.floats(0.5, 2.0)) for a in lo])
+    F = VectorFieldDef.from_source([draw(_SMOOTH), draw(_SMOOTH)], 2, domain=box)
+    # interior points, where every axis takes the central stencil
+    pad = 1e-3
+    points = draw(st.lists(st.tuples(*(st.floats(a + pad, b - pad) for a, b in zip(box.lo, box.hi))),
+                           min_size=1, max_size=5))
+    return F, np.array(points)
+
+
+@REPEATABLE
+@given(_smooth_field_and_points())
+def test_analytic_jacobians_match_finite_differences_away_from_kinks(case):
+    # the bound of test_jacobian_fd_close_to_analytic (1e-7 at unit scale),
+    # relative to the size of the values and derivatives around each point
+    F, P = case
+    analytic, fd = F.jacobians(P), F.jacobians(P, "fd")
+    for p, a, d in zip(P, analytic, fd):
+        scale = max(1.0, np.abs(a).max(), np.abs(F.value(p)).max())
+        assert np.abs(a - d).max() <= 1e-7 * scale, (F.trees, p)
+        assert np.abs(F.jacobian(p) - d).max() <= 1e-7 * scale, (F.trees, p)

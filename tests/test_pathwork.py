@@ -17,6 +17,7 @@ from curlkit.pathwork import (
     ParamPath,
     QuadratureConfig,
     WorkResult,
+    _cross3,
     line_work,
     stokes_work,
 )
@@ -447,3 +448,16 @@ def test_stokes_equals_line_work_on_star_polygons(loop):
     line = line_work(F, loop).value
     surf = stokes_work(F, loop).value
     assert surf == pytest.approx(line, rel=1e-8, abs=1e-9)
+
+
+# --- pointwise cross product ------------------------------------------------------
+
+# magnitudes from 1e-5 to 1e5, both signs
+_SPREAD = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-5, 5))
+_VECTOR3 = st.tuples(_SPREAD, _SPREAD, _SPREAD).map(np.array)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_VECTOR3, _VECTOR3)
+def test_cross3_is_np_cross_bit_for_bit(a, b):
+    assert _cross3(a, b).tobytes() == np.cross(a, b).tobytes()
