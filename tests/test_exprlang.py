@@ -567,6 +567,25 @@ def test_eval_many_non_finite_operand_matches_eval_at(source):
     assert got == want
 
 
+@pytest.mark.parametrize("source", ["sign(x)", "abs(x)", "sin(x)", "exp(x)", "log(x)", "sqrt(x)", "x^2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_many_non_finite_coordinates_match_eval_at(source, bad):
+    # NumPy's sign, sin, exp, ... answer at NaN and infinities where the
+    # pointwise functions may answer otherwise or raise, so the batch hands
+    # such points to the pointwise rerun
+    tree = parse(source, 2)
+    cols = [np.array([0.5, bad]), np.array([0.0, 0.0])]
+
+    def outcome(f):
+        try:
+            return [struct.pack("d", v) for v in f()]
+        except (EvalDomainError, ValueError) as e:
+            return type(e), str(e)
+
+    want = outcome(lambda: [eval_at(tree, (x, 0.0), {}) for x in cols[0]])
+    assert outcome(lambda: eval_many([tree], cols, {})[0]) == want
+
+
 def test_eval_many_unbound_constant():
     tree = parse("x*k", 2, {"k"})
     with pytest.raises(EvalDomainError) as err:
