@@ -127,7 +127,6 @@ class SyntaxTree:
         return tuple(derivative(self, v) for v in self.variables)
 
 
-
 def _leaf_names(node, kind, found=None):
     """Names of the leaves of type ``kind`` (Var or Const) under ``node``."""
     found = set() if found is None else found
