@@ -17,6 +17,12 @@ Two integrators are provided for first-order systems y' = f(t, y):
     end slope f(t1, y1) of the Hermite is the next step's k1, so a step
     costs eight right-hand sides (plus one for the first k1).
 
+The rk4 state is a list of Python floats; its stages and Hermite go
+element by element, each scalar coefficient first (``(0.5*h)*k``), so every
+number is the one of the array expressions. dopri45 keeps an ndarray state:
+its ``@`` stage sums round unlike a left-to-right float sum. Both take any
+sequence of floats from f, and both return ``OdeResult.y`` as an ndarray.
+
 Both drivers support a region guard: when a step (checked at the midpoint
 and the endpoint of its dense output) leaves the admissible set, the step
 is bisected down to the boundary within 1e-10 and integration stops with
@@ -24,11 +30,13 @@ is bisected down to the boundary within 1e-10 and integration stops with
 
 The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
-at t0 + theta*(t1-t0) for theta in [0, 1]. Given a 1-D array of k thetas
-it returns the k states as rows of a (k, n) array, each bit-identical to
-the scalar call. A dense callable holds everything of its own step, so it
-stays valid after the integrator has moved on, and callers may keep it to
-evaluate later.
+at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
+``dense(theta)`` are sequences of floats (lists from rk4, arrays from
+dopri45) that consumers only index, slice and iterate. Given a 1-D array of
+k thetas ``dense`` returns the k states as rows of a (k, n) array, each
+bit-identical to the scalar call. A dense callable holds everything of its
+own step, so it stays valid after the integrator has moved on, and callers
+may keep it to evaluate later.
 
 ``sample_every(ds, visit)`` builds such a callback: it calls ``visit(y)``
 at t = ds, 2*ds, ... from the dense output of the step that contains each sample time, so
@@ -146,7 +154,8 @@ def _locate_boundary(dense, inside, theta_lo, theta_hi):
     y_lo = dense(theta_lo)
     y_hi = dense(theta_hi)
     for _ in range(200):
-        if np.max(np.abs(y_hi - y_lo)) < _BOUNDARY_TOL:
+        # as np.max(np.abs(y_hi - y_lo)) < tol, NaN included, on either state type
+        if all(abs(a - b) < _BOUNDARY_TOL for a, b in zip(y_hi, y_lo)):
             break
         mid = 0.5 * (theta_lo + theta_hi)
         y_mid = dense(mid)
@@ -181,18 +190,8 @@ def _guard_step(t0, h, y0, y1, dense, inside, on_step):
     return True, t_exit, y_exit
 
 
-def integrate_dopri45(
-    f,
-    t0,
-    y0,
-    t_end,
-    atol=1e-9,
-    rtol=1e-9,
-    h_max=None,
-    inside=None,
-    on_step=None,
-    max_steps=10_000_000,
-):
+def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside=None,
+                      on_step=None, max_steps=10_000_000):
     """Integrate y' = f(t, y) from t0 to t_end adaptively.
 
     Raises NumericalError on step-size underflow or step-count overflow;
@@ -258,33 +257,27 @@ def integrate_dopri45(
 
 
 def _rk4_step(f, t, y, h, k1):
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # the elements of y + 0.5 * h * k1, ..., y + (h / 6.0) * (k1 + ...), in their order
+    a = 0.5 * h
+    k2 = f(t + a, [yi + a * ki for yi, ki in zip(y, k1)])
+    k3 = f(t + a, [yi + a * ki for yi, ki in zip(y, k2)])
+    k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+    c = h / 6.0
+    return [yi + c * (a1 + 2 * a2 + 2 * a3 + a4) for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
 
 
 def _hermite(y0, y1, f0, f1, h, theta):
-    # cubic Hermite basis on [0, 1] with slopes scaled by h
+    # cubic Hermite basis on [0, 1] with slopes scaled by h, element by element
     t2 = theta * theta
     t3 = t2 * theta
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * f0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * f1
-    )
+    a = 2 * t3 - 3 * t2 + 1
+    b = (t3 - 2 * t2 + theta) * h
+    c = -2 * t3 + 3 * t2
+    d = (t3 - t2) * h
+    return [a * p + b * q + c * r + d * s for p, q, r, s in zip(y0, f0, y1, f1)]
 
 
-def integrate_rk4(
-    f,
-    t0,
-    y0,
-    t_end,
-    h,
-    inside=None,
-    on_step=None,
-):
+def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     """Fixed-step RK4 from t0 to t_end; each nominal step is two half-steps.
 
     The dense output is a piecewise cubic Hermite over the two halves, so
@@ -297,7 +290,7 @@ def integrate_rk4(
     if h <= 0:
         raise ValueError("step must be positive")
     stats = IntegratorStats()
-    y = np.asarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)
     end_slope = _rk4_end_slope(f, t, y, stats)
 
@@ -316,13 +309,13 @@ def integrate_rk4(
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, step, y, y1, dense, inside, on_step)
             if crossed:
-                return OdeResult(t_new, y_new, True, stats)
+                return OdeResult(t_new, np.array(y_new), True, stats)
         if on_step is not None:
             on_step(t, y, t + step, y1, dense)
         t += step
         y = y1
 
-    return OdeResult(t, y, False, stats)
+    return OdeResult(t, np.array(y), False, stats)
 
 
 def _rk4_end_slope(f, t, y, stats):
@@ -351,7 +344,7 @@ def _rk4_dense(y0, ym, y1, f0, fm, end_slope, step):
         if isinstance(theta, np.ndarray):
             # one theta at a time: with the few thetas of a call this beats
             # evaluating both pieces under masks
-            return np.array([at(th) for th in theta.tolist()]).reshape(-1, y0.size)
+            return np.array([at(th) for th in theta.tolist()]).reshape(-1, len(y0))
         return at(theta)
 
     return dense

@@ -164,7 +164,7 @@ def kernel_frame_3d(F, x, axis=None):
     if F.dimension != 3:
         raise DimensionMismatchError("kernel frames are the 3D construction")
     x = np.asarray(x, dtype=float)
-    f = F.value_unchecked(x)
+    f = np.array(F.value_unchecked(x))
     norm = float(np.linalg.norm(f))
     if norm < FIELD_FLOOR:
         raise NumericalError(f"|F| below floor at {tuple(x)}")

@@ -91,7 +91,7 @@ def auxiliary_force(prob):
                 f"V={v:.3e} below the rescaling floor {floor:.3e} at "
                 f"{tuple(float(c) for c in p)}"
             )
-        f = F.value_unchecked(p)
+        f = np.array(F.value_unchecked(p))
         if W is not None:
             f = f + W.gradient(p)
         return f / v

@@ -63,19 +63,19 @@ class _Parser(argparse.ArgumentParser):
 
 # --- serialization helpers ---------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_csv(path, header, rows):
     """CSV with a header row, comma separator, '.' decimals, LF endings,
-    17 significant digits; an empty series yields a header-only file."""
+    17 significant digits; an empty series yields a header-only file. A
+    float prints as f"{v:.17g}", anything else (an int beyond 2**53) as str(v)."""
+    lines = [",".join(header)]
+    formats = {}  # the line format of each tuple of value types met
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(formats[kinds] % row)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _axis_names(dim):

@@ -20,6 +20,10 @@ interval at a time with the pointwise force, and if the integrator raises,
 the pending intervals are integrated first, so a node error from an
 earlier step is the one raised.
 
+The right-hand side and the step callback, run per stage and per step,
+stay on Python floats: the force's ``value_unchecked`` tuple and the
+integrator's state (see ``_ode``). States become arrays in the quadrature.
+
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
 ``exited=True``; the example fields are singular on the coordinate axes,
@@ -93,8 +97,6 @@ def integrate(F, x0, v0, cfg):
         raise OutOfDomainError("initial position outside field domain", x0)
 
     m = cfg.mass
-    lo = np.asarray(F.domain.lo)
-    hi = np.asarray(F.domain.hi)
 
     def force(x):
         # trial stages probe past the wall before the guard truncates the
@@ -104,19 +106,16 @@ def integrate(F, x0, v0, cfg):
         try:
             return F.value_unchecked(x)
         except EvalDomainError:
-            return F.value(np.clip(x, lo, hi))
+            return F.value(np.clip(x, F.domain.lo, F.domain.hi)).tolist()
 
     def rhs(t, y):
-        return np.concatenate((y[dim:], force(y[:dim]) / m))
-
-    def power(y):
-        return float(np.dot(force(y[:dim]), y[dim:]))
+        return [*y[dim:], *[c / m for c in force(y[:dim])]]
 
     def pointwise_powers(Y):
-        return np.array([power(y) for y in Y])
+        return np.array([float(np.dot(force(y[:dim]), y[dim:])) for y in Y])
 
     def batch_powers(Y):
-        # matmul takes the kernel of np.dot, so each row rounds as in power
+        # matmul takes the kernel of np.dot, so each row rounds as in pointwise_powers
         return np.matmul(F.values(Y[:, :dim])[:, None, :], Y[:, dim:, None])[:, 0, 0]
 
     def block_work(block, powers):
@@ -195,10 +194,10 @@ def integrate(F, x0, v0, cfg):
             # tolerate float fuzz so a step of nominally record_dt width
             # does not get split in two
             pieces = max(1, int(math.ceil(span / cfg.record_dt - 1e-9)))
-        j = np.arange(pieces + 1)
-        t, theta = t0 + span * j / pieces, j / pieces
+        t = [t0 + span * j / pieces for j in range(pieces + 1)]
+        theta = [j / pieces for j in range(pieces + 1)]
         try:
-            inner = dense(theta[1:-1])
+            inner = dense(np.array(theta[1:-1])) if pieces > 1 else None
         except EVAL_ERRORS:
             # only the rk4 end slope can fail here: take the pieces one at
             # a time, so that the ones before its first use are pending

@@ -306,8 +306,9 @@ class ScalarFieldDef:
         return exprlang.eval_at(self.tree, p, self.constants)
 
     def value_unchecked(self, p):
-        """Evaluate without the domain-box test; expression-domain errors
-        still raise. Integrators probing trial points past a wall use this."""
+        """The integrators' raw path, for trial points past a wall: no
+        domain-box test, expression errors still raise, and Python floats
+        out (a float here, a tuple of them from the vector field classes)."""
         return exprlang.eval_at(self.tree, p, self.constants)
 
     def values(self, P):
@@ -372,7 +373,8 @@ class VectorFieldDef:
         return np.array(self._at(p, self.constants))
 
     def value_unchecked(self, p):
-        return np.array(self._at(p, self.constants))
+        """``value`` as a tuple of floats, without the domain-box test."""
+        return self._at(p, self.constants)
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, as an
@@ -420,7 +422,8 @@ class CallableVectorField:
         return np.asarray(self._fn(p), dtype=float)
 
     def value_unchecked(self, p):
-        return np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=float)
+        """``value`` as a tuple of floats, without the domain-box test."""
+        return tuple(np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=float).tolist())
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, from the

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import exprlang
 from .darboux import PotentialSet
-from .errors import CurlkitError, ParseError, ProblemFileError
+from .errors import EVAL_ERRORS, CurlkitError, ParseError, ProblemFileError
 from .fieldkit import Box, Region, ScalarFieldDef, VectorFieldDef
 from .pathwork import ParamPath
 
@@ -266,15 +266,20 @@ def load_problem(path):
         k: ScalarFieldDef(dimension, t, constants, box) for k, t in potentials.items()
     }
 
-    # probe evaluation: force at corners and center, potentials at center
+    # probe evaluation: force at corners and center, potentials at center;
+    # the components one by one only if the force fails, for their diagnostics
     corners, center = _probe_points(box)
-    for i, comp in enumerate(force.components):
+    try:
         for p in corners + [center]:
-            try:
-                comp.value(p)
-            except CurlkitError as e:
-                diags.append(f"force[{i}]: probe at {p} failed: {e}")
-                break
+            force.value(p)
+    except EVAL_ERRORS:
+        for i, comp in enumerate(force.components):
+            for p in corners + [center]:
+                try:
+                    comp.value(p)
+                except CurlkitError as e:
+                    diags.append(f"force[{i}]: probe at {p} failed: {e}")
+                    break
     for key, f in potential_fields.items():
         try:
             f.value(center)

@@ -196,6 +196,41 @@ def test_trajectory_csv_round_trips_exactly(tmp_path, problem):
     assert np.array_equal(parsed, expected)
 
 
+def reference_csv(header, rows):
+    """The CSV bytes of the per-value writer: a float as f"{v:.17g}",
+    anything else as str(v), one join per row."""
+
+    def fmt(value):
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    lines = [",".join(header) + "\n"] + [",".join(fmt(v) for v in row) + "\n" for row in rows]
+    return "".join(lines).encode()
+
+
+CSV_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+              1 / 3, 2.0**53 + 2, float("inf"), float("nan"), np.float64(0.1),
+              np.float64(-0.0), np.float64(1 / 3), np.float32(0.1), np.int64(2**62),
+              0, 7, -123456789012345678, 2**53 + 1, 10**18, True]
+
+
+def test_write_csv_matches_the_per_value_writer(tmp_path):
+    # rows of mixed and of uniform value types, each type in every column
+    rng = np.random.default_rng(5)
+    rows = [rng.choice(len(CSV_VALUES), 3).tolist() for _ in range(200)]
+    rows = [[CSV_VALUES[i] for i in row] for row in rows]
+    rows += [[v, v, v] for v in CSV_VALUES] + [list(r) for r in rng.normal(size=(20, 3))]
+    header = ["a", "b", "c"]
+    path = tmp_path / "out.csv"
+    cli.write_csv(path, header, iter(rows))
+    assert path.read_bytes() == reference_csv(header, rows)
+    # an ndarray of rows, as decompose3d writes, and an empty series
+    rows = np.column_stack([np.arange(5.0), np.linspace(-1, 1, 5) / 3])
+    cli.write_csv(path, ["i", "v"], rows)
+    assert path.read_bytes() == reference_csv(["i", "v"], rows)
+    cli.write_csv(path, ["i", "v"], [])
+    assert path.read_bytes() == b"i,v\n"
+
+
 RESIDUAL_KEYS = {"max", "rms", "min", "worst_point", "definition", "sample_count"}
 
 

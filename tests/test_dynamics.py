@@ -179,7 +179,7 @@ def reference_integrate(F, x0, v0, cfg):
             return F.value(np.clip(x, lo, hi))
 
     def rhs(t, y):
-        return np.concatenate((y[dim:], force(y[:dim]) / m))
+        return np.concatenate((y[dim:], np.asarray(force(y[:dim])) / m))
 
     def power(y):
         return float(np.dot(force(y[:dim]), y[dim:]))

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from curlkit._ode import integrate_dopri45, integrate_rk4, sample_every
+from curlkit import _ode
+from curlkit._ode import IntegratorStats, OdeResult, integrate_dopri45, integrate_rk4, sample_every
+from curlkit.auxiliary import _hermite_refine
+from curlkit.dynamics import Trajectory
 from curlkit.errors import NumericalError
 
 
@@ -258,3 +263,233 @@ def test_dense_accepts_theta_array(integrator):
         for theta, row in zip(thetas, rows):
             assert np.array_equal(row, dense(float(theta)))
         assert dense(np.array([])).shape == (0, 2)
+
+
+# --- the NumPy rk4 that the float rk4 replaced, kept as its reference ---------
+# (integrate_rk4 and its helpers as they were, with an np_ prefix; the state
+# is an ndarray and every stage is an array expression)
+
+def np_locate_boundary(dense, inside, theta_lo, theta_hi):
+    y_lo = dense(theta_lo)
+    y_hi = dense(theta_hi)
+    for _ in range(200):
+        if np.max(np.abs(y_hi - y_lo)) < _ode._BOUNDARY_TOL:
+            break
+        mid = 0.5 * (theta_lo + theta_hi)
+        y_mid = dense(mid)
+        if inside(y_mid):
+            theta_lo, y_lo = mid, y_mid
+        else:
+            theta_hi, y_hi = mid, y_mid
+    return theta_lo
+
+
+def np_guard_step(t0, h, y0, y1, dense, inside, on_step):
+    mid_inside = inside(dense(0.5))
+    end_inside = inside(y1)
+    if mid_inside and end_inside:
+        return False, t0 + h, y1
+    hi = 0.5 if not mid_inside else 1.0
+    theta = np_locate_boundary(dense, inside, 0.0, hi)
+    y_exit = dense(theta)
+    t_exit = t0 + theta * h
+    if on_step is not None and theta > 0.0:
+        trunc = theta
+
+        def clipped(s, _dense=dense, _trunc=trunc):
+            return _dense(s * _trunc)
+
+        on_step(t0, y0, t_exit, y_exit, clipped)
+    return True, t_exit, y_exit
+
+
+def np_rk4_step(f, t, y, h, k1):
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def np_hermite(y0, y1, f0, f1, h, theta):
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (
+        (2 * t3 - 3 * t2 + 1) * y0
+        + (t3 - 2 * t2 + theta) * h * f0
+        + (-2 * t3 + 3 * t2) * y1
+        + (t3 - t2) * h * f1
+    )
+
+
+def np_integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
+    if t_end <= t0:
+        raise ValueError("t_end must exceed t0")
+    if h <= 0:
+        raise ValueError("step must be positive")
+    stats = IntegratorStats()
+    y = np.asarray(y0, dtype=float)
+    t = float(t0)
+    end_slope = np_rk4_end_slope(f, t, y, stats)
+
+    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        step = min(h, t_end - t)
+        half = 0.5 * step
+        f0 = end_slope()
+        ym = np_rk4_step(f, t, y, half, f0)
+        fm = f(t + half, ym)
+        y1 = np_rk4_step(f, t + half, ym, half, fm)
+        stats.n_fev += 7
+        stats.n_steps += 1
+        end_slope = np_rk4_end_slope(f, t + step, y1, stats)
+        dense = np_rk4_dense(y, ym, y1, f0, fm, end_slope, step)
+
+        if inside is not None:
+            crossed, t_new, y_new = np_guard_step(t, step, y, y1, dense, inside, on_step)
+            if crossed:
+                return OdeResult(t_new, y_new, True, stats)
+        if on_step is not None:
+            on_step(t, y, t + step, y1, dense)
+        t += step
+        y = y1
+
+    return OdeResult(t, y, False, stats)
+
+
+def np_rk4_end_slope(f, t, y, stats):
+    cache = []
+
+    def slope():
+        if not cache:
+            cache.append(f(t, y))
+            stats.n_fev += 1
+        return cache[0]
+
+    return slope
+
+
+def np_rk4_dense(y0, ym, y1, f0, fm, end_slope, step):
+    half = 0.5 * step
+
+    def at(theta):
+        if theta <= 0.5:
+            return np_hermite(y0, ym, f0, fm, half, theta * 2.0)
+        return np_hermite(ym, y1, fm, end_slope(), half, (theta - 0.5) * 2.0)
+
+    def dense(theta):
+        if isinstance(theta, np.ndarray):
+            return np.array([at(th) for th in theta.tolist()]).reshape(-1, y0.size)
+        return at(theta)
+
+    return dense
+
+
+def same(a, b):
+    """Equal bit for bit (so -0.0 differs from 0.0), whatever the sequence type."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+UNIT = st.integers(-100, 100).map(lambda c: c / 100)
+THETAS = [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0]
+
+
+@st.composite
+def systems(draw):
+    """y' = b + A y + e t, plus one product term per row when polynomial;
+    the rows of A sum to at most 1 in magnitude, so that states stay small
+    up to t = 1."""
+    n = draw(st.integers(2, 6))
+    A = [[draw(UNIT) / n for _ in range(n)] for _ in range(n)]
+    b = [draw(UNIT) for _ in range(n)]
+    e = [draw(UNIT) for _ in range(n)]
+    quad = draw(st.booleans())
+    c = [draw(UNIT) * 0.5 if quad else 0.0 for _ in range(n)]
+    pairs = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(n)]
+    y0 = [draw(UNIT) for _ in range(n)]
+
+    def f(t, y):
+        out = []
+        for i in range(n):
+            v = b[i]
+            for j in range(n):
+                v += A[i][j] * y[j]
+            v += e[i] * t
+            if quad:
+                v += c[i] * y[pairs[i][0]] * y[pairs[i][1]]
+            out.append(v)
+        return out
+
+    return f, y0
+
+
+def run_logged(driver, f, wrap, y0, t_end, h, inside, extra_theta):
+    """Run ``driver`` with a right-hand side that logs its arguments and a
+    callback that logs its states and its dense output at scalar and array
+    thetas; ``wrap`` turns the system's list into the driver's slope type."""
+    calls, steps = [], []
+
+    def rhs(t, y):
+        calls.append((t, np.array(y, dtype=float)))
+        return wrap(f(t, y))
+
+    def on_step(t0, ya, t1, yb, dense):
+        thetas = THETAS + [extra_theta]
+        steps.append((t0, ya, t1, yb, [dense(th) for th in thetas], dense(np.array(thetas)),
+                      dense(np.array([]))))
+
+    res = driver(rhs, 0.0, np.array(y0), t_end, h, inside=inside, on_step=on_step)
+    return res, calls, steps
+
+
+@PROPERTY
+@given(systems(), st.integers(1, 25).map(lambda k: k / 100), st.integers(5, 100).map(lambda k: k / 100),
+       st.floats(0.0, 1.0), st.one_of(st.none(), st.tuples(st.integers(0, 5), st.floats(0.05, 0.95))))
+def test_float_rk4_is_the_numpy_rk4_bit_for_bit(system, h, t_end, extra_theta, guard):
+    f, y0 = system
+    inside = None
+    if guard is not None:
+        # a wall on one component between its start and the largest value it
+        # reaches without the wall, so that the run must stop at it
+        k, frac = guard[0] % len(y0), guard[1]
+        free = np_integrate_rk4(lambda t, y: np.array(f(t, y)), 0.0, np.array(y0), t_end, h)
+        peak = max(y0[k], free.y[k])
+        assume(peak > y0[k])
+        wall = y0[k] + frac * (peak - y0[k])
+        inside = lambda y: y[k] <= wall
+
+    res, calls, steps = run_logged(integrate_rk4, f, lambda v: v, y0, t_end, h, inside, extra_theta)
+    ref, ref_calls, ref_steps = run_logged(np_integrate_rk4, f, np.array, y0, t_end, h, inside,
+                                           extra_theta)
+    assert isinstance(res.y, np.ndarray)
+    assert res.t == ref.t and same(res.y, ref.y) and res.exited == ref.exited
+    assert res.stats == ref.stats
+    assert res.exited == (guard is not None)
+    assert len(calls) == len(ref_calls)
+    for (t, y), (rt, ry) in zip(calls, ref_calls):
+        assert t == rt and same(y, ry)
+    assert len(steps) == len(ref_steps)
+    for got, want in zip(steps, ref_steps):
+        t0, ya, t1, yb, at_scalars, at_array, at_none = got
+        assert t0 == want[0] and same(ya, want[1]) and t1 == want[2] and same(yb, want[3])
+        assert all(isinstance(y, list) for y in (ya, yb, *at_scalars))
+        assert all(same(a, b) for a, b in zip(at_scalars, want[4]))
+        assert isinstance(at_array, np.ndarray) and same(at_array, want[5])
+        assert same(at_none, want[6])
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_hermite_on_trajectory_rows_is_the_numpy_hermite(n, dim, refine, seed):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(1e-3, 0.2, n))
+    x, v = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+    traj = Trajectory(t=t, x=x, v=v, kinetic=np.zeros(n), work=np.zeros(n), mass=1.0,
+                      exited=False, exit_state=None, stats=IntegratorStats())
+    ts, xs = _hermite_refine(traj, refine)
+    want = [x[0]]
+    for i in range(n - 1):
+        h = t[i + 1] - t[i]
+        want += [np_hermite(x[i], x[i + 1], v[i], v[i + 1], h, j / refine)
+                 for j in range(1, refine + 1)]
+    assert len(ts) == len(want) and same(xs, np.array(want))

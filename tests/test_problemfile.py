@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from curlkit import cli
+from curlkit import cli, exprlang
 from curlkit.errors import ProblemFileError
 from curlkit.problemfile import load_problem
 
@@ -93,3 +93,60 @@ def test_finite_problem_loads(tmp_path):
     problem = load_problem(write(tmp_path, '"mass": 2.5', '"constants": {"k": 1e300}'))
     assert problem.mass == 2.5
     assert problem.constants == {"k": 1e300}
+
+
+# the diagnostics of the component-by-component probe, one per bad component
+PROBE_FAILURES = [
+    (
+        {"dimension": 2, "force": ["log(x)", "-y"], "domain": [[-5, 5], [-5, 5]]},
+        ["force[0]: probe at (-5.0, -5.0) failed: log of non-positive value -5.0 "
+         "(expression bytes 0..6)"],
+    ),
+    (
+        {"dimension": 2, "force": ["-x", "1/(x - 2.5)"], "domain": [[0, 5], [0, 5]]},
+        ["force[1]: probe at (2.5, 2.5) failed: division by zero (expression bytes 0..10)"],
+    ),
+    (
+        {"dimension": 2, "force": ["log(x)", "1/y"], "domain": [[0, 5], [0, 5]]},
+        ["force[0]: probe at (0.0, 0.0) failed: log of non-positive value 0.0 "
+         "(expression bytes 0..6)",
+         "force[1]: probe at (0.0, 0.0) failed: division by zero (expression bytes 0..3)"],
+    ),
+    (
+        {"dimension": 3, "force": ["sqrt(z - 1)", "x", "1/(y - 5)"],
+         "domain": [[0, 5], [0, 5], [0, 5]]},
+        ["force[0]: probe at (0.0, 0.0, 0.0) failed: sqrt of negative value -1.0 "
+         "(expression bytes 0..11)",
+         "force[2]: probe at (0.0, 5.0, 0.0) failed: division by zero (expression bytes 0..8)"],
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,diagnostics", PROBE_FAILURES)
+def test_probe_names_each_bad_force_component(tmp_path, doc, diagnostics):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(str(path))
+    assert err.value.diagnostics == diagnostics
+
+
+def test_load_and_first_force_value_build_one_function_per_field(tmp_path, monkeypatch):
+    built = []
+    function = exprlang._Emitter.function
+
+    def spy(self, roots):
+        built.append(len(roots))
+        return function(self, roots)
+
+    monkeypatch.setattr(exprlang._Emitter, "function", spy)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "force": ["-x*y^2", "-x^3"], "domain": [[0.05, 5], [0.05, 5]],
+        "potentials": {"U": "-(1/x + 1/y)", "V": "x^3*y^2"},
+    }))
+    problem = load_problem(str(path))
+    problem.force.value((1.0, 2.0))
+    problem.force.value_unchecked((1.0, 2.0))
+    # the force's function of both components probes it, then U and V
+    assert built == [2, 1, 1]
