@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 def write_csv(path, header, rows):
     """CSV with a header row, comma separator, '.' decimals, LF endings,
     17 significant digits; an empty series yields a header-only file. A
-    float prints as f"{v:.17g}", anything else (an int beyond 2**53) as str(v)."""
+    float prints as f"{v:.17g}", anything else as str(v): an int keeps every digit."""
     lines = [",".join(header)]
     formats = {}  # the line format of each tuple of value types met
     for row in map(tuple, rows):
