@@ -1,6 +1,6 @@
 """curlkit: analysis of position-dependent force fields with nonzero curl.
 
-Provides an expression language with forward-mode derivatives, scalar and
+Provides an expression language with symbolic derivatives, scalar and
 vector field definitions over box domains, canonical classification of
 force fields by their generalized-potential structure, particle dynamics
 with work-energy diagnostics, line/surface work integrals, zero-work

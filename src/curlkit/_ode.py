@@ -89,6 +89,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _BOUNDARY_TOL = 1e-10
+_MAX_STEPS = 10_000_000  # accepted plus rejected dopri45 steps
 
 
 @dataclass
@@ -191,7 +192,7 @@ def _guard_step(t0, h, y0, y1, dense, inside, on_step):
 
 
 def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside=None,
-                      on_step=None, max_steps=10_000_000):
+                      on_step=None):
     """Integrate y' = f(t, y) from t0 to t_end adaptively.
 
     Raises NumericalError on step-size underflow or step-count overflow;
@@ -216,7 +217,7 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
         h = min(h, t_end - t, h_max)
         if h < 1e-14 * max(1.0, abs(t)):
             raise NumericalError(f"step size underflow at t={t!r}")
-        if stats.n_steps + stats.n_rejected > max_steps:
+        if stats.n_steps + stats.n_rejected > _MAX_STEPS:
             raise NumericalError("step count exceeded")
 
         for i in range(1, 7):

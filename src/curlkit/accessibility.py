@@ -29,7 +29,9 @@ from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 from .pathwork import ParamPath, _cross3
 
 FIELD_FLOOR = 1e-12
-FLOW_TOL = 1e-10
+FLOW_TOL = 1e-10           # atol and rtol of every zero-work flow
+SAMPLES_PER_LEG = 32       # recorded points per leg of a bracket maneuver
+BRACKET_FD_STEP = 1e-5     # central-difference step of frame_bracket_defect
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,7 @@ def _unit_perp_2d(F, x, floor):
     return np.array([-f[1], f[0]]) / norm
 
 
-def zero_work_trace_2d(
-    F, x0, arclength, steps=4096, truncate_on_exit=False, atol=FLOW_TOL, rtol=FLOW_TOL
-):
+def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
     """Trace the zero-work curve through x0 for +/- arclength.
 
     Returns a polyline ParamPath with roughly ``steps`` recorded points
@@ -97,8 +97,8 @@ def zero_work_trace_2d(
             0.0,
             x0,
             arclength,
-            atol=atol,
-            rtol=rtol,
+            atol=FLOW_TOL,
+            rtol=FLOW_TOL,
             inside=lambda x: F.domain.contains(x),
             on_step=sample_every(arclength / max(1, int(steps)), pts.append),
         )
@@ -178,7 +178,7 @@ def kernel_frame_3d(F, x, axis=None):
     return KernelFrame(point=tuple(float(c) for c in x), X=X, Y=Y, normal=n)
 
 
-def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW_TOL):
+def bracket_maneuver_3d(F, x0, eps):
     """Execute the four kernel flows (+X, +Y, -X, -Y), each for time eps.
 
     The frame is recomputed pointwise along each leg with the axis choice
@@ -221,7 +221,7 @@ def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW
 
         leg_work = 0.0
         leg_pts = []
-        sample = sample_every(eps / samples_per_leg, leg_pts.append)
+        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.append)
 
         def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
             nonlocal leg_work
@@ -237,8 +237,8 @@ def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW
             0.0,
             x,
             eps,
-            atol=atol,
-            rtol=rtol,
+            atol=FLOW_TOL,
+            rtol=FLOW_TOL,
             inside=lambda q: F.domain.contains(q),
             on_step=on_step,
         )
@@ -260,7 +260,7 @@ def bracket_maneuver_3d(F, x0, eps, samples_per_leg=32, atol=FLOW_TOL, rtol=FLOW
     )
 
 
-def frame_bracket_defect(F, x, fd_step=1e-5):
+def frame_bracket_defect(F, x):
     """Numerical check of F . [X, Y] = -(curl F) . (X x Y).
 
     The Lie bracket of the frame fields is finite-differenced with the
@@ -279,11 +279,11 @@ def frame_bracket_defect(F, x, fd_step=1e-5):
     JY = np.empty((3, 3))
     for j in range(3):
         dq = np.zeros(3)
-        dq[j] = fd_step
+        dq[j] = BRACKET_FD_STEP
         Xp, Yp = frame_at(x + dq)
         Xm, Ym = frame_at(x - dq)
-        JX[:, j] = (Xp - Xm) / (2 * fd_step)
-        JY[:, j] = (Yp - Ym) / (2 * fd_step)
+        JX[:, j] = (Xp - Xm) / (2 * BRACKET_FD_STEP)
+        JY[:, j] = (Yp - Ym) / (2 * BRACKET_FD_STEP)
 
     bracket = JY @ base.X - JX @ base.Y
     lhs = float(np.dot(F.value_unchecked(x), bracket))

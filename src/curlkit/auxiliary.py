@@ -25,6 +25,8 @@ from . import darboux, dynamics, fieldkit
 from ._ode import _hermite
 from .errors import NumericalError, OutOfDomainError
 
+V_FLOOR_REL = 1e-9  # the floor of |V|, relative to max |V| over the region
+
 
 @dataclass(frozen=True)
 class AuxiliaryProblem:
@@ -40,7 +42,6 @@ class AuxiliaryProblem:
     mass: float
     region: fieldkit.Region
     rep_tol: float = 1e-8
-    v_floor_rel: float = 1e-9
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -53,7 +54,7 @@ class AuxiliaryProblem:
             )
         v_vals = np.abs(self.potentials.V.values(self.region.samples()))
         v_max = float(np.max(v_vals))
-        floor = self.v_floor_rel * v_max
+        floor = V_FLOOR_REL * v_max
         if np.min(v_vals) < floor:
             raise NumericalError(
                 f"|V| falls below its floor {floor:.3e} on the region; "

@@ -311,8 +311,8 @@ def cmd_classify(args, problem):
         "helicity_statistic": rep.helicity_statistic,
         "sample_count": rep.sample_count,
         "thresholds": {
-            "conservative": rep.thresholds.conservative,
-            "chiral": rep.thresholds.chiral,
+            "conservative": darboux.CONSERVATIVE_THRESHOLD,
+            "chiral": darboux.CHIRAL_THRESHOLD,
         },
     }
     run.check("class", rep.canonical_class, args.assert_class, kind="equals")

@@ -32,12 +32,10 @@ from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 
 GRAD_V_FLOOR = 1e-12
 SCALE_FLOOR = 1e-30
-
-
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    conservative: float = 1e-8  # max ||curl|| / scale at or below => exact
-    chiral: float = 1e-8        # max |helicity| / (scale * max ||F||) above => chiral
+CONSERVATIVE_THRESHOLD = 1e-8  # max ||curl|| / scale at or below => exact
+CHIRAL_THRESHOLD = 1e-8        # max |helicity| / (scale * max ||F||) above => chiral
+ADMISSIBILITY_RTOL = 1e-6      # decompose3d's bound on its residuals, relative to scale
+CHARACTERISTIC_TOL = 1e-11     # atol and rtol of the curl characteristics
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class ClassificationReport:
     helicity_statistic: Optional[float]
     sample_count: int
     region: fieldkit.Region
-    thresholds: ClassifyThresholds
 
 
 @dataclass(frozen=True)
@@ -128,14 +125,13 @@ def _refuse_first(bad, Q, message):
         raise NumericalError(message.format(tuple(Q[int(np.argmax(bad))])))
 
 
-def sampled_scale(F, region, points=None, mode="analytic"):
-    """max over samples of ||jacobian||_inf times the region diameter,
+def sampled_scale(F, region, points):
+    """max over the points of ||jacobian||_inf times the region diameter,
     floored to avoid dividing by zero for the zero field."""
-    pts = _check_region(F, region) if points is None else points
-    return _scale(F.jacobians(pts, mode), region)
+    return _scale(F.jacobians(points), region)
 
 
-def classify(F, region, thresholds=ClassifyThresholds(), mode="analytic"):
+def classify(F, region, mode="analytic"):
     """Assign the minimal canonical class consistent with sampled statistics.
 
     In 2D the chiral class is unreachable: the obstruction is a 3-form,
@@ -150,13 +146,13 @@ def classify(F, region, thresholds=ClassifyThresholds(), mode="analytic"):
     curl_stat = float(np.max(np.linalg.norm(c, axis=1))) / scale
     hel_stat = None
     label = "two-potential"
-    if curl_stat <= thresholds.conservative:
+    if curl_stat <= CONSERVATIVE_THRESHOLD:
         label = "conservative"
     if F.dimension == 3:
         hel_max = float(np.max(np.abs(np.einsum("ij,ij->i", f, c))))
         fmag_max = float(np.max(np.linalg.norm(f, axis=1)))
         hel_stat = hel_max / max(scale * fmag_max, SCALE_FLOOR)
-        if label != "conservative" and hel_stat > thresholds.chiral:
+        if label != "conservative" and hel_stat > CHIRAL_THRESHOLD:
             label = "chiral three-potential"
     return ClassificationReport(
         canonical_class=label,
@@ -164,7 +160,6 @@ def classify(F, region, thresholds=ClassifyThresholds(), mode="analytic"):
         helicity_statistic=None if hel_stat is None else float(hel_stat),
         sample_count=len(pts),
         region=region,
-        thresholds=thresholds,
     )
 
 
@@ -242,7 +237,7 @@ def gauge_transform(potentials, f_tree, region=None):
     return PotentialSet(U=U_new, V=V_new, W=potentials.W)
 
 
-def independence_metric(U, V, region, mode="analytic"):
+def independence_metric(U, V, region):
     """Magnitude of grad(V) x grad(U) over samples; zero means V = f(U)
     (functional dependence), which degenerates the two-potential form."""
     if U.dimension != V.dimension:
@@ -250,8 +245,8 @@ def independence_metric(U, V, region, mode="analytic"):
     pts = region.samples()
 
     def magnitudes(Q):
-        gu = U.gradients(Q, mode)
-        gv = V.gradients(Q, mode)
+        gu = U.gradients(Q)
+        gv = V.gradients(Q)
         if U.dimension == 2:
             return np.abs(gv[:, 0] * gu[:, 1] - gv[:, 1] * gu[:, 0])
         return np.linalg.norm(np.cross(gv, gu), axis=1)
@@ -288,7 +283,7 @@ def _sampler(rows):
     return sample
 
 
-def decompose3d(F, V, region, admissibility_rtol=1e-6):
+def decompose3d(F, V, region):
     """Split a 3D field into conservative and non-conservative parts.
 
     With the gauge grad(V) . grad(U) = 0, the non-conservative direction
@@ -296,18 +291,18 @@ def decompose3d(F, V, region, admissibility_rtol=1e-6):
     F_nc = -V grad U and F_c = F - F_nc. Preconditions: grad V bounded
     away from zero on the region and V constant along the curl
     characteristics (grad V . curl F ~ 0). A split whose F_c has a curl
-    above ``admissibility_rtol * scale`` is refused: no U in this gauge
+    above ``ADMISSIBILITY_RTOL * scale`` is refused: no U in this gauge
     has the gradient it needs.
     """
     if F.dimension != 3 or V.dimension != 3:
         raise DimensionMismatchError("decompose3d requires 3D fields")
     pts = _check_region(F, region)
-    bound = admissibility_rtol * sampled_scale(F, region, points=pts)
+    bound = ADMISSIBILITY_RTOL * sampled_scale(F, region, pts)
 
     def require_below(worst, quantity, reason):
         if worst > bound:
             raise NumericalError(f"{reason}: max {quantity} = {worst:.3e} exceeds "
-                                 f"{admissibility_rtol:.1e} * scale = {bound:.3e}")
+                                 f"{ADMISSIBILITY_RTOL:.1e} * scale = {bound:.3e}")
 
     def admissibility(Q):
         gv = V.gradients(Q)
@@ -356,7 +351,7 @@ def decompose3d(F, V, region, admissibility_rtol=1e-6):
     return Decomposition3D(grad_u=grad_u, f_c=f_c, f_nc=f_nc, diagnostics=diagnostics)
 
 
-def characteristic_deviation(F, V, x0, s_max, steps=200, atol=1e-11, rtol=1e-11):
+def characteristic_deviation(F, V, x0, s_max, steps=200):
     """Trace dx/ds = curl F from x0 and report max |V(x(s)) - V(x0)|.
 
     A valid rescaling potential is constant along these characteristics.
@@ -383,8 +378,8 @@ def characteristic_deviation(F, V, x0, s_max, steps=200, atol=1e-11, rtol=1e-11)
         0.0,
         x0,
         s_max,
-        atol=atol,
-        rtol=rtol,
+        atol=CHARACTERISTIC_TOL,
+        rtol=CHARACTERISTIC_TOL,
         inside=lambda x: F.domain.contains(x),
         on_step=sample_every(s_max / max(1, int(steps)), visit),
     )

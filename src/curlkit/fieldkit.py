@@ -3,9 +3,8 @@
 Derivatives are available in two modes: ``analytic`` evaluates the
 symbolic derivative trees of the expressions (``SyntaxTree.partials``),
 ``fd`` uses central differences with step h = max(1, |x_i|) * 6.06e-6 per
-axis (cube-root-of-epsilon scaling). Points on an open boundary are
-rejected; on a closed boundary the fd mode falls back to second-order
-one-sided stencils.
+axis (cube-root-of-epsilon scaling). On a face of the domain box the fd
+mode falls back to second-order one-sided stencils.
 
 A pointwise method calls one function compiled from the field's trees
 (``exprlang``). Each has a batch form over the rows of an (N, dim) array
@@ -33,12 +32,10 @@ FD_STEP_FACTOR = 6.06e-6
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box; per-axis closed flags for the lo/hi faces."""
+    """Closed axis-aligned box: its faces belong to it."""
 
     lo: tuple
     hi: tuple
-    closed_lo: tuple = None
-    closed_hi: tuple = None
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
@@ -51,10 +48,6 @@ class Box:
             raise ValueError(f"box bounds must be finite: lo={lo} hi={hi}")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ValueError(f"degenerate box: lo={lo} hi={hi}")
-        if self.closed_lo is None:
-            object.__setattr__(self, "closed_lo", (True,) * len(lo))
-        if self.closed_hi is None:
-            object.__setattr__(self, "closed_hi", (True,) * len(hi))
 
     @property
     def dimension(self):
@@ -64,25 +57,17 @@ class Box:
         return float(np.linalg.norm(np.subtract(self.hi, self.lo)))
 
     def contains(self, p):
-        for c, lo, hi, cl, ch in zip(p, self.lo, self.hi, self.closed_lo, self.closed_hi):
+        for c, lo, hi in zip(p, self.lo, self.hi):
             # written so that a NaN coordinate compares false and is rejected
             if not lo <= c <= hi:
-                return False
-            if c == lo and not cl:
-                return False
-            if c == hi and not ch:
                 return False
         return True
 
     def contains_rows(self, P):
         """``contains`` of each row of the (N, dimension) array P, as a
         boolean array of shape (N,)."""
-        lo, hi = np.array(self.lo), np.array(self.hi)
         # NaN compares false here too, so a row holding one is outside
-        inside = (P >= lo) & (P <= hi)
-        inside &= (P != lo) | np.array(self.closed_lo)
-        inside &= (P != hi) | np.array(self.closed_hi)
-        return inside.all(axis=1)
+        return ((P >= np.array(self.lo)) & (P <= np.array(self.hi))).all(axis=1)
 
     def contains_box(self, other):
         return all(a >= b for a, b in zip(other.lo, self.lo)) and all(
@@ -459,8 +444,8 @@ def _fd_jacobians(sample, P, box):
     """Finite-difference Jacobians at the rows of P, shape (N, k, dim), where
     ``sample(Q)`` gives the k values at each row of Q without a domain test.
     Per axis a row takes the central stencil when p + h and p - h lie in
-    the box, else the second-order one-sided stencil into it (from a closed
-    face), its points in one-point loop order; a row with no room either way
+    the box, else the second-order one-sided stencil into it (from a face),
+    its points in one-point loop order; a row with no room either way
     raises after the axes before it. All stencil points go through one
     ``sample`` call, redone row by row on failure (``per_row``)."""
     return per_row(P, lambda Q: _fd_stencil(sample, Q, box))

@@ -16,9 +16,9 @@ chunks of at most ``BATCH_POINTS`` points so that memory stays bounded at
 deep refinement, each chunk in one array call (``fieldkit``'s ``values``
 and ``curl_many``, ``exprlang.eval_many`` for parametric paths). When a
 batch fails, the chunk is evaluated again point by point in node order
-(edge, then panel, then Gauss node), so the error raised is the one the
-pointwise loop raises first: a path leaving the domain names the same
-``s=``.
+(edge, then panel, then Gauss node; ``fieldkit.per_row``), so the error
+raised is the one the pointwise loop raises first: a path leaving the
+domain names the same ``s=``.
 
 Orientation: vertex order defines it; counterclockwise is positive in 2D
 and the right-hand rule applies to the vertex order in 3D.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang, fieldkit
-from .errors import DimensionMismatchError, EvalDomainError, NumericalError, OutOfDomainError
+from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 
 # 5-point Gauss-Legendre rule on [-1, 1], exact through degree 9, in closed
 # form (numpy.polynomial.legendre.leggauss would import a whole subpackage)
@@ -68,26 +68,14 @@ CLOSURE_TOL = 1e-12
 # the refinement (round 12 of a 2,048-edge trace has 4.2e7 nodes).
 BATCH_POINTS = 1 << 11
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    initial_segments: int = 64
-    atol: float = 1e-10
-    rtol: float = 1e-9
-    max_refinements: int = 12
-
-    def __post_init__(self):
-        for name in ("atol", "rtol"):
-            value = getattr(self, name)
-            # written so that NaN compares false and is rejected with inf
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not self.initial_segments >= 1:
-            raise ValueError(f"initial_segments must be at least 1, got {self.initial_segments!r}")
-        if not self.max_refinements >= 0:
-            raise ValueError(
-                f"max_refinements must not be negative, got {self.max_refinements!r}"
-            )
+# the line rule starts from INITIAL_SEGMENTS panels (spread over a
+# polyline's edges) and doubles them until two estimates agree within
+# max(QUAD_ATOL, QUAD_RTOL * |value|); the surface rule uses the same test
+INITIAL_SEGMENTS = 64
+QUAD_ATOL = 1e-10
+QUAD_RTOL = 1e-9
+MAX_REFINEMENTS = 12
+SURFACE_REFINEMENTS = 7  # 4-way subdivisions: 16,384 triangles per fan triangle
 
 
 @dataclass(frozen=True)
@@ -178,22 +166,7 @@ class ParamPath:
         )
 
 
-def _pointwise_dot(F, path, s, P, V):
-    """F(c(s)) . c'(s) node by node, in node order: the fallback of a failed
-    batch. Its error names the first failing node. Polylines pass their
-    node points P and edge vectors V; parametric paths pass None."""
-    out = np.empty(len(s))
-    for i, si in enumerate(s):
-        p = P[i] if path.is_polyline else path.point(si)
-        try:
-            f = F.value(p)
-        except OutOfDomainError:
-            raise OutOfDomainError(f"path leaves the field domain at s={si:.6g}", p) from None
-        out[i] = np.dot(f, V[i] if path.is_polyline else path.velocity(si))
-    return out
-
-
-def line_work(F, path, q=QuadratureConfig()):
+def line_work(F, path):
     """Work of F along the path by adaptive composite quadrature."""
     if F.dimension != path.dimension:
         raise DimensionMismatchError("field and path dimensions differ")
@@ -203,10 +176,10 @@ def line_work(F, path, q=QuadratureConfig()):
         verts = path.vertices
         n_edges = len(verts) - 1
         edges = np.diff(verts, axis=0)
-        panels = max(1, round(q.initial_segments / n_edges))
+        panels = max(1, round(INITIAL_SEGMENTS / n_edges))
     else:
         n_edges = 1
-        panels = q.initial_segments
+        panels = INITIAL_SEGMENTS
         rates = [t.partials[0] for t in path.trees]
 
     def weighted_power(n, k):
@@ -217,18 +190,27 @@ def line_work(F, path, q=QuadratureConfig()):
         a, b = j / k, (j + 1) / k
         half = 0.5 * (b - a)
         u = 0.5 * (a + b) + half * _GL_NODES[g]
-        P = V = None
-        try:
+        s = (e + u) / n_edges if path.is_polyline else u
+
+        def power(m):
+            """F(c(s)) . c'(s) at the nodes m (indices into this chunk), in
+            the pointwise order: the point, the field, then the tangent."""
             if path.is_polyline:
-                s = (e + u) / n_edges
-                P, V = verts[e] + u[:, None] * edges[e], edges[e]
+                P = verts[e[m]] + u[m, None] * edges[e[m]]
             else:
-                s = u
-                P = exprlang.eval_many(path.trees, (s,), path.constants).T
-                V = exprlang.eval_many(rates, (s,), path.constants).T
-            dot = np.einsum("ij,ij->i", F.values(P), V)
-        except (EvalDomainError, OutOfDomainError):
-            dot = _pointwise_dot(F, path, s, P, V)
+                P = exprlang.eval_many(path.trees, (s[m],), path.constants).T
+            try:
+                f = F.values(P)
+            except OutOfDomainError:
+                if len(m) > 1:
+                    raise
+                raise OutOfDomainError(
+                    f"path leaves the field domain at s={s[m[0]]:.6g}", P[0]) from None
+            V = edges[e[m]] if path.is_polyline else exprlang.eval_many(
+                rates, (s[m],), path.constants).T
+            return np.einsum("ij,ij->i", f, V)
+
+        dot = fieldkit.per_row(np.arange(len(n)), power)
         return float(np.dot(_GL_WEIGHTS[g] * half, dot))
 
     def estimate(k):
@@ -240,16 +222,14 @@ def line_work(F, path, q=QuadratureConfig()):
         return total, n_edges * k
 
     prev, count = estimate(panels)
-    for _ in range(q.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         panels *= 2
         value, count = estimate(panels)
         err = abs(value - prev)
-        if err <= max(q.atol, q.rtol * abs(value)):
+        if err <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return WorkResult(value=value, error_estimate=err, segments=count)
         prev = value
-    raise NumericalError(
-        f"line quadrature did not converge after {q.max_refinements} refinements"
-    )
+    raise NumericalError(f"line quadrature did not converge after {MAX_REFINEMENTS} refinements")
 
 
 # --- surface (Stokes) form ----------------------------------------------------
@@ -333,7 +313,7 @@ def _subdivide(tri):
     return np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3, 2)
 
 
-def stokes_work(F, loop, q=QuadratureConfig()):
+def stokes_work(F, loop):
     """Work around a closed planar simple polygon as a surface integral of
     the curl's normal component over the enclosed region."""
     verts = _loop_vertices(loop)
@@ -371,12 +351,12 @@ def stokes_work(F, loop, q=QuadratureConfig()):
         )
 
     prev = estimate(triangles)
-    for _ in range(min(q.max_refinements, 7)):
+    for _ in range(SURFACE_REFINEMENTS):
         triangles = _subdivide(triangles)
         value = estimate(triangles)
         count = len(triangles)
         err = abs(value - prev)
-        if err <= max(q.atol, q.rtol * abs(value)):
+        if err <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return WorkResult(value=value, error_estimate=err, segments=count)
         prev = value
     raise NumericalError("surface quadrature did not converge")

@@ -2,7 +2,7 @@
 
 A problem is a JSON document with the exact top-level fields
 
-    dimension   2 or 3
+    dimension   the integer 2 or 3
     constants   name -> number table (optional)
     force       list of component expression strings, one per coordinate
     potentials  optional {"U": expr, "V": expr, "W": expr}, each optional
@@ -13,7 +13,8 @@ A problem is a JSON document with the exact top-level fields
                 "components": [expr-in-s, ...], "closed": bool?}
     regions     optional named sample regions: {"box": [[lo,hi],...],
                 "plan": {"type": "grid", "counts": [...]} or
-                {"type": "random", "count": N, "seed": S}}
+                {"type": "random", "count": N, "seed": S}}; counts, N
+                and S are integers, S non-negative
 
 Everything is parsed and bound before any command runs; failures raise
 ProblemFileError carrying one diagnostic per offending field. Numbers must
@@ -94,6 +95,11 @@ def _is_finite_number(value):
         return False
 
 
+def _is_int(value):
+    # JSON true and false read as bools, which are ints to Python
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _probe_points(box):
     corners = list(itertools.product(*zip(box.lo, box.hi)))
     center = tuple(0.5 * (a + b) for a, b in zip(box.lo, box.hi))
@@ -120,7 +126,7 @@ def load_problem(path):
         diags.append(f"unknown top-level fields: {unknown}")
 
     dimension = doc.get("dimension")
-    if dimension not in (2, 3):
+    if not _is_int(dimension) or dimension not in (2, 3):
         diags.append(f"dimension: must be 2 or 3, got {dimension!r}")
         raise ProblemFileError("invalid problem file", diags)
 
@@ -205,6 +211,9 @@ def load_problem(path):
             diags.append(f"{where}: must be an object with a 'type' field")
             continue
         closed = spec.get("closed")
+        if closed is not None and not isinstance(closed, bool):
+            diags.append(f"{where}.closed: must be true or false, got {closed!r}")
+            continue
         try:
             if spec["type"] == "polyline":
                 vertices = spec.get("vertices")
@@ -248,11 +257,20 @@ def load_problem(path):
             continue
         try:
             if plan["type"] == "grid":
-                regions[name] = Region.grid(rbox, plan.get("counts", ()))
+                counts = plan.get("counts", [])
+                if isinstance(counts, list) and all(map(_is_int, counts)):
+                    regions[name] = Region.grid(rbox, counts)
+                else:
+                    diags.append(f"{where}.plan.counts: must be a list of integers, got {counts!r}")
             elif plan["type"] == "random":
-                regions[name] = Region.random(
-                    rbox, plan.get("count", 0), plan.get("seed", 0)
-                )
+                count, seed = plan.get("count", 0), plan.get("seed", 0)
+                count_ok, seed_ok = _is_int(count), _is_int(seed) and seed >= 0
+                if not count_ok:
+                    diags.append(f"{where}.plan.count: must be an integer, got {count!r}")
+                if not seed_ok:
+                    diags.append(f"{where}.plan.seed: must be a non-negative integer, got {seed!r}")
+                if count_ok and seed_ok:
+                    regions[name] = Region.random(rbox, count, seed)
             else:
                 diags.append(f"{where}.plan.type: unknown plan {plan['type']!r}")
         except (ValueError, TypeError) as e:

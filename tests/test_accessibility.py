@@ -219,9 +219,9 @@ def test_maneuver_zero_helicity_higher_order():
 
 
 def test_maneuver_path_sampled():
-    res = bracket_maneuver_3d(chiral_field(), (0.0, 0.0, 0.0), 0.1, samples_per_leg=16)
+    res = bracket_maneuver_3d(chiral_field(), (0.0, 0.0, 0.0), 0.1)
     assert res.path.shape[1] == 3
-    assert len(res.path) >= 4 * 16
+    assert len(res.path) >= 4 * 32
     assert res.path[0] == pytest.approx([0.0, 0.0, 0.0])
     assert res.path[-1] == pytest.approx(res.endpoint)
 

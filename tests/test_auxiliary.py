@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from curlkit import auxiliary
 from curlkit.auxiliary import (
     AuxiliaryProblem,
     _cumtrapz,
@@ -112,13 +113,14 @@ def test_stationary_point_zero_drift():
     assert np.allclose(traj.x, 1.0)
 
 
-def test_v_floor_violation_raises():
+def test_v_floor_violation_raises(monkeypatch):
+    monkeypatch.setattr(auxiliary, "V_FLOOR_REL", 1e-3)
     F = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=DOM)
     P = PotentialSet(
         U=ScalarFieldDef.from_source("-(1/x + 1/y)", 2, domain=DOM),
         V=ScalarFieldDef.from_source("x^3*y^2", 2, domain=DOM),
     )
-    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=REGION, v_floor_rel=1e-3)
+    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=REGION)
     fbar = auxiliary_force(prob)
     with pytest.raises(NumericalError) as err:
         fbar.value((0.05, 0.05))  # V = x^3 y^2 = 3e-7, below 1e-3 * max V

@@ -88,6 +88,15 @@ def test_exit_input(tmp_path, problem):
     assert report is None
 
 
+def test_exit_input_for_a_float_dimension(tmp_path, problem, capsys):
+    # 2.0 == 2 passed the check, and simulate died slicing the state by it
+    code, report = run(tmp_path, "simulate", problem(dict(HARMONIC, dimension=2.0)), *SIM,
+                       "--t-end", "1")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "dimension: must be 2 or 3, got 2.0" in capsys.readouterr().err
+
+
 def test_exit_input_for_literal_beyond_double_range(tmp_path, problem, capsys):
     bad = dict(HARMONIC, force=["pow(x - 10, 1e400)", "0"])
     code, report = run(tmp_path, "classify", problem(bad))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from curlkit import auxiliary
 from curlkit._ode import integrate_dopri45, integrate_rk4
 from curlkit.auxiliary import AuxiliaryProblem, auxiliary_force, auxiliary_trajectory
 from curlkit.darboux import PotentialSet
@@ -374,7 +375,8 @@ def test_node_error_is_the_per_node_loop_error(integrator, stage_fails_later):
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
 
 
-def test_v_floor_crossed_mid_run_raises_the_per_node_loop_error():
+def test_v_floor_crossed_mid_run_raises_the_per_node_loop_error(monkeypatch):
+    monkeypatch.setattr(auxiliary, "V_FLOOR_REL", 1e-3)
     dom = Box((0.05, 0.05), (5.0, 5.0))
     F = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=dom)
     P = PotentialSet(
@@ -382,7 +384,7 @@ def test_v_floor_crossed_mid_run_raises_the_per_node_loop_error():
         V=ScalarFieldDef.from_source("x^3*y^2", 2, domain=dom),
     )
     region = Region.random(Box((0.5, 0.5), (2.0, 2.0)), 100, seed=9)
-    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=region, v_floor_rel=1e-3)
+    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=region)
     fbar = auxiliary_force(prob)
     x0, v0 = (1.0, 1.0), (-0.5, -0.5)
     for cfg in (SimConfig(t_end=2.0), SimConfig(integrator="rk4", h=0.01, t_end=2.0)):

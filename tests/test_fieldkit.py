@@ -42,14 +42,6 @@ def test_box_validation():
         Box((0,), (1, 2))
 
 
-def test_box_open_boundary():
-    closed = Box((0, 0), (1, 1))
-    assert closed.contains((0.0, 0.5))
-    open_lo = Box((0, 0), (1, 1), closed_lo=(False, False), closed_hi=(True, True))
-    assert not open_lo.contains((0.0, 0.5))
-    assert open_lo.contains((1.0, 0.5))
-
-
 def test_box_rejects_non_finite_bounds():
     for lo, hi in [((0.0, float("nan")), (1.0, 1.0)), ((0.0, 0.0), (float("inf"), 1.0))]:
         with pytest.raises(ValueError, match="finite"):
@@ -61,6 +53,24 @@ def test_box_rejects_non_finite_points():
     for p in [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0)]:
         assert not box.contains(p)
         assert not box.contains(np.array(p))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_pointwise_derivatives_refuse_non_finite_coordinates(berry, triple, bad, mode):
+    sampler = CallableVectorField(triple.value_unchecked, 3, triple.domain)
+    calls = [
+        lambda: berry.components[0].gradient((1.0, bad), mode),
+        lambda: berry.jacobian((bad, 1.0), mode),
+        lambda: curl(berry, (1.0, bad), mode),
+        lambda: curl(triple, (1.0, 1.0, bad), mode),
+        lambda: helicity(triple, (bad, 1.0, 1.0), mode),
+    ]
+    if mode == "fd":  # a sampler-backed field has fd Jacobians only
+        calls.append(lambda: sampler.jacobian((1.0, bad, 1.0)))
+    for call in calls:
+        with pytest.raises(OutOfDomainError):
+            call()
 
 
 def test_grid_region_samples():
@@ -136,15 +146,6 @@ def test_fd_one_sided_at_closed_boundary():
     assert g == pytest.approx([0.0, 1.0], abs=1e-8)
     g = u.gradient((1.0, 0.5), mode="fd")
     assert g == pytest.approx([2.0, 1.0], abs=1e-8)
-
-
-def test_open_boundary_point_rejected_everywhere():
-    dom = Box((0, 0), (1, 1), closed_lo=(False, False), closed_hi=(False, False))
-    u = ScalarFieldDef.from_source("x + y", 2, domain=dom)
-    with pytest.raises(OutOfDomainError):
-        u.value((0.0, 0.5))
-    with pytest.raises(OutOfDomainError):
-        u.gradient((0.0, 0.5), "fd")
 
 
 # --- jacobian -----------------------------------------------------------------
@@ -282,12 +283,7 @@ def _box_and_rows(draw):
     dim = draw(st.sampled_from([2, 3]))
     lo = [draw(st.floats(-3.0, 0.0)) for _ in range(dim)]
     hi = [a + draw(st.floats(0.5, 3.0)) for a in lo]
-    box = Box(
-        lo,
-        hi,
-        closed_lo=tuple(draw(st.booleans()) for _ in range(dim)),
-        closed_hi=tuple(draw(st.booleans()) for _ in range(dim)),
-    )
+    box = Box(lo, hi)
 
     def coord(axis):
         a, b = box.lo[axis], box.hi[axis]
@@ -458,8 +454,7 @@ def _field_case(draw):
     dim = draw(st.sampled_from([2, 3]))
     lo = [draw(st.sampled_from([-3.0, -1.0, 0.0, 0.5])) for _ in range(dim)]
     hi = [a + draw(st.sampled_from([0.5, 1.0, 3.0])) for a in lo]
-    box = Box(lo, hi, closed_lo=tuple(draw(st.booleans()) for _ in range(dim)),
-              closed_hi=tuple(draw(st.booleans()) for _ in range(dim)))
+    box = Box(lo, hi)
     sources = draw(st.lists(st.sampled_from(_SCALARS[dim]), min_size=dim, max_size=dim))
     counts = [draw(st.integers(1, 4)) for _ in range(dim)]
     # a grid touching every face, and points near and on the faces inside

@@ -142,10 +142,11 @@ def test_guard_reports_truncated_step_to_callback():
     assert spans[-1][1] == pytest.approx(res.t, abs=1e-12)
 
 
-def test_step_count_guard():
-    with pytest.raises(NumericalError):
+def test_step_count_guard(monkeypatch):
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 3)
+    with pytest.raises(NumericalError, match="step count exceeded"):
         integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0,
-                          atol=1e-9, rtol=1e-9, max_steps=3)
+                          atol=1e-9, rtol=1e-9)
 
 
 def test_invalid_spans():

@@ -12,10 +12,10 @@ from curlkit.errors import (
     NumericalError,
     OutOfDomainError,
 )
+from curlkit import pathwork
 from curlkit.fieldkit import Box, VectorFieldDef
 from curlkit.pathwork import (
     ParamPath,
-    QuadratureConfig,
     WorkResult,
     _cross3,
     line_work,
@@ -277,27 +277,12 @@ def test_stokes_rejects_self_intersection():
 
 
 def test_quadrature_nonconvergence_raises():
-    F = berry_field()
-    tight = QuadratureConfig(initial_segments=1, atol=1e-30, rtol=1e-30, max_refinements=2)
-    path = ParamPath.parametric(["s", "s^3 + 0.2*sin(9*s)"], 2)
-    with pytest.raises(NumericalError):
-        line_work(F, path, tight)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"atol": 0.0},
-        {"atol": -1e-9},
-        {"rtol": float("nan")},
-        {"rtol": float("inf")},
-        {"initial_segments": 0},
-        {"max_refinements": -1},
-    ],
-)
-def test_quadrature_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
-        QuadratureConfig(**bad)
+    # the jump at x = 0.3 is no panel boundary of any round, so each
+    # doubling only halves the difference of two estimates
+    F = VectorFieldDef.from_source(["sign(x - 0.3)", "0"], 2, domain=Box((-1, -1), (2, 2)))
+    path = ParamPath.polyline([[0, 0.5], [1, 0.5]])
+    with pytest.raises(NumericalError, match="did not converge after 12 refinements"):
+        line_work(F, path)
 
 
 def test_polyline_rejects_non_finite_vertices():
@@ -307,7 +292,7 @@ def test_polyline_rejects_non_finite_vertices():
 
 # --- batch quadrature against the pointwise reference ----------------------------
 
-def pointwise_line_work(F, path, q=QuadratureConfig()):
+def pointwise_line_work(F, path):
     """line_work one node at a time: the reference the batch rounds must
     reproduce (same node order, panels, doubling and errors)."""
     nodes, weights = np.polynomial.legendre.leggauss(5)
@@ -337,7 +322,7 @@ def pointwise_line_work(F, path, q=QuadratureConfig()):
                     total += panel * half
             return total, n_edges * k
 
-        panels = max(1, round(q.initial_segments / n_edges))
+        panels = max(1, round(pathwork.INITIAL_SEGMENTS / n_edges))
     else:
 
         def estimate(k):
@@ -353,29 +338,29 @@ def pointwise_line_work(F, path, q=QuadratureConfig()):
                 total += panel * half
             return total, k
 
-        panels = q.initial_segments
+        panels = pathwork.INITIAL_SEGMENTS
 
     prev, count = estimate(panels)
-    for _ in range(q.max_refinements):
+    for _ in range(pathwork.MAX_REFINEMENTS):
         panels *= 2
         value, count = estimate(panels)
         err = abs(value - prev)
-        if err <= max(q.atol, q.rtol * abs(value)):
+        if err <= max(pathwork.QUAD_ATOL, pathwork.QUAD_RTOL * abs(value)):
             return WorkResult(value=value, error_estimate=err, segments=count)
         prev = value
     raise NumericalError("line quadrature did not converge")
 
 
-def outcome(work, F, path, q=QuadratureConfig()):
+def outcome(work, F, path):
     try:
-        return work(F, path, q)
+        return work(F, path)
     except (EvalDomainError, OutOfDomainError, NumericalError) as e:
         return e
 
 
-def assert_same_outcome(F, path, q=QuadratureConfig()):
-    want = outcome(pointwise_line_work, F, path, q)
-    got = outcome(line_work, F, path, q)
+def assert_same_outcome(F, path):
+    want = outcome(pointwise_line_work, F, path)
+    got = outcome(line_work, F, path)
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want), (got, want)
     else:
@@ -400,16 +385,27 @@ def test_line_work_matches_pointwise_reference():
     # the field divides by zero along the second edge, which also leaves the domain
     G = VectorFieldDef.from_source(["1/(y - 1)", "x"], 2, domain=Box((-1, -1), (3, 3)))
     assert_same_outcome(G, ParamPath.polyline([[0, 0], [1, 1], [4, 1]]))
+    # the middle Gauss node of panel 32 of 64 lies at s = 0.5078125, where the
+    # field (1/y) and the tangent (1/sqrt) both divide by zero: the field's
+    # error wins, as it does pointwise
+    H = VectorFieldDef.from_source(["1/y", "x"], 2, domain=Box((-1, -1), (3, 3)))
+    path = ParamPath.parametric(["s", "sqrt(abs(s - 0.5078125))"], 2)
+    with pytest.raises(EvalDomainError) as tangent:
+        path.velocity(0.5078125)
+    with pytest.raises(EvalDomainError) as field:
+        H.value(path.point(0.5078125))
+    assert str(tangent.value) != str(field.value)
+    assert str(outcome(line_work, H, path)) == str(field.value)
+    assert_same_outcome(H, path)
 
 
 def test_line_work_velocity_at_a_kink_uses_dual_numbers():
-    # one panel puts its middle Gauss node at s = 0.5, where the symbolic
-    # d/ds abs(s - 0.5) = abs(s - 0.5)/(s - 0.5) divides by zero
+    # panel 32 of the first round's 64 puts its middle Gauss node at
+    # s = 0.5078125, on the kink, where d/ds abs(s - 0.5078125) is sign(0)
     F = VectorFieldDef.from_source(["y", "x"], 2, domain=Box((-1, -1), (2, 2)))
-    path = ParamPath.parametric(["s", "abs(s - 0.5)"], 2)
-    q = QuadratureConfig(initial_segments=1)
-    assert_same_outcome(F, path, q)
-    assert line_work(F, path, q).value == pytest.approx(0.5, abs=1e-12)
+    path = ParamPath.parametric(["s", "abs(s - 0.5078125)"], 2)
+    assert_same_outcome(F, path)
+    assert line_work(F, path).value == pytest.approx(0.4921875, abs=1e-12)
 
 
 _CORNER = st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
@@ -419,13 +415,12 @@ _CORNER = st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
 @given(st.lists(_CORNER, min_size=2, max_size=5), st.booleans())
 def test_line_work_leaving_the_domain_names_the_same_s(corners, parametric):
     F = berry_field(lo=0.0, hi=2.0)
-    q = QuadratureConfig(initial_segments=4, max_refinements=3, rtol=1e-6)
     if parametric:
         (x0, y0), (x1, y1) = corners[:2]
         path = ParamPath.parametric([f"{x0!r} + {x1 - x0!r}*s", f"{y0!r} + {y1 - y0!r}*s"], 2)
     else:
         path = ParamPath.polyline(corners)
-    assert_same_outcome(F, path, q)
+    assert_same_outcome(F, path)
 
 
 @st.composite

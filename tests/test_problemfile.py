@@ -89,6 +89,63 @@ def test_one_diagnostic_per_bad_field(tmp_path):
     ]
 
 
+def _region(plan):
+    return '"regions": {"r": {"box": [[0, 1], [0, 1]], "plan": ' + plan + "}}"
+
+
+# integers and booleans given as other JSON types: each loaded silently before
+NOT_INTEGER = [
+    ('"dimension": 2.0', "dimension: must be 2 or 3, got 2.0"),
+    ('"dimension": true', "dimension: must be 2 or 3, got True"),
+    (_region('{"type": "random", "count": 10.7}'),
+     "regions.r.plan.count: must be an integer, got 10.7"),
+    (_region('{"type": "random", "count": 10, "seed": 2.9}'),
+     "regions.r.plan.seed: must be a non-negative integer, got 2.9"),
+    (_region('{"type": "random", "count": 10, "seed": -1}'),
+     "regions.r.plan.seed: must be a non-negative integer, got -1"),
+    (_region('{"type": "random", "count": true}'),
+     "regions.r.plan.count: must be an integer, got True"),
+    (_region('{"type": "grid", "counts": [2.5, true]}'),
+     "regions.r.plan.counts: must be a list of integers, got [2.5, True]"),
+    (_region('{"type": "grid", "counts": 4}'),
+     "regions.r.plan.counts: must be a list of integers, got 4"),
+    ('"paths": {"p": {"type": "polyline", "vertices": [[0, 0], [1, 1]], "closed": 0}}',
+     "paths.p.closed: must be true or false, got 0"),
+    ('"paths": {"p": {"type": "parametric", "components": ["s", "s"], "closed": "no"}}',
+     "paths.p.closed: must be true or false, got 'no'"),
+]
+
+
+@pytest.mark.parametrize("field,diagnostic", NOT_INTEGER,
+                         ids=[f"{d.split(':')[0]}-{i}" for i, (_, d) in enumerate(NOT_INTEGER)])
+def test_integer_and_boolean_fields_refuse_other_types(tmp_path, field, diagnostic):
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert err.value.diagnostics == [diagnostic]
+
+
+def test_bad_count_and_seed_get_one_diagnostic_each(tmp_path):
+    field = _region('{"type": "random", "count": 10.7, "seed": 2.9}')
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert err.value.diagnostics == [
+        "regions.r.plan.count: must be an integer, got 10.7",
+        "regions.r.plan.seed: must be a non-negative integer, got 2.9",
+    ]
+
+
+def test_integer_fields_load(tmp_path):
+    problem = load_problem(write(
+        tmp_path, '"dimension": 2',
+        '"paths": {"p": {"type": "polyline", "vertices": [[0, 0], [1, 1]], "closed": null}}',
+        '"regions": {"g": {"box": [[0, 1], [0, 1]], "plan": {"type": "grid", "counts": [2, 3]}},'
+        ' "r": {"box": [[0, 1], [0, 1]], "plan": {"type": "random", "count": 7, "seed": 0}}}',
+    ))
+    assert problem.regions["g"].plan == ("grid", (2, 3))
+    assert problem.regions["r"].plan == ("random", 7, 0)
+    assert problem.paths["p"].closed is False
+
+
 def test_finite_problem_loads(tmp_path):
     problem = load_problem(write(tmp_path, '"mass": 2.5', '"constants": {"k": 1e300}'))
     assert problem.mass == 2.5
