@@ -82,6 +82,8 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
     """
     if F.dimension != 2:
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)
@@ -100,7 +102,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
             atol=FLOW_TOL,
             rtol=FLOW_TOL,
             inside=lambda x: F.domain.contains(x),
-            on_step=sample_every(arclength / max(1, int(steps)), pts.append),
+            on_step=sample_every(arclength / steps, pts.append),
         )
         if res.exited and not truncate_on_exit:
             raise OutOfDomainError(

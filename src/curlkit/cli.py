@@ -2,10 +2,19 @@
 
 Every command reads one problem file, runs one analysis, writes a JSON
 run report to --out, and writes any series as CSV files next to the
-report (same stem, suffixed). Exit codes: 0 success, 1 usage error
-(including a parameter the analysis rejects), 2 input error, 3 numerical
-failure (domain exit, rescaling floor, non-convergence, a non-finite
-number in the report), 4 assertion failure.
+report (same stem, suffixed).
+
+The problem file and --out are the only options all commands share. The
+region commands (classify, verify, vpde, gauge, decompose3d) also share
+--region, --seed and --samples: without --region they sample --samples
+random points of the domain from --seed. classify, verify and vpde take
+--mode; auxiliary and nonlocal-h require --region. A command accepts no
+option it does not read.
+
+Exit codes: 0 success, 1 usage error (including an option the command
+does not take and a parameter the analysis rejects), 2 input error, 3
+numerical failure (domain exit, rescaling floor, non-convergence, a
+non-finite number in the report), 4 assertion failure.
 
 Reports are deterministic for fixed inputs and seeds: the inputs digest
 is a SHA-256 over the problem file bytes and the canonicalized command
@@ -250,7 +259,7 @@ def _vector(text, dim, what):
 
 
 def _region(args, problem):
-    if getattr(args, "region", None):
+    if args.region:
         try:
             return problem.regions[args.region]
         except KeyError:
@@ -280,7 +289,7 @@ def _scalar_field(problem, source, what):
 
 
 def _v_field(args, problem):
-    if getattr(args, "v", None):
+    if args.v:
         return _scalar_field(problem, args.v, "--v")
     return problem.scalar_v()
 
@@ -453,11 +462,6 @@ def cmd_stokes(args, problem):
 
 
 def _auxiliary_problem(args, problem):
-    if not getattr(args, "region", None):
-        raise ProblemFileError(
-            "auxiliary commands need --region (the working region that "
-            "validates the potentials and calibrates the V floor)"
-        )
     return auxiliary.AuxiliaryProblem(
         F=problem.force,
         potentials=problem.potential_set(),
@@ -587,13 +591,21 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("problem", help="problem file (JSON)")
     common.add_argument("--out", help="report path (default <command>.json)")
-    common.add_argument("--seed", type=int, default=0, help="seed for default sampling")
-    common.add_argument("--samples", type=int, default=200, help="default sample count")
-    common.add_argument("--mode", choices=("analytic", "fd"), default="analytic",
-                        help="derivative mode for field operators")
 
-    region_opt = _Parser(add_help=False)
-    region_opt.add_argument("--region", help="named region from the problem file")
+    sampled = _Parser(add_help=False)
+    sampled.add_argument("--region", help="named region from the problem file")
+    sampled.add_argument("--seed", type=int, default=0, help="seed for default sampling")
+    sampled.add_argument("--samples", type=int, default=200, help="default sample count")
+
+    mode = _Parser(add_help=False)
+    mode.add_argument("--mode", choices=("analytic", "fd"), default="analytic",
+                      help="derivative mode for field operators")
+
+    aux = _Parser(add_help=False)
+    aux.add_argument("--region", required=True,
+                     help="named region from the problem file: the working region "
+                          "that validates the potentials and calibrates the V floor")
+    aux.add_argument("--rep-tol", type=float, default=1e-8, dest="rep_tol")
 
     sim = _Parser(add_help=False)
     sim.add_argument("--x0", required=True, help="initial position, comma-separated")
@@ -608,30 +620,30 @@ def build_parser():
     sim.add_argument("--record-dt", type=float, default=None, dest="record_dt",
                      help="subdivide steps to at most this output spacing")
 
-    p = sub.add_parser("classify", parents=[common, region_opt],
+    p = sub.add_parser("classify", parents=[common, sampled, mode],
                        help="canonical class of the force field")
     p.add_argument("--assert-class", dest="assert_class",
                    choices=("conservative", "two-potential", "chiral three-potential"))
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("verify", parents=[common, region_opt],
+    p = sub.add_parser("verify", parents=[common, sampled, mode],
                        help="residual of F + V grad U (+ grad W)")
     p.add_argument("--assert-residual", type=float, dest="assert_residual")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("vpde", parents=[common, region_opt],
+    p = sub.add_parser("vpde", parents=[common, sampled, mode],
                        help="residual of grad(V) x F - V curl F")
     p.add_argument("--v", help="candidate V expression (default: problem potential V)")
     p.add_argument("--assert-residual", type=float, dest="assert_residual")
     p.set_defaults(handler=cmd_vpde)
 
-    p = sub.add_parser("gauge", parents=[common, region_opt],
+    p = sub.add_parser("gauge", parents=[common, sampled],
                        help="apply (U,V) -> (f(U), V/f'(U)) and re-verify")
     p.add_argument("--f", required=True, help="gauge function, expression in u")
     p.add_argument("--assert-residual", type=float, dest="assert_residual")
     p.set_defaults(handler=cmd_gauge)
 
-    p = sub.add_parser("decompose3d", parents=[common, region_opt],
+    p = sub.add_parser("decompose3d", parents=[common, sampled],
                        help="conservative/non-conservative split (3D)")
     p.add_argument("--v", help="characteristic invariant V (default: problem V)")
     p.add_argument("--assert-curl-fc", type=float, dest="assert_curl_fc")
@@ -665,16 +677,14 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_stokes)
 
-    p = sub.add_parser("auxiliary", parents=[common, region_opt, sim],
+    p = sub.add_parser("auxiliary", parents=[common, sim, aux],
                        help="integrate the rescaled conservative system")
-    p.add_argument("--rep-tol", type=float, default=1e-8, dest="rep_tol")
     p.add_argument("--assert-drift", type=float, dest="assert_drift")
     p.set_defaults(handler=cmd_auxiliary)
 
-    p = sub.add_parser("nonlocal-h", parents=[common, region_opt, sim],
+    p = sub.add_parser("nonlocal-h", parents=[common, sim, aux],
                        help="accumulate the auxiliary Hamiltonian along the "
                             "curl-force trajectory (drift is diagnostic)")
-    p.add_argument("--rep-tol", type=float, default=1e-8, dest="rep_tol")
     p.add_argument("--refine", type=int, default=1)
     p.add_argument("--assert-drift", type=float, dest="assert_drift")
     p.set_defaults(handler=cmd_nonlocal_h)
@@ -724,7 +734,7 @@ def main(argv=None):
         return args.handler(args, problem)
     # library ValueErrors report parameters the parser cannot check: a
     # SimConfig field, a non-positive span (--arclength, --s-max, --eps),
-    # --samples or --refine below 1, a gauge --f not in u, a bad --path
+    # --samples, --refine or --steps below 1, a gauge --f not in u, a bad --path
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

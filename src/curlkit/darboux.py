@@ -360,6 +360,8 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     """
     if F.dimension != 3:
         raise DimensionMismatchError("characteristics are traced for 3D fields")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)
@@ -381,7 +383,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         atol=CHARACTERISTIC_TOL,
         rtol=CHARACTERISTIC_TOL,
         inside=lambda x: F.domain.contains(x),
-        on_step=sample_every(s_max / max(1, int(steps)), visit),
+        on_step=sample_every(s_max / steps, visit),
     )
     if res.exited:
         raise OutOfDomainError(

@@ -19,12 +19,13 @@ A problem is a JSON document with the exact top-level fields
 Everything is parsed and bound before any command runs; failures raise
 ProblemFileError carrying one diagnostic per offending field. Numbers must
 be finite: the JSON literals NaN, Infinity and -Infinity, which Python's
-JSON reader accepts, and literals beyond the double range are rejected in
-mass, constants, domain, region boxes and polyline vertices. A probe
-evaluation guards against declared-singular domains: force components are
-evaluated at the domain corners and center, potentials at the center only
-(potentials are consumed on user-chosen analysis regions, while the force
-is evaluated along arbitrary paths and trajectories in the domain).
+JSON reader accepts, literals beyond the double range, strings and the
+booleans true and false are rejected in mass, constants, domain, region
+boxes and polyline vertices. A probe evaluation guards against
+declared-singular domains: force components are evaluated at the domain
+corners and center, potentials at the center only (potentials are
+consumed on user-chosen analysis regions, while the force is evaluated
+along arbitrary paths and trajectories in the domain).
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _is_finite_number(value):
         return False
 
 
+def _finite_rows(rows, what):
+    # Box and ParamPath.polyline convert with float(), which takes strings and booleans
+    for row in rows:
+        for value in row:
+            if not _is_finite_number(value):
+                raise ValueError(f"{what} must be finite numbers, got {value!r}")
+
+
 def _is_int(value):
     # JSON true and false read as bools, which are ints to Python
     return isinstance(value, int) and not isinstance(value, bool)
@@ -156,6 +165,7 @@ def load_problem(path):
         diags.append(f"domain: must be {dimension} [lo, hi] pairs")
     else:
         try:
+            _finite_rows(domain_spec, "box bounds")
             box = Box(tuple(ax[0] for ax in domain_spec), tuple(ax[1] for ax in domain_spec))
         except (TypeError, ValueError, OverflowError) as e:
             diags.append(f"domain: {e}")
@@ -217,6 +227,7 @@ def load_problem(path):
         try:
             if spec["type"] == "polyline":
                 vertices = spec.get("vertices")
+                _finite_rows(vertices, "polyline vertices")
                 paths[name] = ParamPath.polyline(vertices, closed=closed)
             elif spec["type"] == "parametric":
                 comps = spec.get("components")
@@ -243,6 +254,7 @@ def load_problem(path):
         rbox_spec = spec.get("box")
         plan = spec.get("plan")
         try:
+            _finite_rows(rbox_spec, "box bounds")
             rbox = Box(
                 tuple(ax[0] for ax in rbox_spec), tuple(ax[1] for ax in rbox_spec)
             )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -279,6 +280,119 @@ def test_gauge_prints_derivative_trees_that_parse_back(tmp_path, problem):
     v_prime = report["results"]["v_prime"]
     assert "sign(" in v_prime
     assert exprlang.to_source(exprlang.parse(v_prime, 2)) == v_prime
+
+
+# --- the options of each command ------------------------------------------------------
+
+# BERRY with a closed square path and a 3 x 3 grid region inside the domain
+BERRY_DECLARED = dict(
+    BERRY,
+    paths={"square": {"type": "polyline", "vertices": [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]],
+                      "closed": True}},
+    regions={"box": {"box": [[1, 2], [1, 2]], "plan": {"type": "grid", "counts": [3, 3]}}},
+)
+AUX = ("--x0", "1,1", "--v0", "0.1,-0.1", "--t-end", "0.1")
+SIM_KEYS = {"x0", "v0", "t_end", "mass", "integrator", "h", "atol", "rtol", "h_max",
+            "record_dt"}
+SAMPLED_KEYS = {"region", "seed", "samples"}
+
+# each command's argv after the problem, and the keys of its report's parameters
+COMMAND_PARAMETERS = [
+    (BERRY_DECLARED, ("classify", "--samples", "20"),
+     SAMPLED_KEYS | {"mode", "assert_class"}),
+    (BERRY_DECLARED, ("verify", "--samples", "20"), SAMPLED_KEYS | {"mode", "assert_residual"}),
+    (BERRY_DECLARED, ("vpde", "--samples", "20"),
+     SAMPLED_KEYS | {"mode", "v", "assert_residual"}),
+    (BERRY_DECLARED, ("gauge", "--samples", "20", "--f", "exp(u)"),
+     SAMPLED_KEYS | {"f", "assert_residual"}),
+    (TRIPLE, ("decompose3d", "--samples", "10"), SAMPLED_KEYS | {"v", "assert_curl_fc"}),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.1", "--steps", "20"),
+     {"v", "x0", "s_max", "steps", "assert_deviation", "assert_deviation_min"}),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1"), SIM_KEYS | {"assert_energy_residual"}),
+    (BERRY_DECLARED, ("work", "--path", "square"), {"path", "assert_value", "tol"}),
+    (BERRY_DECLARED, ("stokes", "--path", "square"), {"path", "assert_value", "tol"}),
+    (BERRY_DECLARED, ("auxiliary", *AUX, "--region", "box"),
+     SIM_KEYS | {"region", "rep_tol", "assert_drift"}),
+    (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box"),
+     SIM_KEYS | {"region", "rep_tol", "refine", "assert_drift"}),
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.1", "--steps", "16"),
+     {"x0", "arclength", "steps", "assert_work"}),
+    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1", "--arclength", "0.1",
+             "--steps", "16"),
+     {"x0", "targets", "delta", "arclength", "steps"}),
+    (TRIPLE, ("maneuver3d", "--x0", "1,1,1", "--eps", "0.05"), {"x0", "eps", "assert_work"}),
+]
+
+
+def test_every_command_is_pinned():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(argv[0] for _, argv, _ in COMMAND_PARAMETERS)
+
+
+@pytest.mark.parametrize("doc,argv,keys", COMMAND_PARAMETERS,
+                         ids=[argv[0] for _, argv, _ in COMMAND_PARAMETERS])
+def test_report_parameters_are_the_options_the_command_reads(tmp_path, problem, doc, argv,
+                                                             keys):
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert code == cli.EXIT_OK
+    assert set(report["parameters"]) == keys
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", *SIM, "--t-end", "0.1", "--seed", "1"),
+    ("work", "--path", "square", "--mode", "fd"),
+    ("gauge", "--f", "exp(u)", "--mode", "fd"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, problem, capsys,
+                                                              argv):
+    code, report = run(tmp_path, argv[0], problem(BERRY_DECLARED), *argv[1:])
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_classify_samples_the_named_region(tmp_path, problem):
+    code, report = run(tmp_path, "classify", problem(BERRY_DECLARED), "--region", "box")
+    assert code == cli.EXIT_OK
+    assert report["results"]["sample_count"] == 9
+    assert report["results"]["class"] == "two-potential"
+
+
+def test_undeclared_region_is_an_input_error(tmp_path, problem, capsys):
+    code, report = run(tmp_path, "classify", problem(BERRY_DECLARED), "--region", "nowhere")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "region 'nowhere' not declared (have: ['box'])" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
+def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command):
+    code, report = run(tmp_path, command, problem(BERRY_DECLARED), *AUX)
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert "--region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("doc,argv", [
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.5")),
+    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1", "--arclength", "0.5")),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.5")),
+], ids=["trace2d", "reach2d", "characteristics"])
+def test_steps_below_one_is_a_usage_error(tmp_path, problem, capsys, doc, argv, steps):
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], "--steps", steps)
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert "steps must be >= 1" in capsys.readouterr().err
+
+
+def test_string_domain_bound_is_an_input_error(tmp_path, problem, capsys):
+    # it loaded as the number -5, and work on it exited 0
+    bad = dict(BERRY_DECLARED, domain=[["0.05", 5.0], [0.05, 5.0]])
+    code, report = run(tmp_path, "work", problem(bad), "--path", "square")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "domain: box bounds must be finite numbers, got '0.05'" in capsys.readouterr().err
 
 
 # --- one parser per process, builtin SHA-256 -----------------------------------------

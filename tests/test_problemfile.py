@@ -124,6 +124,39 @@ def test_integer_and_boolean_fields_refuse_other_types(tmp_path, field, diagnost
     assert err.value.diagnostics == [diagnostic]
 
 
+# numbers given as strings and booleans: float() took both before
+NOT_NUMBER = [
+    ('"domain": [["-5", "5"], [-5, 5]]', "domain: box bounds must be finite numbers, got '-5'"),
+    ('"domain": [[false, true], [-5, 5]]', "domain: box bounds must be finite numbers, got False"),
+    ('"regions": {"r": {"box": [["0", "1"], [0, 1]], "plan": {"type": "grid", "counts": [2, 2]}}}',
+     "regions.r.box: box bounds must be finite numbers, got '0'"),
+    ('"regions": {"r": {"box": [[0, true], [0, 1]], "plan": {"type": "grid", "counts": [2, 2]}}}',
+     "regions.r.box: box bounds must be finite numbers, got True"),
+    ('"paths": {"p": {"type": "polyline", "vertices": [[0, 0], ["1e0", 0]]}}',
+     "paths.p: polyline vertices must be finite numbers, got '1e0'"),
+    ('"paths": {"p": {"type": "polyline", "vertices": [[0, 0], [true, 0]]}}',
+     "paths.p: polyline vertices must be finite numbers, got True"),
+]
+
+
+@pytest.mark.parametrize("field,diagnostic", NOT_NUMBER,
+                         ids=[f"{d.split(':')[0]}-{i}" for i, (_, d) in enumerate(NOT_NUMBER)])
+def test_number_fields_refuse_strings_and_booleans(tmp_path, field, diagnostic):
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert err.value.diagnostics == [diagnostic]
+
+
+@pytest.mark.parametrize("vertices", ["null", "[1, 2]"])
+def test_vertices_not_a_list_of_points_get_one_diagnostic(tmp_path, vertices):
+    # np.asarray took both, and the loader died with an IndexError
+    field = '"paths": {"p": {"type": "polyline", "vertices": ' + vertices + "}}"
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert len(err.value.diagnostics) == 1
+    assert err.value.diagnostics[0].startswith("paths.p: ")
+
+
 def test_bad_count_and_seed_get_one_diagnostic_each(tmp_path):
     field = _region('{"type": "random", "count": 10.7, "seed": 2.9}')
     with pytest.raises(ProblemFileError) as err:
