@@ -13,9 +13,10 @@ Two integrators are provided for first-order systems y' = f(t, y):
 ``integrate_rk4``
     Classic fourth-order Runge-Kutta with a fixed step. Each nominal step
     is taken as two half-steps, which supplies an accurate midpoint state;
-    the dense output is a piecewise cubic Hermite on the two halves. The
-    end slope f(t1, y1) of the Hermite is the next step's k1, so a step
-    costs eight right-hand sides (plus one for the first k1).
+    the dense output is a piecewise cubic Hermite on the two halves, and
+    ``dense(0.5)`` returns that midpoint state without evaluating either
+    piece. The end slope f(t1, y1) of the Hermite is the next step's k1, so
+    a step costs eight right-hand sides (plus one for the first k1).
 
 The rk4 state is a list of Python floats; its stages and Hermite go
 element by element, each scalar coefficient first (``(0.5*h)*k``), so every
@@ -337,7 +338,9 @@ def _rk4_dense(y0, ym, y1, f0, fm, end_slope, step):
     half = 0.5 * step
 
     def at(theta):
-        if theta <= 0.5:
+        if theta == 0.5:
+            return ym  # the Hermites' common knot
+        if theta < 0.5:
             return _hermite(y0, ym, f0, fm, half, theta * 2.0)
         return _hermite(ym, y1, fm, end_slope(), half, (theta - 0.5) * 2.0)
 

@@ -228,6 +228,8 @@ def load_problem(path):
             if spec["type"] == "polyline":
                 vertices = spec.get("vertices")
                 _finite_rows(vertices, "polyline vertices")
+                if any(len(row) != dimension for row in vertices):
+                    raise ValueError(f"polyline vertices must have {dimension} coordinates each")
                 paths[name] = ParamPath.polyline(vertices, closed=closed)
             elif spec["type"] == "parametric":
                 comps = spec.get("components")

@@ -395,6 +395,16 @@ def test_string_domain_bound_is_an_input_error(tmp_path, problem, capsys):
     assert "domain: box bounds must be finite numbers, got '0.05'" in capsys.readouterr().err
 
 
+def test_vertex_dimension_unlike_the_problem_is_an_input_error(tmp_path, problem, capsys):
+    # it loaded, and work exited 3 with "field and path dimensions differ"
+    bad = dict(BERRY_DECLARED, paths={"square": {"type": "polyline",
+                                                 "vertices": [[1, 1, 1], [2, 2, 2]]}})
+    code, report = run(tmp_path, "work", problem(bad), "--path", "square")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "paths.square: polyline vertices must have 2 coordinates each" in capsys.readouterr().err
+
+
 # --- one parser per process, builtin SHA-256 -----------------------------------------
 
 

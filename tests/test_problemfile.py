@@ -157,6 +157,15 @@ def test_vertices_not_a_list_of_points_get_one_diagnostic(tmp_path, vertices):
     assert err.value.diagnostics[0].startswith("paths.p: ")
 
 
+@pytest.mark.parametrize("vertices", ["[[1, 1, 1], [2, 2, 2]]", "[[0, 0], [1, 1, 1]]", "[[0], [1]]"])
+def test_vertex_dimension_must_be_the_problem_dimension(tmp_path, vertices):
+    # the path took its dimension from the vertices, and work on it exited 3
+    field = '"paths": {"p": {"type": "polyline", "vertices": ' + vertices + "}}"
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert err.value.diagnostics == ["paths.p: polyline vertices must have 2 coordinates each"]
+
+
 def test_bad_count_and_seed_get_one_diagnostic_each(tmp_path):
     field = _region('{"type": "random", "count": 10.7, "seed": 2.9}')
     with pytest.raises(ProblemFileError) as err:
