@@ -161,7 +161,8 @@ def test_stats_populated():
 
 # --- the batched work quadrature against the per-node loop ---------------------
 
-GAUSS_RULE = tuple(zip((0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)), (5 / 18, 8 / 18, 5 / 18)))
+# (node, weight) of the 3-node Gauss-Legendre rule on [0, 1]
+GAUSS_RULE = ((0.5 - math.sqrt(0.15), 5 / 18), (0.5, 8 / 18), (0.5 + math.sqrt(0.15), 5 / 18))
 
 
 def reference_integrate(F, x0, v0, cfg, rule="gauss"):
