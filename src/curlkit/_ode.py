@@ -90,7 +90,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _BOUNDARY_TOL = 1e-10
-_MAX_STEPS = 10_000_000  # accepted plus rejected dopri45 steps
+# accepted plus rejected dopri45 steps, rk4 steps, and the rows dynamics records
+_MAX_STEPS = 10_000_000
 
 
 @dataclass
@@ -282,6 +283,8 @@ def _hermite(y0, y1, f0, f1, h, theta):
 def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     """Fixed-step RK4 from t0 to t_end; each nominal step is two half-steps.
 
+    Raises ValueError when (t_end - t0) / h exceeds the step cap.
+
     The dense output is a piecewise cubic Hermite over the two halves, so
     dense(0.5) is the half-step state itself. Its end slope f(t1, y1) is
     evaluated once, by the first dense call past the midpoint or else as
@@ -291,6 +294,9 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         raise ValueError("t_end must exceed t0")
     if h <= 0:
         raise ValueError("step must be positive")
+    if (t_end - t0) / h > _MAX_STEPS:
+        # a step below the spacing of the floats near t would never advance it
+        raise ValueError(f"step {h!r} needs more than {_MAX_STEPS} steps to reach t_end")
     stats = IntegratorStats()
     y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)

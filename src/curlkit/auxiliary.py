@@ -5,13 +5,22 @@ yields a conservative field (F + grad W) / V = -grad U whose Hamiltonian
 H = |p|^2 / 2m + U(x) is conserved along the *auxiliary* dynamics; that
 conservation is asserted here because it is ordinary energy conservation.
 
-The same functional can be accumulated along the original curl-force
-trajectory through the momentum identity dp_aux/dt = (dp/dt) / V(x(t)),
-giving a nonlocal series p_aux(t) = p0 - int[grad U + grad W / V] and a
-double integral for x_aux(t). Whether that series is constant along the
-original motion is an open interpretive question: the two trajectories
-differ, and dH/dt picks up grad U(x_aux) - grad U(x). The series is
-therefore *measured* and its drift reported, never asserted.
+The paper also says this Hamiltonian is conserved along the original
+curl-force motion. It is read here through the paper's work 1-form
+w = F . dx: with F = -V grad U - grad W, w + dW = -V dU, so 1/V is an
+integrating factor and (w + dW) / V = -dU. Accumulating the kinetic part
+as dK' = (dK + dW) / V along the physical trajectory gives
+
+    H(t) = K(0) + int_0^t (F + grad W) . v / V dt + U(x(t)),
+
+which is constant; ``nonlocal_hamiltonian_series`` takes the integral on
+the nodes of the work quadrature, so its drift measures conservation to
+the integrator's order (h^4 for rk4). This is a reading of the paper, not
+a statement of it. Another reading rescaled the momentum, dp' = dp / V,
+and rebuilt a second position from it by cumulative trapezoids; on
+Berry's field its H did not converge to a constant (the drift approached
+7e-4 at t_end 0.5 as the grid was refined, and read 12.1 at t_end 2, where
+the rebuilt position had left the domain), so it was dropped.
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import darboux, dynamics, fieldkit
-from ._ode import _hermite
-from .errors import NumericalError, OutOfDomainError
+from .errors import NumericalError
 
 V_FLOOR_REL = 1e-9  # the floor of |V|, relative to max |V| over the region
 
@@ -58,7 +66,7 @@ class AuxiliaryProblem:
         if np.min(v_vals) < floor:
             raise NumericalError(
                 f"|V| falls below its floor {floor:.3e} on the region; "
-                "the 1/V momentum rescaling would blow up"
+                "the 1/V rescaling would blow up"
             )
         object.__setattr__(self, "_v_floor", floor)
 
@@ -69,12 +77,11 @@ class AuxiliaryProblem:
 
 @dataclass
 class AuxiliarySeries:
-    t: np.ndarray      # (N,)
-    pbar: np.ndarray   # (N, dim) rescaled momentum series
-    xbar: np.ndarray   # (N, dim) auxiliary position series
-    H: np.ndarray      # (N,)
-    drift: float       # max |H(t) - H(0)|
-    truncated: bool    # True if xbar left the potential's domain
+    t: np.ndarray  # (N,)
+    x: np.ndarray  # (N, dim) curl-force trajectory
+    H: np.ndarray  # (N,) auxiliary Hamiltonian along it
+    drift: float   # max |H(t) - H(0)|
+    exited: bool   # the trajectory ran into the domain wall
 
 
 def auxiliary_force(prob):
@@ -127,84 +134,19 @@ def auxiliary_trajectory(prob, x0, v0, cfg):
     return traj, drift
 
 
-def _cumtrapz(values, t):
-    """Cumulative trapezoid along axis 0; result[0] = 0."""
-    values = np.asarray(values)
-    dt = np.diff(t)
-    increments = 0.5 * (values[1:] + values[:-1]) * dt[:, None]
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(increments, axis=0)
-    return out
+def nonlocal_hamiltonian_series(prob, x0, v0, cfg):
+    """Integrate the curl-force motion m x'' = F from (x0, v0) and
+    accumulate the auxiliary Hamiltonian along it:
 
+        H(t) = K(0) + int_0^t (F + grad W) . v / V dt + U(x(t)).
 
-def _hermite_refine(traj, refine):
-    """Subdivide the trajectory grid with cubic Hermite interpolation of
-    x(t), using the stored velocities as exact slopes."""
-    t, x, v = traj.t, traj.x, traj.v
-    ts, xs = [t[0]], [x[0]]
-    for i in range(len(t) - 1):
-        h = t[i + 1] - t[i]
-        for j in range(1, refine + 1):
-            u = j / refine
-            ts.append(t[i] + u * h)
-            xs.append(_hermite(x[i], x[i + 1], v[i], v[i + 1], h, u))
-    return np.array(ts), np.array(xs)
-
-
-def nonlocal_hamiltonian_series(traj, prob, refine=1):
-    """Accumulate the auxiliary Hamiltonian along an existing curl-force
-    trajectory; the drift is reported, not asserted.
-
-    The integrand grad U + grad W / V is evaluated on the trajectory's own
-    grid (optionally Hermite-subdivided ``refine`` times) and accumulated
-    by cumulative trapezoids; the series is truncated with a flag if the
-    reconstructed auxiliary position leaves the potential's domain.
+    The integral is the trajectory's ``form_work`` of ``auxiliary_force``,
+    taken with the work quadrature, so the drift max |H(t) - H(0)| measures
+    conservation to the integrator's order. A V below its floor on the way
+    raises the sampler's ``NumericalError``, which names the point.
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    U = prob.potentials.U
-    V = prob.potentials.V
-    W = prob.potentials.W
-    m = prob.mass
-    floor = prob.v_floor
-
-    if refine == 1:
-        t, x = traj.t, traj.x
-    else:
-        t, x = _hermite_refine(traj, refine)
-
-    def integrand(Q):
-        g = U.gradients(Q)
-        if W is None:
-            return g
-        v = V.values(Q)
-        low = np.abs(v) < floor
-        if low.any():
-            raise NumericalError(
-                f"V={v[np.argmax(low)]:.3e} below the rescaling floor {floor:.3e} along "
-                "the trajectory; the 1/V factor in the momentum "
-                "rescaling is no longer usable"
-            )
-        return g + W.gradients(Q) / v[:, None]
-
-    g = fieldkit.per_row(x, integrand)
-
-    x0 = x[0]
-    v0 = traj.v[0]
-    p0 = m * v0
-
-    first = _cumtrapz(g, t)                 # int_0^t g
-    second = _cumtrapz(first, t)            # int_0^t int_0^tau g
-    pbar = p0[None, :] - first
-    xbar = x0[None, :] + np.outer(t, v0) - second / m
-
-    inside = U.domain.contains_rows(xbar)
-    truncated = not inside.all()
-    n_valid = int(np.argmin(inside)) if truncated else len(t)
-    if n_valid == 0:
-        raise OutOfDomainError("auxiliary position starts outside the domain", x0)
-    t, pbar, xbar = t[:n_valid], pbar[:n_valid], xbar[:n_valid]
-    # matmul takes the kernel of np.dot, so each p . p rounds as np.dot's
-    H = np.matmul(pbar[:, None, :], pbar[:, :, None])[:, 0, 0] / (2.0 * m) + U.values(xbar)
+    cfg = dataclasses.replace(cfg, mass=prob.mass)
+    traj = dynamics.integrate(prob.F, x0, v0, cfg, form=auxiliary_force(prob))
+    H = traj.kinetic[0] + traj.form_work + prob.potentials.U.values(traj.x)
     drift = float(np.max(np.abs(H - H[0])))
-    return AuxiliarySeries(t=t, pbar=pbar, xbar=xbar, H=H, drift=drift, truncated=truncated)
+    return AuxiliarySeries(t=traj.t, x=traj.x, H=H, drift=drift, exited=traj.exited)

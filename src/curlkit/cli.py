@@ -8,13 +8,18 @@ The problem file and --out are the only options all commands share. The
 region commands (classify, verify, vpde, gauge, decompose3d) also share
 --region, --seed and --samples: without --region they sample --samples
 random points of the domain from --seed. classify, verify and vpde take
---mode; auxiliary and nonlocal-h require --region. A command accepts no
-option it does not read.
+--mode; auxiliary and nonlocal-h require --region. simulate, auxiliary
+and nonlocal-h share the integrator options; nonlocal-h also takes
+--refine, the number of equal intervals each recorded piece of a step is
+cut into, on which it accumulates the auxiliary Hamiltonian. A command
+accepts no option it does not read.
 
 Exit codes: 0 success, 1 usage error (including an option the command
-does not take and a parameter the analysis rejects), 2 input error, 3
-numerical failure (domain exit, rescaling floor, non-convergence, a
-non-finite number in the report), 4 assertion failure.
+does not take and a parameter the analysis rejects, such as an rk4 --h
+that would need more steps than the step cap), 2 input error, 3
+numerical failure (domain exit, rescaling floor, non-convergence, more
+recorded rows than the step cap, a non-finite number in the report), 4
+assertion failure.
 
 Reports are deterministic for fixed inputs and seeds: the inputs digest
 is a SHA-256 over the problem file bytes and the canonicalized command
@@ -109,17 +114,8 @@ def emit_series(series, path):
         )
         write_csv(path, header, rows)
     elif isinstance(series, auxiliary.AuxiliarySeries):
-        dim = series.pbar.shape[1]
-        header = (
-            ["t"]
-            + [f"pbar_{a}" for a in _axis_names(dim)]
-            + [f"xbar_{a}" for a in _axis_names(dim)]
-            + ["H"]
-        )
-        rows = (
-            [t, *p, *x, h]
-            for t, p, x, h in zip(series.t, series.pbar, series.xbar, series.H)
-        )
+        header = ["t"] + _axis_names(series.x.shape[1]) + ["H"]
+        rows = ([t, *x, h] for t, x, h in zip(series.t, series.x, series.H))
         write_csv(path, header, rows)
     elif isinstance(series, pathwork.ParamPath) and series.is_polyline:
         verts = series.vertices
@@ -294,7 +290,7 @@ def _v_field(args, problem):
     return problem.scalar_v()
 
 
-def _sim_config(args, problem):
+def _sim_config(args, problem, refine=1):
     t_end = args.t_end
     return dynamics.SimConfig(
         mass=args.mass if args.mass is not None else problem.mass,
@@ -305,6 +301,7 @@ def _sim_config(args, problem):
         h_max=args.h_max,
         h=args.h,
         record_dt=args.record_dt,
+        refine=refine,
     )
 
 
@@ -491,14 +488,13 @@ def cmd_nonlocal_h(args, problem):
     dim = problem.dimension
     x0 = _vector(args.x0, dim, "--x0")
     v0 = _vector(args.v0, dim, "--v0")
-    traj = dynamics.integrate(problem.force, x0, v0, _sim_config(args, problem))
-    series = auxiliary.nonlocal_hamiltonian_series(traj, prob, refine=args.refine)
+    cfg = _sim_config(args, problem, refine=args.refine)
+    series = auxiliary.nonlocal_hamiltonian_series(prob, x0, v0, cfg)
     run.results = {
         "H0": series.H[0],
-        "drift": series.drift,  # measured diagnostic; no constancy claim
-        "truncated": series.truncated,
+        "drift": series.drift,
         "samples": len(series.t),
-        "trajectory_exited": traj.exited,
+        "trajectory_exited": series.exited,
     }
     run.emit("series", series)
     run.check("drift", series.drift, args.assert_drift)
@@ -684,8 +680,9 @@ def build_parser():
 
     p = sub.add_parser("nonlocal-h", parents=[common, sim, aux],
                        help="accumulate the auxiliary Hamiltonian along the "
-                            "curl-force trajectory (drift is diagnostic)")
-    p.add_argument("--refine", type=int, default=1)
+                            "curl-force trajectory; its drift measures conservation")
+    p.add_argument("--refine", type=int, default=1,
+                   help="record each piece of a step as this many equal intervals")
     p.add_argument("--assert-drift", type=float, dest="assert_drift")
     p.set_defaults(handler=cmd_nonlocal_h)
 
@@ -734,7 +731,8 @@ def main(argv=None):
         return args.handler(args, problem)
     # library ValueErrors report parameters the parser cannot check: a
     # SimConfig field, a non-positive span (--arclength, --s-max, --eps),
-    # --samples, --refine or --steps below 1, a gauge --f not in u, a bad --path
+    # --samples, --refine or --steps below 1, an rk4 --h beyond the step cap,
+    # a gauge --f not in u, a bad --path
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,13 +10,20 @@ the tolerance of the solver (fourth-order step scaling for fixed-step
 RK4). The nodes are interior, so the ends of an interval need no
 evaluation.
 
+A second vector field G may be given as ``form``. Its cumulative integral
+of G . v dt is taken on the same nodes, from the same dense-output states,
+as a second column next to F . v, and returned as ``form_work``; it costs
+one batch ``G.values`` per block and no further step. The auxiliary
+Hamiltonian of ``auxiliary`` accumulates its kinetic part this way.
+
 The quadrature is deferred and batched. The step callback records each
 interval (its ends in t and in the step's dense-output theta, and the
 dense output itself); once ``QUAD_BLOCK`` intervals are pending, and at
 the end, the block is integrated at once, with one dense(theta-array)
-call per step and one batch ``F.values`` call. Errors are those of a
-per-node loop: if anything in a block fails, the block is redone one
-node at a time with the pointwise force, and if the integrator raises,
+call per step and one batch ``F.values`` call (and one ``G.values``).
+Errors are those of a per-node loop that evaluates F, then G, at each
+node: if anything in a block fails, the block is redone one node at a
+time with the pointwise fields, and if the integrator raises,
 the pending intervals are integrated first, so a node error from an
 earlier step is the one raised.
 
@@ -28,6 +35,13 @@ A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
 ``exited=True``; the example fields are singular on the coordinate axes,
 so running into a wall is an expected outcome, not an exception.
+
+Each piece of a step (one, or as many as ``record_dt`` asks) is recorded
+as ``refine`` equal intervals, each with its own Gauss rule; an integrand
+that varies faster than the motion (1/V near a wall) needs the finer
+nodes on long steps. The recorded rows are capped at the integrators'
+step cap: a step that would take them past it raises ``NumericalError``
+before its rows are allocated.
 """
 
 from __future__ import annotations
@@ -39,8 +53,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._ode import IntegratorStats, integrate_dopri45, integrate_rk4
-from .errors import EVAL_ERRORS, DimensionMismatchError, EvalDomainError, OutOfDomainError
+from ._ode import _MAX_STEPS, IntegratorStats, integrate_dopri45, integrate_rk4
+from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
+                     OutOfDomainError)
 
 # recorded intervals whose work is computed together; bounds the pending
 # dense outputs and node values
@@ -61,6 +76,7 @@ class SimConfig:
     h_max: Optional[float] = None  # defaults to t_end / 10
     h: float = 1e-3  # rk4 fixed step
     record_dt: Optional[float] = None  # subdivide steps to at most this spacing
+    refine: int = 1  # record each piece of a step as this many equal intervals
 
     def __post_init__(self):
         for name in ("mass", "t_end", "atol", "rtol", "h", "h_max", "record_dt"):
@@ -70,6 +86,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.integrator not in ("dopri45", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        if not isinstance(self.refine, int) or self.refine < 1:
+            raise ValueError(f"refine must be >= 1, got {self.refine!r}")
 
 
 @dataclass
@@ -79,6 +97,7 @@ class Trajectory:
     v: np.ndarray        # (N, dim)
     kinetic: np.ndarray  # (N,)  K = m |v|^2 / 2
     work: np.ndarray     # (N,)  cumulative integral of F . dx, work[0] = 0
+    form_work: Optional[np.ndarray]  # (N,) cumulative integral of G . dx, or None
     mass: float
     exited: bool
     exit_state: Optional[tuple]
@@ -88,8 +107,12 @@ class Trajectory:
         return len(self.t)
 
 
-def integrate(F, x0, v0, cfg):
-    """Integrate m x'' = F(x) from (x0, v0) until t_end or domain exit."""
+def integrate(F, x0, v0, cfg, form=None):
+    """Integrate m x'' = F(x) from (x0, v0) until t_end or domain exit.
+
+    ``form``, a vector field G, adds the cumulative integral of G . v dt
+    as ``Trajectory.form_work``; it is None without one.
+    """
     dim = F.dimension
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -101,27 +124,35 @@ def integrate(F, x0, v0, cfg):
         raise OutOfDomainError("initial position outside field domain", x0)
 
     m = cfg.mass
+    fields = (F,) if form is None else (F, form)
 
-    def force(x):
-        # trial stages probe past the wall before the guard truncates the
-        # step; evaluate the smooth field there, and only if the expression
-        # itself fails (singular just beyond the wall) fall back to the
-        # box-clamped point
-        try:
-            return F.value_unchecked(x)
-        except EvalDomainError:
-            return F.value(np.clip(x, F.domain.lo, F.domain.hi)).tolist()
+    def pointwise(field):
+        def value(x):
+            # trial stages probe past the wall before the guard truncates
+            # the step; evaluate the smooth field there, and only if the
+            # expression itself fails (singular just beyond the wall) fall
+            # back to the box-clamped point
+            try:
+                return field.value_unchecked(x)
+            except EvalDomainError:
+                return field.value(np.clip(x, field.domain.lo, field.domain.hi)).tolist()
+
+        return value
+
+    samplers = [pointwise(field) for field in fields]
+    force = samplers[0]
 
     def rhs(t, y):
         return [*y[dim:], *[c / m for c in force(y[:dim])]]
 
     def pointwise_powers(denses, theta):
-        # node by node, in the order of a per-node loop
-        return np.array([
-            float(np.dot(force(y[:dim]), y[dim:]))
+        # node by node, each field in turn, in the order of a per-node loop
+        rows = [
+            [float(np.dot(sample(y[:dim]), y[dim:])) for sample in samplers]
             for dense, row in zip(denses, theta.tolist())
             for y in map(dense, row)
-        ])
+        ]
+        return np.array(rows).T.copy()
 
     def batch_powers(denses, theta):
         # the intervals cut from one step are adjacent and share its dense
@@ -131,8 +162,9 @@ def integrate(F, x0, v0, cfg):
             states.append(dense(theta[pos : pos + size].ravel()))
             pos += size
         Y = np.concatenate(states)
+        X, V = Y[:, :dim], Y[:, dim:, None]
         # matmul takes the kernel of np.dot, so each row rounds as in pointwise_powers
-        return np.matmul(F.values(Y[:, :dim])[:, None, :], Y[:, dim:, None])[:, 0, 0]
+        return np.array([np.matmul(field.values(X)[:, None, :], V)[:, 0, 0] for field in fields])
 
     def block_work(block, powers):
         # one 3-node Gauss-Legendre rule per recorded interval of the block,
@@ -141,15 +173,16 @@ def integrate(F, x0, v0, cfg):
         # work-energy defect keeps the scheme's h^4 slope (16.1 per halving
         # of h, measured on Berry's field); on a dopri45 step, whose dense
         # output is a quartic, the defect stays at the controller's tolerance.
+        # ``powers`` gives one contiguous row of node values per field.
         ta, tb, tha, thb, denses = zip(*block)
         ta, tb, tha, thb = (np.array(c) for c in (ta, tb, tha, thb))
         theta = tha[:, None] + _GAUSS_NODES * (thb - tha)[:, None]
-        return (powers(denses, theta).reshape(-1, 3) @ _GAUSS_WEIGHTS) * (tb - ta)
+        return [(p.reshape(-1, 3) @ _GAUSS_WEIGHTS) * (tb - ta) for p in powers(denses, theta)]
 
     ts = [0.0]
     xs = [x0.copy()]
     vs = [v0.copy()]
-    work = [0.0]
+    sums = [[0.0] for _ in fields]  # cumulative work, then form work
     pending = []  # (ta, tb, tha, thb, dense) of each recorded interval
 
     def flush():
@@ -160,21 +193,29 @@ def integrate(F, x0, v0, cfg):
         try:
             increments = block_work(block, batch_powers)
         except EVAL_ERRORS:
-            # redo the block one node at a time with the pointwise force,
-            # which meets the nodes in the order of a per-node loop and so
-            # raises that loop's first error (or finishes, when the batch
+            # redo the block one node at a time with the pointwise fields,
+            # which meet the nodes in the order of a per-node loop and so
+            # raise that loop's first error (or finish, when the batch
             # only failed on a node past the domain box)
             increments = block_work(block, pointwise_powers)
-        for inc in increments:
-            work.append(work[-1] + float(inc))
+        for column, column_increments in zip(sums, increments):
+            for inc in column_increments:
+                column.append(column[-1] + float(inc))
 
     def on_step(t0, y0, t1, y1, dense):
         span = t1 - t0
-        pieces = 1
+        pieces = cfg.refine
         if cfg.record_dt is not None and span > cfg.record_dt:
             # tolerate float fuzz so a step of nominally record_dt width
-            # does not get split in two
-            pieces = max(1, int(math.ceil(span / cfg.record_dt - 1e-9)))
+            # does not get split in two; np.ceil, unlike math.ceil, passes
+            # the infinite ratio of a subnormal record_dt on to the cap
+            pieces *= max(1.0, np.ceil(span / cfg.record_dt - 1e-9))
+        if len(ts) + pieces > _MAX_STEPS:
+            raise NumericalError(
+                f"more than {_MAX_STEPS} recorded rows by t={t1!r}; "
+                "raise record_dt or lower refine"
+            )
+        pieces = int(pieces)
         t = [t0 + span * j / pieces for j in range(pieces + 1)]
         theta = [j / pieces for j in range(pieces + 1)]
         try:
@@ -233,7 +274,8 @@ def integrate(F, x0, v0, cfg):
         x=np.array(xs),
         v=v_arr,
         kinetic=kinetic,
-        work=np.array(work),
+        work=np.array(sums[0]),
+        form_work=None if form is None else np.array(sums[1]),
         mass=m,
         exited=res.exited,
         exit_state=exit_state,

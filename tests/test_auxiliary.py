@@ -1,13 +1,13 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_dynamics import raised, reference_integrate
 
 from curlkit import auxiliary
 from curlkit.auxiliary import (
     AuxiliaryProblem,
-    _cumtrapz,
     auxiliary_force,
     auxiliary_hamiltonian,
     auxiliary_trajectory,
@@ -16,7 +16,7 @@ from curlkit.auxiliary import (
 from curlkit.darboux import PotentialSet
 from curlkit.dynamics import SimConfig, integrate
 from curlkit.errors import NumericalError
-from curlkit.fieldkit import Box, Region, ScalarFieldDef, VectorFieldDef
+from curlkit.fieldkit import Box, CallableVectorField, Region, ScalarFieldDef, VectorFieldDef
 
 DOM = Box((0.05, 0.05), (5.0, 5.0))
 REGION = Region.random(Box((0.5, 0.5), (2.0, 2.0)), 100, seed=9)
@@ -127,97 +127,6 @@ def test_v_floor_violation_raises(monkeypatch):
     assert "floor" in str(err.value)
 
 
-# --- nonlocal series -----------------------------------------------------------
-
-def test_nonlocal_initial_conditions_exact():
-    prob = berry_problem()
-    cfg = SimConfig(mass=1.0, t_end=1.0, record_dt=1e-3)
-    traj = integrate(prob.F, (1.0, 1.0), (0.2, -0.1), cfg)
-    series = nonlocal_hamiltonian_series(traj, prob)
-    assert np.array_equal(series.pbar[0], prob.mass * traj.v[0])
-    assert np.array_equal(series.xbar[0], traj.x[0])
-    assert series.H[0] == auxiliary_hamiltonian(
-        traj.x[0], prob.mass * traj.v[0], prob.potentials.U, prob.mass
-    )
-
-
-def test_nonlocal_conservative_reduction_matches_physical_energy():
-    prob = harmonic_problem()
-    cfg = SimConfig(mass=1.0, t_end=1.0, atol=1e-11, rtol=1e-11, record_dt=2.5e-4)
-    traj = integrate(prob.F, (1.0, 0.0), (0.0, 1.0), cfg)
-    series = nonlocal_hamiltonian_series(traj, prob)
-    physical = traj.kinetic + 0.5 * np.sum(traj.x**2, axis=1)
-    assert np.max(np.abs(series.H - physical)) <= 1e-8
-    assert series.drift <= 1e-7
-    # with V = 1 the auxiliary motion reproduces the physical one
-    assert np.max(np.abs(series.xbar - traj.x)) <= 1e-7
-
-
-def test_nonlocal_pbar_derivative_matches_integrand():
-    # d(pbar)/dt = -grad U along the trajectory, to trapezoid order:
-    # halving the grid quarters the defect
-    prob = harmonic_problem()
-
-    def defect(dt):
-        cfg = SimConfig(mass=1.0, t_end=1.0, integrator="rk4", h=dt)
-        traj = integrate(prob.F, (1.0, 0.0), (0.0, 1.0), cfg)
-        series = nonlocal_hamiltonian_series(traj, prob)
-        t, pbar = series.t, series.pbar
-        worst = 0.0
-        for k in range(1, len(t) - 1):
-            dp = (pbar[k + 1] - pbar[k - 1]) / (t[k + 1] - t[k - 1])
-            g = prob.potentials.U.gradient(traj.x[k])
-            worst = max(worst, float(np.max(np.abs(dp + g))))
-        return worst
-
-    d1, d2 = defect(0.02), defect(0.01)
-    assert d1 / d2 == pytest.approx(4.0, rel=0.3)
-
-
-def test_nonlocal_berry_series_emitted_with_drift():
-    prob = berry_problem()
-    cfg = SimConfig(mass=1.0, t_end=1.0, atol=1e-10, rtol=1e-10, record_dt=1e-3)
-    traj = integrate(prob.F, (1.0, 1.0), (0.2, -0.1), cfg)
-    series = nonlocal_hamiltonian_series(traj, prob)
-    # diagnostic: the drift is recorded, not asserted against a target
-    assert series.drift >= 0.0
-    assert len(series.t) == len(series.H)
-    assert series.H[0] == pytest.approx((0.2**2 + 0.1**2) / 2 - 2.0, abs=1e-12)
-
-
-def test_nonlocal_refine_subdivides_grid():
-    prob = harmonic_problem()
-    cfg = SimConfig(mass=1.0, t_end=0.5)
-    traj = integrate(prob.F, (1.0, 0.0), (0.0, 1.0), cfg)
-    s1 = nonlocal_hamiltonian_series(traj, prob)
-    s4 = nonlocal_hamiltonian_series(traj, prob, refine=4)
-    assert len(s4.t) == 4 * (len(s1.t) - 1) + 1
-    # refinement improves the conservative-reduction drift
-    assert s4.drift <= s1.drift
-
-
-def test_nonlocal_3d_with_w_term():
-    # F = -V grad U - grad W with V = 2 + x (nonconstant), U, W polynomial
-    dom = Box((-3, -3, -3), (3, 3, 3))
-    F = VectorFieldDef.from_source(
-        ["-(2 + x)*y - 2*x", "-(2 + x)*x - 2*y", "-2*z"], 3, domain=dom
-    )  # V grad U with U = x y, plus grad(x^2+y^2+z^2)
-    P = PotentialSet(
-        U=ScalarFieldDef.from_source("x*y", 3, domain=dom),
-        V=ScalarFieldDef.from_source("2 + x", 3, domain=dom),
-        W=ScalarFieldDef.from_source("x^2 + y^2 + z^2", 3, domain=dom),
-    )
-    region = Region.random(Box((-1, -1, -1), (1, 1, 1)), 60, seed=5)
-    prob = AuxiliaryProblem(F=F, potentials=P, mass=1.0, region=region)
-    fbar = auxiliary_force(prob)
-    for p in region.samples()[:20]:
-        assert np.linalg.norm(fbar.value(p) + P.U.gradient(p)) <= 1e-10
-    cfg = SimConfig(mass=1.0, t_end=0.5, record_dt=1e-3)
-    traj = integrate(F, (0.5, 0.2, 0.1), (0.1, 0.0, -0.2), cfg)
-    series = nonlocal_hamiltonian_series(traj, prob)
-    assert len(series.t) == len(traj.t) or series.truncated
-
-
 # --- batched evaluation against the per-point loops ------------------------------
 
 def w_term_problem():
@@ -269,33 +178,6 @@ def test_region_floor_check_batched():
                          region=Region.grid(DOM, (5, 5)))
 
 
-def reference_h_series(series_t, pbar, xbar, U, m):
-    """The per-point H loop: stop at the first auxiliary position outside
-    U's domain. Returns (n_valid, truncated, H)."""
-    H = []
-    for i, xb in enumerate(xbar):
-        if not U.domain.contains(xb):
-            return i, True, np.array(H)
-        H.append(float(np.dot(pbar[i], pbar[i]) / (2.0 * m) + U.value(xb)))
-    return len(series_t), False, np.array(H)
-
-
-@pytest.mark.parametrize("v0", [(-0.5, 0.3), (0.2, -0.1)])
-def test_nonlocal_h_batched_matches_pointwise_loop(v0):
-    prob = berry_problem()
-    traj = integrate(prob.F, (1.0, 1.0), v0, SimConfig(t_end=1.0, record_dt=1e-2))
-    series = nonlocal_hamiltonian_series(traj, prob)
-    # the whole series before truncation (W is None: the integrand is grad U)
-    U, m = prob.potentials.U, prob.mass
-    first = _cumtrapz(np.array([U.gradient(x) for x in traj.x]), traj.t)
-    pbar = m * traj.v[0] - first
-    xbar = traj.x[0] + np.outer(traj.t, traj.v[0]) - _cumtrapz(first, traj.t) / m
-    n_valid, truncated, H = reference_h_series(traj.t, pbar, xbar, U, m)
-    assert (len(series.t), series.truncated) == (n_valid, truncated)
-    assert truncated == (v0 == (-0.5, 0.3))
-    assert np.array_equal(series.H, H)
-
-
 def test_auxiliary_trajectory_h_matches_pointwise():
     prob = berry_problem()
     cfg = SimConfig(t_end=1.0)
@@ -305,25 +187,120 @@ def test_auxiliary_trajectory_h_matches_pointwise():
     assert drift == float(np.max(np.abs(H - H[0])))
 
 
-def reference_integrand(x, prob):
-    """The per-point integrand loop of nonlocal_hamiltonian_series before it
-    was batched: grad U + grad W / V, with the floor check on V."""
-    U, V, W = prob.potentials.U, prob.potentials.V, prob.potentials.W
+# --- the auxiliary Hamiltonian along the curl-force motion ----------------------
+
+
+def reference_integrand(prob):
+    """(F + grad W) / V from the potentials, one point at a time, with the
+    floor check on V: the integrand of the auxiliary Hamiltonian's kinetic
+    part, written apart from ``auxiliary_force``."""
+    F, V, W = prob.F, prob.potentials.V, prob.potentials.W
     floor = prob.v_floor
-    g = np.empty_like(x)
-    for i, xi in enumerate(x):
-        gi = U.gradient(xi)
-        if W is not None:
-            v = V.value(xi)
-            if abs(v) < floor:
-                raise NumericalError(
-                    f"V={v:.3e} below the rescaling floor {floor:.3e} along "
-                    "the trajectory; the 1/V factor in the momentum "
-                    "rescaling is no longer usable"
-                )
-            gi = gi + W.gradient(xi) / v
-        g[i] = gi
-    return g
+
+    def fn(p):
+        v = V.value(p)
+        if abs(v) < floor:
+            raise NumericalError(
+                f"V={v:.3e} below the rescaling floor {floor:.3e} at "
+                f"{tuple(float(c) for c in p)}"
+            )
+        f = F.value(p) if W is None else F.value(p) + W.gradient(p)
+        return f / v
+
+    return CallableVectorField(fn, F.dimension, F.domain)
+
+
+def reference_series(prob, x0, v0, cfg, integrand):
+    """H at each row of the per-node loop: K(0) + the loop's form work of
+    ``integrand`` + U, with U evaluated point by point."""
+    cfg = dataclasses.replace(cfg, mass=prob.mass)
+    t, x, v, _, form_work = reference_integrate(prob.F, x0, v0, cfg, form=integrand)
+    U = prob.potentials.U
+    k0 = 0.5 * prob.mass * float(np.dot(v[0], v[0]))
+    return t, x, np.array([k0 + fw + U.value(xi) for fw, xi in zip(form_work, x)])
+
+
+def test_nonlocal_initial_conditions_exact():
+    prob = berry_problem()
+    x0, v0 = (1.0, 1.0), (0.2, -0.1)
+    series = nonlocal_hamiltonian_series(prob, x0, v0, SimConfig(t_end=1.0, record_dt=1e-3))
+    assert series.t[0] == 0.0
+    assert np.array_equal(series.x[0], x0)
+    assert series.H[0] == auxiliary_hamiltonian(
+        x0, prob.mass * np.array(v0), prob.potentials.U, prob.mass
+    )
+
+
+def test_nonlocal_conservative_reduction_matches_physical_energy():
+    # V = 1, no W: the form is the force itself, so H is K(0) + work + U,
+    # the energy up to the work-energy residual
+    prob = harmonic_problem()
+    cfg = SimConfig(mass=1.0, t_end=1.0, atol=1e-11, rtol=1e-11, record_dt=2.5e-4)
+    series = nonlocal_hamiltonian_series(prob, (1.0, 0.0), (0.0, 1.0), cfg)
+    traj = integrate(prob.F, (1.0, 0.0), (0.0, 1.0), cfg)
+    U = prob.potentials.U.values(traj.x)
+    assert np.array_equal(series.x, traj.x)
+    assert np.array_equal(series.H, traj.kinetic[0] + traj.work + U)
+    assert np.max(np.abs(series.H - (traj.kinetic + U))) <= 1e-10
+    assert series.drift <= 1e-10
+
+
+def test_nonlocal_berry_rk4_drift_falls_16x_per_halving():
+    prob = berry_problem()
+
+    def drift(h):
+        cfg = SimConfig(t_end=0.5, integrator="rk4", h=h)
+        return nonlocal_hamiltonian_series(prob, (1.0, 1.0), (0.3, -0.2), cfg).drift
+
+    d1, d2 = drift(1e-2), drift(5e-3)
+    assert d1 / d2 == pytest.approx(16.0, rel=0.3)
+    assert d2 <= 1e-12
+
+
+def test_nonlocal_berry_series_emitted_with_drift():
+    prob = berry_problem()
+    cfg = SimConfig(mass=1.0, t_end=1.0, atol=1e-10, rtol=1e-10, record_dt=1e-3)
+    series = nonlocal_hamiltonian_series(prob, (1.0, 1.0), (0.2, -0.1), cfg)
+    assert len(series.t) == len(series.x) == len(series.H)
+    assert series.H[0] == pytest.approx((0.2**2 + 0.1**2) / 2 - 2.0, abs=1e-12)
+    assert series.drift <= 1e-9
+
+
+def test_nonlocal_refine_subdivides_grid():
+    # t_end 2 runs into the wall; the long steps of dopri45 on the way need
+    # finer nodes for the 1/V integrand
+    prob = berry_problem()
+    x0, v0 = (1.01, 0.99), (0.1, -0.1)
+    cfg = SimConfig(t_end=2.0)
+    s1 = nonlocal_hamiltonian_series(prob, x0, v0, cfg)
+    s4 = nonlocal_hamiltonian_series(prob, x0, v0, dataclasses.replace(cfg, refine=4))
+    assert s1.exited and s4.exited
+    assert len(s4.t) == 4 * (len(s1.t) - 1) + 1
+    assert s4.t[::4] == pytest.approx(s1.t, rel=1e-15, abs=0)
+    assert s4.drift <= 1e-5 < s1.drift
+
+
+def test_nonlocal_3d_with_w_term():
+    # F = -V grad U - grad W with V = 2 + x (nonconstant), U, W polynomial
+    prob = w_term_problem()
+    fbar = auxiliary_force(prob)
+    for p in prob.region.samples()[:20]:
+        assert np.linalg.norm(fbar.value(p) + prob.potentials.U.gradient(p)) <= 1e-10
+    cfg = SimConfig(mass=1.0, t_end=0.5, record_dt=1e-3)
+    series = nonlocal_hamiltonian_series(prob, (0.5, 0.2, 0.1), (0.1, 0.0, -0.2), cfg)
+    traj = integrate(prob.F, (0.5, 0.2, 0.1), (0.1, 0.0, -0.2), cfg)
+    assert np.array_equal(series.t, traj.t) and not series.exited
+    assert series.drift <= cfg.atol  # measured 1.6e-10
+
+
+@pytest.mark.parametrize("v0", [(-0.5, 0.3), (0.2, -0.1)])
+def test_nonlocal_h_batched_matches_pointwise_loop(v0):
+    prob = berry_problem()
+    cfg = SimConfig(t_end=1.0, record_dt=1e-2)
+    series = nonlocal_hamiltonian_series(prob, (1.0, 1.0), v0, cfg)
+    t, x, H = reference_series(prob, (1.0, 1.0), v0, cfg, auxiliary_force(prob))
+    assert np.array_equal(series.t, t) and np.array_equal(series.x, x)
+    assert np.max(np.abs(series.H - H)) <= 4 * len(t) * np.spacing(np.max(np.abs(H)))
 
 
 @pytest.mark.parametrize("make", [berry_problem, w_term_problem])
@@ -331,23 +308,20 @@ def test_nonlocal_integrand_matches_the_pointwise_loop(make):
     prob = make()
     x0 = (1.0, 1.0) if make is berry_problem else (0.5, 0.2, 0.1)
     v0 = (0.2, -0.1) if make is berry_problem else (0.1, 0.0, -0.2)
-    traj = integrate(prob.F, x0, v0, SimConfig(t_end=0.5, record_dt=1e-2))
-    series = nonlocal_hamiltonian_series(traj, prob)
-    g = reference_integrand(traj.x, prob)
-    pbar = prob.mass * traj.v[0] - _cumtrapz(g, traj.t)
-    n = len(series.t)
-    assert series.pbar == pytest.approx(pbar[:n], rel=1e-14, abs=1e-14)
+    cfg = SimConfig(t_end=0.5, record_dt=1e-2)
+    series = nonlocal_hamiltonian_series(prob, x0, v0, cfg)
+    _, _, H = reference_series(prob, x0, v0, cfg, reference_integrand(prob))
+    assert series.H == pytest.approx(H, rel=1e-14, abs=1e-14)
 
 
-def test_nonlocal_floor_error_names_the_first_row():
-    prob = w_term_problem()
-    # a path through V = 2 + x = 0 at x = -2: rows 3 and 4 are below the floor
-    x = np.array([[-1.0, 0.0, 0.0], [-1.5, 0.1, 0.0], [-1.9, 0.2, 0.0],
-                  [-2.0, 0.3, 0.0], [-2.0 + 1e-12, 0.4, 0.0], [-1.8, 0.5, 0.0]])
-    traj = SimpleNamespace(t=np.linspace(0.0, 0.5, len(x)), x=x, v=np.zeros_like(x))
-    with pytest.raises(NumericalError) as want:
-        reference_integrand(x, prob)
-    with pytest.raises(NumericalError) as got:
-        nonlocal_hamiltonian_series(traj, prob)
-    assert str(got.value) == str(want.value)
-    assert "V=0.000e+00" in str(got.value)
+def test_nonlocal_floor_error_names_the_first_row(monkeypatch):
+    # falling towards the corner, V = x^3 y^2 drops below the raised floor
+    # (1e-3 of its maximum over the region) before the wall
+    monkeypatch.setattr(auxiliary, "V_FLOOR_REL", 1e-3)
+    prob = berry_problem()
+    x0, v0 = (1.0, 1.0), (-0.5, -0.5)
+    for cfg in (SimConfig(t_end=2.0), SimConfig(integrator="rk4", h=0.01, t_end=2.0)):
+        want = raised(lambda: reference_series(prob, x0, v0, cfg, reference_integrand(prob)))
+        assert want[0] is NumericalError and "below the rescaling floor" in want[1]
+        assert want[1].endswith(")") and " at (0." in want[1]
+        assert raised(lambda: nonlocal_hamiltonian_series(prob, x0, v0, cfg)) == want

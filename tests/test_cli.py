@@ -73,6 +73,8 @@ def test_exit_usage_from_parser(tmp_path, problem):
         ("simulate", *SIM, "--t-end", "inf"),
         ("simulate", *SIM, "--t-end", "1", "--atol", "nan"),
         ("trace2d", "--x0", "1,0", "--arclength", "0"),
+        # a step this small never advanced t, and the run did not return
+        ("simulate", *SIM, "--t-end", "2", "--integrator", "rk4", "--h", "1e-17"),
     ],
 )
 def test_exit_usage_for_rejected_parameter(tmp_path, problem, capsys, argv):
@@ -167,6 +169,16 @@ def test_refused_run_writes_no_artifact(tmp_path, problem):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_exit_numerical_for_more_recorded_rows_than_the_cap(tmp_path, problem, capsys):
+    # the first step alone would record some 1e10 rows; they were built
+    # one by one without a bound
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), *SIM, "--t-end", "2",
+                       "--record-dt", "1e-12")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    assert "recorded rows" in capsys.readouterr().err
+
+
 def test_exit_assertion(tmp_path, problem):
     code, report = run(tmp_path, "classify", problem(BERRY), "--samples", "20",
                        "--assert-class", "conservative")
@@ -204,6 +216,44 @@ def test_trajectory_csv_round_trips_exactly(tmp_path, problem):
     parsed = np.array([[float(v) for v in row] for row in rows[1:]])
     assert parsed.shape == expected.shape
     assert np.array_equal(parsed, expected)
+
+
+# the trajectory workload's Berry start, aimed so that t_end 2 runs into the wall
+BERRY_AUX = dict(BERRY, regions={"aux": {"box": [[0.1, 4.0], [0.1, 4.0]],
+                                         "plan": {"type": "grid", "counts": [12, 12]}}})
+NONLOCAL = ("nonlocal-h", "--x0", "1.01,0.99", "--v0", "0.1,-0.1", "--t-end", "2",
+            "--region", "aux")
+
+
+def test_nonlocal_h_series_csv_and_refine(tmp_path, problem):
+    path = problem(BERRY_AUX)
+    reports, series = {}, {}
+    for refine in (1, 4):
+        code, reports[refine] = run(tmp_path, NONLOCAL[0], path, *NONLOCAL[1:],
+                                    "--refine", str(refine))
+        assert code == cli.EXIT_OK
+        with open(reports[refine]["artifacts"]["series"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "x", "y", "H"]
+        series[refine] = np.array([[float(v) for v in row] for row in rows[1:]])
+    one, four = reports[1]["results"], reports[4]["results"]
+    assert one["trajectory_exited"] and four["trajectory_exited"]
+    assert [len(series[1]), len(series[4])] == [one["samples"], four["samples"]]
+    assert four["samples"] == 4 * (one["samples"] - 1) + 1
+    assert series[4][0, 3] == four["H0"] == one["H0"]
+    assert four["H0"] == pytest.approx(0.5 * (0.1**2 + 0.1**2) - (1 / 1.01 + 1 / 0.99), abs=1e-12)
+    # measured 4.8e-3 and 3.5e-6: the 1/V integrand needs finer nodes on long steps
+    assert four["drift"] <= 1e-5 < one["drift"]
+
+
+def test_nonlocal_h_asserts_conservation_on_rk4(tmp_path, problem):
+    code, report = run(tmp_path, "nonlocal-h", problem(BERRY_AUX), "--x0", "1,1",
+                       "--v0", "0.3,-0.2", "--t-end", "0.5", "--integrator", "rk4",
+                       "--h", "2.5e-3", "--region", "aux", "--assert-drift", "1e-12")
+    assert code == cli.EXIT_OK
+    assert report["assertions"] == [
+        {"name": "drift", "value": report["results"]["drift"], "threshold": 1e-12, "passed": True}
+    ]
 
 
 def reference_csv(header, rows):
@@ -375,15 +425,18 @@ def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command)
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
 @pytest.mark.parametrize("doc,argv", [
-    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.5")),
-    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1", "--arclength", "0.5")),
-    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.5")),
-], ids=["trace2d", "reach2d", "characteristics"])
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.5", "--steps")),
+    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1", "--arclength", "0.5",
+             "--steps")),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.5", "--steps")),
+    (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box", "--refine")),
+], ids=["trace2d", "reach2d", "characteristics", "nonlocal-h"])
 def test_steps_below_one_is_a_usage_error(tmp_path, problem, capsys, doc, argv, steps):
-    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], "--steps", steps)
+    # argv ends with the option that takes the count
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], steps)
     assert code == cli.EXIT_USAGE
     assert report is None
-    assert "steps must be >= 1" in capsys.readouterr().err
+    assert f"{argv[-1][2:]} must be >= 1" in capsys.readouterr().err
 
 
 def test_string_domain_bound_is_an_input_error(tmp_path, problem, capsys):
@@ -450,3 +503,30 @@ def test_digest_takes_the_builtin_sha256():
     assert h.hexdigest() == hashlib.sha256(b"curlkit").hexdigest()
     if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
         assert cli.sha256 is not hashlib.sha256
+
+
+# --- the names the benchmark's tracer patches -----------------------------------------
+
+
+def test_every_traced_name_exists_and_is_restored(monkeypatch):
+    # the benchmark's timed runs are untraced, so a renamed or deleted name
+    # would otherwise fail only the traced run
+    import curlkit
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(curlkit)
+        patched = list(tracer._patches)
+        for owner, attr, _ in patched:
+            assert hasattr(getattr(owner, attr), "__wrapped__"), attr
+    finally:
+        tracer.uninstall()
+    assert {attr for _, attr, _ in patched} >= set(tracing.AUXILIARY_API)
+    for owner, attr, original in patched:
+        current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert current is original

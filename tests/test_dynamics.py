@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curlkit import _ode, auxiliary
+from curlkit import _ode, auxiliary, dynamics
 from curlkit._ode import integrate_dopri45, integrate_rk4
 from curlkit.auxiliary import AuxiliaryProblem, auxiliary_force, auxiliary_trajectory
 from curlkit.darboux import PotentialSet
@@ -35,6 +35,12 @@ def test_config_validation():
         SimConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SimConfig(integrator="euler")
+
+
+@pytest.mark.parametrize("refine", [0, -2, 1.5])
+def test_config_rejects_refine_below_one(refine):
+    with pytest.raises(ValueError, match="refine must be >= 1"):
+        SimConfig(refine=refine)
 
 
 @pytest.mark.parametrize("name", ["t_end", "atol", "rtol", "h", "h_max", "record_dt"])
@@ -165,27 +171,36 @@ def test_stats_populated():
 GAUSS_RULE = ((0.5 - math.sqrt(0.15), 5 / 18), (0.5, 8 / 18), (0.5 + math.sqrt(0.15), 5 / 18))
 
 
-def reference_integrate(F, x0, v0, cfg, rule="gauss"):
+def reference_integrate(F, x0, v0, cfg, rule="gauss", form=None):
     """``integrate`` as a per-node loop: every quadrature node is evaluated
     with the pointwise force inside the step callback. ``rule`` is "gauss",
     the 3-node Gauss-Legendre rule on each recorded interval that
     ``integrate`` batches, or "simpson", the rule it replaced: composite
     Simpson on the interval's ends and inner nodes, two panels per rk4 step
     and, for dopri45, panels doubled until the increment changes by at most
-    atol * (interval / t_end). Kept as the reference for the batched
-    quadrature; returns (t, x, v, work)."""
+    atol * (interval / t_end). With ``form`` (Gauss only) each node
+    evaluates G after F and accumulates G . v as well. Kept as the
+    reference for the batched quadrature; returns (t, x, v, work,
+    form_work), form_work None without ``form``."""
     dim = F.dimension
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     m = cfg.mass
-    lo = np.asarray(F.domain.lo)
-    hi = np.asarray(F.domain.hi)
 
-    def force(x):
-        try:
-            return F.value_unchecked(x)
-        except EvalDomainError:
-            return F.value(np.clip(x, lo, hi))
+    def sampler(field):
+        lo = np.asarray(field.domain.lo)
+        hi = np.asarray(field.domain.hi)
+
+        def value(x):
+            try:
+                return field.value_unchecked(x)
+            except EvalDomainError:
+                return field.value(np.clip(x, lo, hi))
+
+        return value
+
+    force = sampler(F)
+    samplers = [force] if form is None else [force, sampler(form)]
 
     def rhs(t, y):
         return np.concatenate((y[dim:], np.asarray(force(y[:dim])) / m))
@@ -193,13 +208,16 @@ def reference_integrate(F, x0, v0, cfg, rule="gauss"):
     def power(y):
         return float(np.dot(force(y[:dim]), y[dim:]))
 
-    ts, xs, vs, work = [0.0], [x0.copy()], [v0.copy()], [0.0]
+    ts, xs, vs = [0.0], [x0.copy()], [v0.copy()]
+    sums = [[0.0] for _ in samplers]  # work, then form work
 
     def gauss_work(dense, ta, tb, tha, thb):
-        total = 0.0
+        totals = [0.0] * len(samplers)
         for u, w in GAUSS_RULE:
-            total += w * power(dense(tha + u * (thb - tha)))
-        return total * (tb - ta)
+            y = dense(tha + u * (thb - tha))
+            for j, sample in enumerate(samplers):
+                totals[j] += w * float(np.dot(sample(y[:dim]), y[dim:]))
+        return [total * (tb - ta) for total in totals]
 
     def simpson_work(dense, ta, tb, tha, thb, g_left, g_right):
         values = {0.0: g_left, 1.0: g_right}
@@ -234,6 +252,7 @@ def reference_integrate(F, x0, v0, cfg, rule="gauss"):
         pieces = 1
         if cfg.record_dt is not None and span > cfg.record_dt:
             pieces = max(1, int(math.ceil(span / cfg.record_dt - 1e-9)))
+        pieces *= cfg.refine
         g_left = power(y0) if rule == "simpson" else None
         for i in range(1, pieces + 1):
             ta = t0 + span * (i - 1) / pieces
@@ -242,11 +261,12 @@ def reference_integrate(F, x0, v0, cfg, rule="gauss"):
             yb = y1 if i == pieces else dense(thb)
             if rule == "simpson":
                 g_right = power(yb)
-                inc = simpson_work(dense, ta, tb, tha, thb, g_left, g_right)
+                increments = [simpson_work(dense, ta, tb, tha, thb, g_left, g_right)]
                 g_left = g_right
             else:
-                inc = gauss_work(dense, ta, tb, tha, thb)
-            work.append(work[-1] + inc)
+                increments = gauss_work(dense, ta, tb, tha, thb)
+            for column, inc in zip(sums, increments):
+                column.append(column[-1] + inc)
             ts.append(tb)
             xs.append(yb[:dim].copy())
             vs.append(yb[dim:].copy())
@@ -258,19 +278,24 @@ def reference_integrate(F, x0, v0, cfg, rule="gauss"):
                           h_max=cfg.h_max, inside=inside, on_step=on_step)
     else:
         integrate_rk4(rhs, 0.0, y0, cfg.t_end, cfg.h, inside=inside, on_step=on_step)
-    return np.array(ts), np.array(xs), np.array(vs), np.array(work)
+    form_work = None if form is None else np.array(sums[1])
+    return np.array(ts), np.array(xs), np.array(vs), np.array(sums[0]), form_work
 
 
-def assert_matches_reference(F, x0, v0, cfg):
-    traj = integrate(F, x0, v0, cfg)
-    t, x, v, work = reference_integrate(F, x0, v0, cfg)
+def assert_matches_reference(F, x0, v0, cfg, form=None):
+    traj = integrate(F, x0, v0, cfg, form=form)
+    t, x, v, work, form_work = reference_integrate(F, x0, v0, cfg, form=form)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.x, x)
     assert np.array_equal(traj.v, v)
     # F.values may round a node's force differently from the pointwise
     # evaluation in the last bit; each interval adds at most a few ulps
-    bound = 4 * len(t) * np.spacing(np.max(np.abs(work)))
-    assert np.max(np.abs(traj.work - work)) <= bound
+    for got, want in ((traj.work, work), (traj.form_work, form_work)):
+        if want is None:
+            assert got is None
+            continue
+        bound = 4 * len(t) * np.spacing(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
     return traj
 
 
@@ -288,7 +313,7 @@ def test_gauss_residual_is_within_the_simpson_reference(options, t_end):
     # 0.94-1.001 on dopri45; t_end 2 runs into the wall at t = 1.16
     cfg = SimConfig(t_end=t_end, **options)
     gauss = work_energy_residual(integrate(berry_field(), *BERRY_START, cfg))
-    _, _, v, work = reference_integrate(berry_field(), *BERRY_START, cfg, rule="simpson")
+    _, _, v, work, _ = reference_integrate(berry_field(), *BERRY_START, cfg, rule="simpson")
     kinetic = 0.5 * cfg.mass * np.sum(v * v, axis=1)
     assert gauss <= 1.1 * np.max(np.abs(kinetic - kinetic[0] - work))
 
@@ -345,6 +370,57 @@ def test_batched_work_matches_pointwise_through_the_wall(F, x0, angle, integrato
     cfg = SimConfig(integrator=integrator, h=0.01, t_end=2.0)
     traj = assert_matches_reference(F, x0, v0, cfg)
     assert traj.exited
+
+
+@REPEATABLE
+@given(
+    F=linear_curl_fields(WIDE),
+    G=linear_curl_fields(WIDE),
+    x0=POINT,
+    v0=POINT,
+    options=st.sampled_from([
+        dict(integrator="rk4", h=0.05),
+        dict(integrator="rk4", h=0.05, refine=3),
+        dict(record_dt=0.004),
+        dict(refine=4),
+    ]),
+)
+def test_batched_form_work_matches_pointwise(F, G, x0, v0, options):
+    assert_matches_reference(F, x0, v0, SimConfig(t_end=1.0, **options), form=G)
+
+
+@pytest.mark.parametrize("options", [dict(integrator="rk4", h=1e-2), dict(record_dt=1e-3),
+                                     dict(refine=4)])
+def test_form_leaves_the_trajectory_and_the_work_unchanged(options):
+    # t_end 2 runs into the wall, so the clipped last step is compared too
+    cfg = SimConfig(t_end=2.0, **options)
+    G = harmonic_field()
+    plain = integrate(berry_field(), *BERRY_START, cfg)
+    traj = integrate(berry_field(), *BERRY_START, cfg, form=G)
+    assert plain.form_work is None and traj.exited
+    for name in ("t", "x", "v", "kinetic", "work"):
+        assert np.array_equal(getattr(traj, name), getattr(plain, name))
+    assert traj.form_work.shape == traj.t.shape and traj.form_work[0] == 0.0
+
+
+@pytest.mark.parametrize("refine", [1, 3])
+def test_recorded_rows_are_capped_before_they_are_allocated(monkeypatch, refine):
+    # rk4 h 0.1 over [0, 1] records 10 * refine intervals, 10 * refine + 1 rows
+    cfg = SimConfig(integrator="rk4", h=0.1, t_end=1.0, refine=refine)
+    rows = 10 * refine + 1
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", rows)
+    assert len(integrate(harmonic_field(), (1, 0), (0, 1), cfg)) == rows
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", rows - 1)
+    with pytest.raises(NumericalError, match=f"more than {rows - 1} recorded rows by t=0.99"):
+        integrate(harmonic_field(), (1, 0), (0, 1), cfg)
+
+
+@pytest.mark.parametrize("record_dt", [1e-12, 1e-310])
+def test_a_tiny_record_dt_raises_at_the_first_step(record_dt):
+    # the first step would record some 1e10 rows (an infinite count at
+    # 1e-310); the cap refuses it before building any
+    with pytest.raises(NumericalError, match="recorded rows by t=0.01;"):
+        integrate(harmonic_field(), (1, 0), (0, 1), SimConfig(t_end=1.0, record_dt=record_dt))
 
 
 def failing_field(bad):
@@ -410,6 +486,27 @@ def test_node_error_is_the_per_node_loop_error(integrator, stage_fails_later):
     want = raised(lambda: reference_integrate(F, x0, v0, cfg))
     assert want == (NumericalError, "node fails")
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+@pytest.mark.parametrize("stage_fails_later", [False, True])
+def test_form_node_error_is_the_per_node_loop_error(integrator, stage_fails_later):
+    # G fails at a node; the per-node loop evaluates F there first, and G
+    # at no stage, so a later failing stage of F comes after it
+    cfg = SimConfig(integrator=integrator, h=0.05, t_end=3.0)
+    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ordered, stages = evaluated_points(integrator, cfg, x0, v0)
+    nodes = [p for p in ordered if p not in stages]
+    bad = dict.fromkeys(nodes[41:], "later node fails")
+    bad[nodes[40]] = "node fails"
+    stage_bad = {}
+    if stage_fails_later:
+        later = ordered[ordered.index(nodes[40]):]
+        stage_bad[[p for p in later if p in stages][10]] = "stage fails"
+    F, G = failing_field(stage_bad), failing_field(bad)
+    want = raised(lambda: reference_integrate(F, x0, v0, cfg, form=G))
+    assert want == (NumericalError, "node fails")
+    assert raised(lambda: integrate(F, x0, v0, cfg, form=G)) == want
 
 
 def test_v_floor_crossed_mid_run_raises_the_per_node_loop_error(monkeypatch):

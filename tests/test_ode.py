@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from curlkit import _ode
 from curlkit._ode import IntegratorStats, OdeResult, integrate_dopri45, integrate_rk4, sample_every
-from curlkit.auxiliary import _hermite_refine
-from curlkit.dynamics import Trajectory
 from curlkit.errors import NumericalError
 
 
@@ -147,6 +145,23 @@ def test_step_count_guard(monkeypatch):
     with pytest.raises(NumericalError, match="step count exceeded"):
         integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0,
                           atol=1e-9, rtol=1e-9)
+
+
+@pytest.mark.parametrize("h,cap", [(1e-17, 10_000_000), (0.1, 9)])
+def test_rk4_refuses_more_steps_than_the_cap_before_its_first_step(monkeypatch, h, cap):
+    # a step below the float spacing near t never advanced it: the loop ran on
+    monkeypatch.setattr(_ode, "_MAX_STEPS", cap)
+    calls = []
+    f = lambda t, y: calls.append(t) or harmonic(t, y)
+    with pytest.raises(ValueError, match=f"needs more than {cap} steps"):
+        integrate_rk4(f, 0.0, np.array([1.0, 0.0]), 1.0, h)
+    assert calls == []
+
+
+def test_rk4_takes_as_many_steps_as_the_cap(monkeypatch):
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 10)
+    res = integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, 0.1)
+    assert res.stats.n_steps == 10
 
 
 def test_invalid_spans():
@@ -477,20 +492,3 @@ def test_float_rk4_is_the_numpy_rk4_bit_for_bit(system, h, t_end, extra_theta, g
         assert all(same(a, b) for a, b in zip(at_scalars, want[4]))
         assert isinstance(at_array, np.ndarray) and same(at_array, want[5])
         assert same(at_none, want[6])
-
-
-@PROPERTY
-@given(st.integers(2, 40), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_hermite_on_trajectory_rows_is_the_numpy_hermite(n, dim, refine, seed):
-    rng = np.random.default_rng(seed)
-    t = np.cumsum(rng.uniform(1e-3, 0.2, n))
-    x, v = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
-    traj = Trajectory(t=t, x=x, v=v, kinetic=np.zeros(n), work=np.zeros(n), mass=1.0,
-                      exited=False, exit_state=None, stats=IntegratorStats())
-    ts, xs = _hermite_refine(traj, refine)
-    want = [x[0]]
-    for i in range(n - 1):
-        h = t[i + 1] - t[i]
-        want += [np_hermite(x[i], x[i + 1], v[i], v[i + 1], h, j / refine)
-                 for j in range(1, refine + 1)]
-    assert len(ts) == len(want) and same(xs, np.array(want))
