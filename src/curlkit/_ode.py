@@ -282,6 +282,8 @@ def _hermite(y0, y1, f0, f1, h, theta):
 
 def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     """Fixed-step RK4 from t0 to t_end; each nominal step is two half-steps.
+    Step n ends on t0 + n h, off which a running sum of h would drift, and
+    the last one, clipped, on t_end itself.
 
     Raises ValueError when (t_end - t0) / h exceeds the step cap.
 
@@ -299,11 +301,17 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         raise ValueError(f"step {h!r} needs more than {_MAX_STEPS} steps to reach t_end")
     stats = IntegratorStats()
     y = np.asarray(y0, dtype=float).tolist()
-    t = float(t0)
+    t = t0 = float(t0)
     end_slope = _rk4_end_slope(f, t, y, stats)
+    tol = 1e-12 * max(1.0, abs(t_end))
+    n = 0
 
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step = min(h, t_end - t)
+    while t < t_end - tol:
+        n += 1
+        t1 = t0 + n * h
+        step = h
+        if t1 > t_end - tol:
+            t1, step = t_end, t_end - t
         half = 0.5 * step
         f0 = end_slope()
         ym = _rk4_step(f, t, y, half, f0)
@@ -311,7 +319,7 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         y1 = _rk4_step(f, t + half, ym, half, fm)
         stats.n_fev += 7
         stats.n_steps += 1
-        end_slope = _rk4_end_slope(f, t + step, y1, stats)
+        end_slope = _rk4_end_slope(f, t1, y1, stats)
         dense = _rk4_dense(y, ym, y1, f0, fm, end_slope, step)
 
         if inside is not None:
@@ -319,8 +327,8 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
             if crossed:
                 return OdeResult(t_new, np.array(y_new), True, stats)
         if on_step is not None:
-            on_step(t, y, t + step, y1, dense)
-        t += step
+            on_step(t, y, t1, y1, dense)
+        t = t1
         y = y1
 
     return OdeResult(t, np.array(y), False, stats)

@@ -97,7 +97,9 @@ def _axis_names(dim):
 
 
 def emit_series(series, path):
-    """Write a known series type as CSV; columns are documented per type."""
+    """Write a known series type as CSV; columns are documented per type.
+    Rows are built from ``tolist()``: Python floats format faster than
+    NumPy scalars, and ``%.17g`` prints both alike."""
     if isinstance(series, dynamics.Trajectory):
         dim = series.x.shape[1]
         header = (
@@ -109,13 +111,15 @@ def emit_series(series, path):
         rows = (
             [t, *x, *v, k, w]
             for t, x, v, k, w in zip(
-                series.t, series.x, series.v, series.kinetic, series.work
+                series.t.tolist(), series.x.tolist(), series.v.tolist(),
+                series.kinetic.tolist(), series.work.tolist()
             )
         )
         write_csv(path, header, rows)
     elif isinstance(series, auxiliary.AuxiliarySeries):
         header = ["t"] + _axis_names(series.x.shape[1]) + ["H"]
-        rows = ([t, *x, h] for t, x, h in zip(series.t, series.x, series.H))
+        rows = ([t, *x, h] for t, x, h in zip(series.t.tolist(), series.x.tolist(),
+                                             series.H.tolist()))
         write_csv(path, header, rows)
     elif isinstance(series, pathwork.ParamPath) and series.is_polyline:
         verts = series.vertices
@@ -123,11 +127,11 @@ def emit_series(series, path):
         s = np.zeros(len(verts))
         if len(verts) > 1:
             s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
-        rows = ([si, *v] for si, v in zip(s, verts))
+        rows = ([si, *v] for si, v in zip(s.tolist(), verts.tolist()))
         write_csv(path, ["s"] + _axis_names(dim), rows)
     elif isinstance(series, np.ndarray) and series.ndim == 2:
         write_csv(path, ["i"] + _axis_names(series.shape[1]),
-                  ([i, *row] for i, row in enumerate(series)))
+                  ([i, *row] for i, row in enumerate(series.tolist())))
     else:
         raise TypeError(f"no CSV emitter for {type(series).__name__}")
 

@@ -36,6 +36,7 @@ CONSERVATIVE_THRESHOLD = 1e-8  # max ||curl|| / scale at or below => exact
 CHIRAL_THRESHOLD = 1e-8        # max |helicity| / (scale * max ||F||) above => chiral
 ADMISSIBILITY_RTOL = 1e-6      # decompose3d's bound on its residuals, relative to scale
 CHARACTERISTIC_TOL = 1e-11     # atol and rtol of the curl characteristics
+GAUGE_CACHE_SIZE = 64          # (f, U, V) tree triples whose gauge trees are kept
 
 
 @dataclass(frozen=True)
@@ -211,16 +212,8 @@ def gauge_transform(potentials, f_tree, region=None):
     if tuple(f_tree.variables) != ("u",):
         raise ValueError("gauge function must be an expression in the variable u")
     U, V = potentials.U, potentials.V
-    fprime = exprlang.derivative(f_tree, "u")
-
-    u_new_tree = exprlang.substitute(f_tree, "u", U.tree)
-    fprime_of_u = exprlang.substitute(fprime, "u", U.tree)
-    v_new_tree = exprlang.SyntaxTree(
-        exprlang._div(V.tree.root, fprime_of_u.root),
-        U.tree.variables,
-        V.tree.constants | U.tree.constants,
-        "",
-    )
+    (fprime,) = f_tree.partials
+    u_new_tree, v_new_tree = _gauge_trees(f_tree, U.tree, V.tree)
 
     constants = {**U.constants, **V.constants}
     U_new = fieldkit.ScalarFieldDef(U.dimension, u_new_tree, constants, U.domain)
@@ -235,6 +228,30 @@ def gauge_transform(potentials, f_tree, region=None):
 
         fieldkit.per_row(region.samples(), probe)
     return PotentialSet(U=U_new, V=V_new, W=potentials.W)
+
+
+# (id(f), id(U), id(V)) -> (f, U, V, f(U), V / f'(U)): the trees are kept
+# so that their ids stay theirs, the oldest entry goes first past the bound
+_GAUGE_TREES = {}
+
+
+def _gauge_trees(f_tree, u_tree, v_tree):
+    """The trees of f(U) and V / f'(U), built once per (f, U, V) tree
+    objects, so that their partials and compiled functions are kept too."""
+    key = (id(f_tree), id(u_tree), id(v_tree))
+    if key not in _GAUGE_TREES:
+        if len(_GAUGE_TREES) >= GAUGE_CACHE_SIZE:
+            del _GAUGE_TREES[next(iter(_GAUGE_TREES))]
+        fprime_of_u = exprlang.substitute(f_tree.partials[0], "u", u_tree)
+        v_new_tree = exprlang.SyntaxTree(
+            exprlang._div(v_tree.root, fprime_of_u.root),
+            u_tree.variables,
+            v_tree.constants | u_tree.constants,
+            "",
+        )
+        _GAUGE_TREES[key] = (f_tree, u_tree, v_tree,
+                             exprlang.substitute(f_tree, "u", u_tree), v_new_tree)
+    return _GAUGE_TREES[key][3:]
 
 
 def independence_metric(U, V, region):

@@ -35,6 +35,17 @@ node they differentiate, which raises where no derivative exists: sqrt'
 at 0 divides by zero, a varying exponent needs the log of its base.
 ``grad_at`` evaluates the value and then each partial tree at one point;
 the value comes first, so d log(x) = 1/x gives no answer at x < 0.
+
+Parsing is cached per process. ``parse_in_variables`` (and so ``parse``)
+keeps the tree of each (source text, variable tuple, set of constant
+names), the last ``PARSE_CACHE_SIZE`` of them, and returns the same tree
+object for the same key. The tree holds its partial trees and compiled
+functions, so text parsed again skips tokenizing, differentiation and
+code emission; constant values are passed at each evaluation and are no
+part of the tree. The key is the exact text, not tree equality: spans
+take no part in equality, so ``x*y`` and ``x * y`` are equal trees, and
+an error of one would cite the other's span. A parse error is not
+cached, so every call raises it.
 """
 
 from __future__ import annotations
@@ -48,6 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvalDomainError, ParseError
+
+PARSE_CACHE_SIZE = 256
 
 COORDS_2D = ("x", "y")
 COORDS_3D = ("x", "y", "z")
@@ -297,10 +310,15 @@ class _Parser:
 
 
 def parse_in_variables(source, variables, constants=()):
-    """Parse ``source`` against an explicit ordered variable tuple."""
-    parser = _Parser(source, variables, constants)
-    root = parser.parse()
-    return SyntaxTree(root, tuple(variables), frozenset(constants), source)
+    """Parse ``source`` against an explicit ordered variable tuple; the
+    same text, variables and constant names give the same tree object."""
+    return _parsed(source, tuple(variables), frozenset(constants))
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parsed(source, variables, constants):
+    # a ParseError leaves nothing in the cache, so every call raises it
+    return SyntaxTree(_Parser(source, variables, constants).parse(), variables, constants, source)
 
 
 def parse(source, dimension, constants=()):
@@ -513,14 +531,8 @@ class _Emitter:
         convert = "X[{0}]" if self.numpy else "float(X[{0}])"
         entry = [f"x{i} = {convert.format(i)}" for i in sorted(self.coords)]
         source = "\n ".join(["def f(X, C):", *entry, *self.lines, f"return ({results})"])
-        exec(_code(source), self.namespace)
+        exec(compile(source, "<curlkit expression>", "exec"), self.namespace)
         return self.namespace["f"]
-
-
-@lru_cache(maxsize=256)
-def _code(source):
-    # trees parsed again from the same text emit the same source
-    return compile(source, "<curlkit expression>", "exec")
 
 
 def compiled(trees, backend):

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlkit import cli, dynamics, exprlang
+from curlkit import auxiliary, cli, darboux, dynamics, exprlang, pathwork
+from curlkit._ode import IntegratorStats
 from curlkit.problemfile import load_problem
 
 BERRY = {
@@ -291,6 +292,47 @@ def test_write_csv_matches_the_per_value_writer(tmp_path):
     assert path.read_bytes() == b"i,v\n"
 
 
+def numpy_rows(series):
+    """The rows of ``series`` as ``cli.emit_series`` built them from NumPy
+    rows, before it read them from ``tolist()``."""
+    if isinstance(series, dynamics.Trajectory):
+        return ([t, *x, *v, k, w] for t, x, v, k, w in
+                zip(series.t, series.x, series.v, series.kinetic, series.work))
+    if isinstance(series, auxiliary.AuxiliarySeries):
+        return ([t, *x, h] for t, x, h in zip(series.t, series.x, series.H))
+    if isinstance(series, pathwork.ParamPath):
+        verts = series.vertices
+        s = np.zeros(len(verts))
+        s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
+        return ([si, *v] for si, v in zip(s, verts))
+    return ([i, *row] for i, row in enumerate(series))
+
+
+def test_emit_series_writes_the_bytes_of_numpy_rows(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [-0.0, 0.0, 5e-324, 1e150, 0.1, 1 / 3, 2.0**53 + 2]
+
+    def column(n=40):
+        scale = 10.0 ** rng.integers(-9, 9, n - len(special))
+        return np.concatenate([special, rng.normal(size=n - len(special)) * scale])
+
+    t, x, v = column(), np.column_stack([column(), column()]), np.column_stack([column(), column()])
+    series = [
+        dynamics.Trajectory(t, x, v, column(), column(), None, 1.0, False, None,
+                            IntegratorStats()),
+        auxiliary.AuxiliarySeries(t, x, column(), 0.0, False),
+        pathwork.ParamPath.polyline(np.column_stack([column(), column(), column()])),
+        np.column_stack([column(), column(), column()]),
+    ]
+    for one in series:
+        path = tmp_path / "series.csv"
+        cli.emit_series(one, path)
+        header = path.read_text().split("\n", 1)[0].split(",")
+        cli.write_csv(tmp_path / "rows.csv", header, numpy_rows(one))
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert path.read_bytes() == reference_csv(header, numpy_rows(one))
+
+
 RESIDUAL_KEYS = {"max", "rms", "min", "worst_point", "definition", "sample_count"}
 
 
@@ -503,6 +545,60 @@ def test_digest_takes_the_builtin_sha256():
     assert h.hexdigest() == hashlib.sha256(b"curlkit").hexdigest()
     if importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2"):
         assert cli.sha256 is not hashlib.sha256
+
+
+# --- the process-wide parse cache ------------------------------------------------------
+
+
+def test_a_second_gauge_run_emits_nothing(tmp_path, problem, monkeypatch):
+    built = []
+    function = exprlang._Emitter.function
+    monkeypatch.setattr(exprlang._Emitter, "function",
+                        lambda self, roots: built.append(roots) or function(self, roots))
+    argv = ("gauge", problem(BERRY), "--samples", "50", "--f", "exp(u)")
+    first = run(tmp_path, *argv)
+    assert first[0] == cli.EXIT_OK
+    built.clear()
+    second = run(tmp_path, *argv)
+    assert built == []
+    assert second[1]["results"] == first[1]["results"]
+
+
+def _run_workloads(workloads):
+    """The report (timestamp aside) and the artifact bytes of every command."""
+    out = {}
+    for workload in workloads:
+        for command in workload.commands:
+            assert cli.main(list(command.argv)) == cli.EXIT_OK, command.label
+            report = json.loads(command.out.read_text())
+            del report["timestamp"]
+            artifacts = {k: Path(p).read_bytes() for k, p in report["artifacts"].items()}
+            out[workload.name, command.label] = report, artifacts
+    return out
+
+
+def test_every_workload_command_repeats_its_report_and_csv(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    built = []
+    for name in workloads.WORKLOADS:
+        (tmp_path / name).mkdir()
+        built.append(workloads.build(name, 101, tmp_path / name))
+        built[-1].write_files(tmp_path / name)
+    first = _run_workloads(built)
+    emitted = []
+    function = exprlang._Emitter.function
+    monkeypatch.setattr(exprlang._Emitter, "function",
+                        lambda self, roots: emitted.append(roots) or function(self, roots))
+    assert _run_workloads(built) == first  # every tree from the cache
+    assert emitted == []
+    exprlang._parsed.cache_clear()
+    darboux._GAUGE_TREES.clear()
+    assert _run_workloads(built) == first  # every tree parsed again
+    assert {label for _, label in first} >= {"gauge", "simulate-rk4", "nonlocal-h", "maneuver3d"}
 
 
 # --- the names the benchmark's tracer patches -----------------------------------------

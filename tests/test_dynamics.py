@@ -411,7 +411,7 @@ def test_recorded_rows_are_capped_before_they_are_allocated(monkeypatch, refine)
     monkeypatch.setattr(dynamics, "_MAX_STEPS", rows)
     assert len(integrate(harmonic_field(), (1, 0), (0, 1), cfg)) == rows
     monkeypatch.setattr(dynamics, "_MAX_STEPS", rows - 1)
-    with pytest.raises(NumericalError, match=f"more than {rows - 1} recorded rows by t=0.99"):
+    with pytest.raises(NumericalError, match=f"more than {rows - 1} recorded rows by t=1.0;"):
         integrate(harmonic_field(), (1, 0), (0, 1), cfg)
 
 

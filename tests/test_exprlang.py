@@ -1064,3 +1064,55 @@ def test_emission_quotes_constant_names_and_binds_non_finite_literals():
         eval_at(tree, (0.0, 0.0), {"__import__('os')": -1.0})
     with pytest.raises(EvalDomainError, match="not bound"):
         eval_at(tree, (0.0, 0.0), {})
+
+
+# --- the parse cache ------------------------------------------------------------
+
+
+def test_the_same_text_gives_the_same_tree_with_its_partials():
+    tree = parse("x^2*k + y", 2, {"k"})
+    assert parse("x^2*k + y", 2, {"k"}) is tree
+    assert parse_in_variables("x^2*k + y", ("x", "y"), frozenset({"k"})) is tree
+    assert parse("x^2*k + y", 2, {"k"}).partials is tree.partials
+
+
+def test_different_constant_names_give_different_trees():
+    with_k = parse("k*x", 2, {"k"})
+    with_k_and_c = parse("k*x", 2, {"k", "c"})
+    assert with_k is not with_k_and_c
+    assert with_k.constants == {"k"} and with_k_and_c.constants == {"k", "c"}
+    with pytest.raises(ParseError):
+        parse("k*x", 2)
+    # the variables are part of the key as well
+    assert parse("k*x", 3, {"k"}).variables == ("x", "y", "z")
+
+
+def test_a_bad_source_raises_the_same_error_on_every_call():
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse("x + sin(y", 2)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1]) and errors[0].span == errors[1].span
+    assert errors[0] is not errors[1]
+
+
+def test_an_evaluation_error_cites_the_span_of_its_own_spelling():
+    # the two spellings have equal roots, since spans take no part in equality
+    tight, spaced = parse("1/(x-y)", 2), parse("1 / (x - y)", 2)
+    assert tight.root == spaced.root and tight is not spaced
+    for tree, span in ((tight, (0, 6)), (spaced, (0, 10)), (tight, (0, 6))):
+        with pytest.raises(EvalDomainError) as err:
+            eval_at(tree, (1.0, 1.0), {})
+        assert err.value.span == span
+
+
+def test_the_cache_stays_at_its_bound():
+    size = exprlang.PARSE_CACHE_SIZE
+    first = parse("x + 0.5", 2)
+    for i in range(size + 10):
+        parse(f"x + {i}", 2)
+    info = exprlang._parsed.cache_info()
+    assert info.maxsize == size and info.currsize == size
+    # the oldest key went, so a new tree is parsed for it
+    assert parse("x + 0.5", 2) is not first

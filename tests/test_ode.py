@@ -225,6 +225,22 @@ def test_rk4_dense_stays_valid_after_its_step():
     assert late == pytest.approx([math.cos(0.075), -math.sin(0.075)], abs=1e-7)
 
 
+@pytest.mark.parametrize("h, t_end", [(0.1, 1.0), (2.5e-3, 2.0), (0.3, 1.0)])
+def test_rk4_steps_end_on_multiples_of_h_and_the_last_on_t_end(h, t_end):
+    # a running sum t += h ends at 0.9999999999999999 for (0.1, 1) and at
+    # 1.9999999999999685 for (2.5e-3, 2)
+    t0 = 0.25
+    ends = []
+    res = integrate_rk4(harmonic, t0, np.array([1.0, 0.0]), t0 + t_end, h,
+                        on_step=lambda ta, ya, tb, yb, dense: ends.append((ta, tb)))
+    assert res.t == ends[-1][1] == t0 + t_end
+    assert [tb for _, tb in ends[:-1]] == [t0 + n * h for n in range(1, len(ends))]
+    assert [ta for ta, _ in ends[1:]] == [tb for _, tb in ends[:-1]]
+    assert len(ends) == math.ceil(t_end / h - 1e-9)
+    res = integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), t_end, h)
+    assert res.t == t_end
+
+
 def classic_rk4(f, t, y, t_end, h):
     """Two classic RK4 half-steps per step, each computing its own k1."""
 
@@ -236,10 +252,14 @@ def classic_rk4(f, t, y, t_end, h):
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     states = []
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step = min(h, t_end - t)
+    t0, tol, n = t, 1e-12 * max(1.0, abs(t_end)), 0
+    while t < t_end - tol:
+        n += 1
+        t1, step = t0 + n * h, h
+        if t1 > t_end - tol:
+            t1, step = t_end, t_end - t
         y = half_step(t + 0.5 * step, half_step(t, y, 0.5 * step), 0.5 * step)
-        t += step
+        t = t1
         states.append(y)
     return states
 
@@ -344,11 +364,15 @@ def np_integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         raise ValueError("step must be positive")
     stats = IntegratorStats()
     y = np.asarray(y0, dtype=float)
-    t = float(t0)
+    t = t0 = float(t0)
     end_slope = np_rk4_end_slope(f, t, y, stats)
+    tol, n = 1e-12 * max(1.0, abs(t_end)), 0
 
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step = min(h, t_end - t)
+    while t < t_end - tol:
+        n += 1
+        t1, step = t0 + n * h, h
+        if t1 > t_end - tol:
+            t1, step = t_end, t_end - t
         half = 0.5 * step
         f0 = end_slope()
         ym = np_rk4_step(f, t, y, half, f0)
@@ -356,7 +380,7 @@ def np_integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         y1 = np_rk4_step(f, t + half, ym, half, fm)
         stats.n_fev += 7
         stats.n_steps += 1
-        end_slope = np_rk4_end_slope(f, t + step, y1, stats)
+        end_slope = np_rk4_end_slope(f, t1, y1, stats)
         dense = np_rk4_dense(y, ym, y1, f0, fm, end_slope, step)
 
         if inside is not None:
@@ -364,8 +388,8 @@ def np_integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
             if crossed:
                 return OdeResult(t_new, y_new, True, stats)
         if on_step is not None:
-            on_step(t, y, t + step, y1, dense)
-        t += step
+            on_step(t, y, t1, y1, dense)
+        t = t1
         y = y1
 
     return OdeResult(t, y, False, stats)

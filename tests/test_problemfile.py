@@ -230,7 +230,15 @@ def test_probe_names_each_bad_force_component(tmp_path, doc, diagnostics):
     assert err.value.diagnostics == diagnostics
 
 
-def test_load_and_first_force_value_build_one_function_per_field(tmp_path, monkeypatch):
+BERRY = {
+    "dimension": 2, "force": ["-x*y^2", "-x^3"], "domain": [[0.05, 5], [0.05, 5]],
+    "potentials": {"U": "-(1/x + 1/y)", "V": "x^3*y^2"},
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The root counts of the functions ``exprlang`` emits, in order."""
     built = []
     function = exprlang._Emitter.function
 
@@ -239,13 +247,39 @@ def test_load_and_first_force_value_build_one_function_per_field(tmp_path, monke
         return function(self, roots)
 
     monkeypatch.setattr(exprlang._Emitter, "function", spy)
+    return built
+
+
+def test_load_and_first_force_value_build_one_function_per_field(tmp_path, built):
+    # earlier tests may have parsed the same text, whose trees keep their functions
+    exprlang._parsed.cache_clear()
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({
-        "dimension": 2, "force": ["-x*y^2", "-x^3"], "domain": [[0.05, 5], [0.05, 5]],
-        "potentials": {"U": "-(1/x + 1/y)", "V": "x^3*y^2"},
-    }))
+    path.write_text(json.dumps(BERRY))
     problem = load_problem(str(path))
     problem.force.value((1.0, 2.0))
     problem.force.value_unchecked((1.0, 2.0))
     # the force's function of both components probes it, then U and V
     assert built == [2, 1, 1]
+
+
+def test_a_second_load_of_a_file_builds_no_function(tmp_path, built):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(BERRY))
+    first = load_problem(str(path))
+    built.clear()
+    second = load_problem(str(path))
+    assert built == []  # its probe evaluated the functions the first load built
+    assert all(a is b for a, b in zip(second.force.trees, first.force.trees))
+    assert second.potentials["V"].tree is first.potentials["V"].tree
+
+
+def test_the_same_text_evaluates_with_each_files_constants(tmp_path):
+    values = []
+    for k in (2.0, 3.0):
+        path = tmp_path / f"k{k}.json"
+        path.write_text(json.dumps({
+            "dimension": 2, "force": ["-k*x", "-k*y"], "domain": [[-5, 5], [-5, 5]],
+            "constants": {"k": k},
+        }))
+        values.append(load_problem(str(path)).force.value((1.0, 2.0)).tolist())
+    assert values == [[-2.0, -4.0], [-3.0, -6.0]]
