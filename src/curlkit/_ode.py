@@ -306,7 +306,7 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     tol = 1e-12 * max(1.0, abs(t_end))
     n = 0
 
-    while t < t_end - tol:
+    while t < t_end:
         n += 1
         t1 = t0 + n * h
         step = h

@@ -225,10 +225,11 @@ def test_rk4_dense_stays_valid_after_its_step():
     assert late == pytest.approx([math.cos(0.075), -math.sin(0.075)], abs=1e-7)
 
 
-@pytest.mark.parametrize("h, t_end", [(0.1, 1.0), (2.5e-3, 2.0), (0.3, 1.0)])
+@pytest.mark.parametrize("h, t_end", [(0.1, 1.0), (2.5e-3, 2.0), (0.3, 1.0), (0.1, 1e-13)])
 def test_rk4_steps_end_on_multiples_of_h_and_the_last_on_t_end(h, t_end):
     # a running sum t += h ends at 0.9999999999999999 for (0.1, 1) and at
-    # 1.9999999999999685 for (2.5e-3, 2)
+    # 1.9999999999999685 for (2.5e-3, 2); a span below the end tolerance
+    # still takes its one step
     t0 = 0.25
     ends = []
     res = integrate_rk4(harmonic, t0, np.array([1.0, 0.0]), t0 + t_end, h,
@@ -236,7 +237,7 @@ def test_rk4_steps_end_on_multiples_of_h_and_the_last_on_t_end(h, t_end):
     assert res.t == ends[-1][1] == t0 + t_end
     assert [tb for _, tb in ends[:-1]] == [t0 + n * h for n in range(1, len(ends))]
     assert [ta for ta, _ in ends[1:]] == [tb for _, tb in ends[:-1]]
-    assert len(ends) == math.ceil(t_end / h - 1e-9)
+    assert len(ends) == max(1, math.ceil(t_end / h - 1e-9))
     res = integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), t_end, h)
     assert res.t == t_end
 
@@ -253,7 +254,7 @@ def classic_rk4(f, t, y, t_end, h):
 
     states = []
     t0, tol, n = t, 1e-12 * max(1.0, abs(t_end)), 0
-    while t < t_end - tol:
+    while t < t_end:
         n += 1
         t1, step = t0 + n * h, h
         if t1 > t_end - tol:
@@ -368,7 +369,7 @@ def np_integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     end_slope = np_rk4_end_slope(f, t, y, stats)
     tol, n = 1e-12 * max(1.0, abs(t_end)), 0
 
-    while t < t_end - tol:
+    while t < t_end:
         n += 1
         t1, step = t0 + n * h, h
         if t1 > t_end - tol:
