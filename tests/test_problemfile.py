@@ -274,12 +274,13 @@ def test_a_second_load_of_a_file_builds_no_function(tmp_path, built):
 
 
 def test_the_same_text_evaluates_with_each_files_constants(tmp_path):
-    values = []
+    problems = []
     for k in (2.0, 3.0):
         path = tmp_path / f"k{k}.json"
         path.write_text(json.dumps({
             "dimension": 2, "force": ["-k*x", "-k*y"], "domain": [[-5, 5], [-5, 5]],
             "constants": {"k": k},
         }))
-        values.append(load_problem(str(path)).force.value((1.0, 2.0)).tolist())
-    assert values == [[-2.0, -4.0], [-3.0, -6.0]]
+        problems.append(load_problem(str(path)))
+    assert problems[0].force.trees[0] is problems[1].force.trees[0]
+    assert [p.force.value((1.0, 2.0)).tolist() for p in problems] == [[-2.0, -4.0], [-3.0, -6.0]]
