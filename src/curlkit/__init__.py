@@ -10,6 +10,8 @@ curl force.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .errors import (
     CurlkitError,
     DimensionMismatchError,
@@ -30,3 +32,17 @@ __all__ = [
     "ParseError",
     "ProblemFileError",
 ]
+
+# A command imports its analysis modules on first use, so the package does
+# not import them; reading ``curlkit.darboux`` imports it (PEP 562), so code
+# handed the package, such as the benchmark's tracer, needs no import of its own.
+_SUBMODULES = frozenset({
+    "accessibility", "auxiliary", "cli", "darboux", "dynamics", "errors", "exprlang",
+    "fieldkit", "pathwork", "problemfile",
+})
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,21 @@ random points of the domain from --seed. classify, verify and vpde take
 and nonlocal-h share the integrator options; nonlocal-h also takes
 --refine, the number of equal intervals each recorded piece of a step is
 cut into, on which it accumulates the auxiliary Hamiltonian. A command
-accepts no option it does not read.
+accepts no option it does not read, and some options are read only under
+another's value: --h only with --integrator rk4; --atol, --rtol and
+--h-max only with dopri45; --tol only with --assert-value; --seed and
+--samples only without --region. Given anywhere else, each is a usage
+error.
+
+A process imports only the modules its command uses. Importing this
+module loads the problem reader, exprlang and fieldkit, which every
+command needs; each handler imports its analysis modules itself. The
+region commands and characteristics load darboux; simulate loads
+dynamics; work and stokes load pathwork; trace2d, reach2d and maneuver3d
+load accessibility, which loads pathwork; auxiliary and nonlocal-h load
+auxiliary, which loads darboux and dynamics. darboux, dynamics and
+accessibility bring the integrator core, _ode. A problem file that
+declares paths loads pathwork.
 
 Exit codes: 0 success, 1 usage error (including an option the command
 does not take and a parameter the analysis rejects, such as an rk4 --h
@@ -38,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accessibility, auxiliary, darboux, dynamics, exprlang, fieldkit, pathwork
+from . import __version__, exprlang, fieldkit
 from .errors import (
     DimensionMismatchError,
     EvalDomainError,
@@ -96,44 +110,46 @@ def _axis_names(dim):
     return ["x", "y", "z"][:dim]
 
 
-def emit_series(series, path):
-    """Write a known series type as CSV; columns are documented per type.
-    Rows are built from ``tolist()``: Python floats format faster than
-    NumPy scalars, and ``%.17g`` prints both alike."""
-    if isinstance(series, dynamics.Trajectory):
-        dim = series.x.shape[1]
-        header = (
-            ["t"]
-            + _axis_names(dim)
-            + [f"v{a}" for a in _axis_names(dim)]
-            + ["K", "Wcum"]
+# Each series type has its own table, (header, rows), for write_csv. Rows
+# are built from ``tolist()``: Python floats format faster than NumPy
+# scalars, and ``%.17g`` prints both alike.
+
+def trajectory_table(traj):
+    """t, the coordinates, the velocities, K and Wcum of a ``dynamics.Trajectory``."""
+    axes = _axis_names(traj.x.shape[1])
+    header = ["t"] + axes + [f"v{a}" for a in axes] + ["K", "Wcum"]
+    rows = (
+        [t, *x, *v, k, w]
+        for t, x, v, k, w in zip(
+            traj.t.tolist(), traj.x.tolist(), traj.v.tolist(),
+            traj.kinetic.tolist(), traj.work.tolist()
         )
-        rows = (
-            [t, *x, *v, k, w]
-            for t, x, v, k, w in zip(
-                series.t.tolist(), series.x.tolist(), series.v.tolist(),
-                series.kinetic.tolist(), series.work.tolist()
-            )
-        )
-        write_csv(path, header, rows)
-    elif isinstance(series, auxiliary.AuxiliarySeries):
-        header = ["t"] + _axis_names(series.x.shape[1]) + ["H"]
-        rows = ([t, *x, h] for t, x, h in zip(series.t.tolist(), series.x.tolist(),
-                                             series.H.tolist()))
-        write_csv(path, header, rows)
-    elif isinstance(series, pathwork.ParamPath) and series.is_polyline:
-        verts = series.vertices
-        dim = verts.shape[1]
-        s = np.zeros(len(verts))
-        if len(verts) > 1:
-            s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
-        rows = ([si, *v] for si, v in zip(s.tolist(), verts.tolist()))
-        write_csv(path, ["s"] + _axis_names(dim), rows)
-    elif isinstance(series, np.ndarray) and series.ndim == 2:
-        write_csv(path, ["i"] + _axis_names(series.shape[1]),
-                  ([i, *row] for i, row in enumerate(series.tolist())))
-    else:
-        raise TypeError(f"no CSV emitter for {type(series).__name__}")
+    )
+    return header, rows
+
+
+def hamiltonian_table(series):
+    """t, the coordinates and H of an ``auxiliary.AuxiliarySeries``."""
+    header = ["t"] + _axis_names(series.x.shape[1]) + ["H"]
+    rows = ([t, *x, h] for t, x, h in zip(series.t.tolist(), series.x.tolist(),
+                                         series.H.tolist()))
+    return header, rows
+
+
+def polyline_table(path):
+    """Arclength s and the coordinates of each vertex of a polyline ``ParamPath``."""
+    verts = path.vertices
+    s = np.zeros(len(verts))
+    if len(verts) > 1:
+        s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
+    rows = ([si, *v] for si, v in zip(s.tolist(), verts.tolist()))
+    return ["s"] + _axis_names(verts.shape[1]), rows
+
+
+def points_table(points):
+    """Index i and the coordinates of each row of an (N, dim) array."""
+    header = ["i"] + _axis_names(points.shape[1])
+    return header, ([i, *row] for i, row in enumerate(points.tolist()))
 
 
 def _json_ready(obj):
@@ -182,14 +198,11 @@ class Run:
     def artifact_path(self, kind):
         return self.out.with_name(f"{self.out.stem}_{kind}.csv")
 
-    def emit(self, kind, series):
-        self.emit_with(kind, lambda path: emit_series(series, path))
-
-    def emit_with(self, kind, write):
-        """Queue ``write(path)`` for the artifact; finish calls it only once
-        the report is known to serialize, so a refused run writes nothing."""
+    def emit(self, kind, header, rows):
+        """Queue the CSV artifact; finish writes it only once the report is
+        known to serialize, so a refused run writes nothing."""
         path = self.artifact_path(kind)
-        self._writes.append(lambda: write(path))
+        self._writes.append(lambda: write_csv(path, header, rows))
         self.artifacts[kind] = str(path)
 
     def check(self, name, value, threshold, kind="max"):
@@ -295,6 +308,8 @@ def _v_field(args, problem):
 
 
 def _sim_config(args, problem, refine=1):
+    from . import dynamics
+
     t_end = args.t_end
     return dynamics.SimConfig(
         mass=args.mass if args.mass is not None else problem.mass,
@@ -312,6 +327,8 @@ def _sim_config(args, problem, refine=1):
 # --- command handlers -------------------------------------------------------------
 
 def cmd_classify(args, problem):
+    from . import darboux
+
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.classify(problem.force, region, mode=args.mode)
@@ -330,6 +347,8 @@ def cmd_classify(args, problem):
 
 
 def cmd_verify(args, problem):
+    from . import darboux
+
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.verify_representation(
@@ -341,6 +360,8 @@ def cmd_verify(args, problem):
 
 
 def cmd_vpde(args, problem):
+    from . import darboux
+
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.vpde_residual(problem.force, _v_field(args, problem), region, mode=args.mode)
@@ -350,6 +371,8 @@ def cmd_vpde(args, problem):
 
 
 def cmd_gauge(args, problem):
+    from . import darboux
+
     run = Run(args, problem)
     region = _region(args, problem)
     try:
@@ -372,6 +395,8 @@ def cmd_gauge(args, problem):
 
 
 def cmd_decompose3d(args, problem):
+    from . import darboux
+
     if problem.dimension != 3:
         raise ProblemFileError("decompose3d needs a 3D problem")
     run = Run(args, problem)
@@ -389,12 +414,14 @@ def cmd_decompose3d(args, problem):
         + [f"Fnc_{a}" for a in "xyz"]
     )
     rows = np.hstack([pts, dec.grad_u(pts), dec.f_c(pts), dec.f_nc(pts)])
-    run.emit_with("samples", lambda path: write_csv(path, header, rows))
+    run.emit("samples", header, rows)
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
     return run.finish()
 
 
 def cmd_characteristics(args, problem):
+    from . import darboux
+
     if problem.dimension != 3:
         raise ProblemFileError("characteristics are traced for 3D problems")
     run = Run(args, problem)
@@ -411,6 +438,8 @@ def cmd_characteristics(args, problem):
 
 
 def cmd_simulate(args, problem):
+    from . import dynamics
+
     run = Run(args, problem)
     dim = problem.dimension
     x0 = _vector(args.x0, dim, "--x0")
@@ -431,12 +460,14 @@ def cmd_simulate(args, problem):
             "field_evaluations": traj.stats.n_fev,
         },
     }
-    run.emit("trajectory", traj)
+    run.emit("trajectory", *trajectory_table(traj))
     run.check("work_energy_residual", resid, args.assert_energy_residual)
     return run.finish()
 
 
 def cmd_work(args, problem):
+    from . import pathwork
+
     run = Run(args, problem)
     res = pathwork.line_work(problem.force, _path(args, problem))
     run.results = {
@@ -450,6 +481,8 @@ def cmd_work(args, problem):
 
 
 def cmd_stokes(args, problem):
+    from . import pathwork
+
     run = Run(args, problem)
     res = pathwork.stokes_work(problem.force, _path(args, problem))
     run.results = {
@@ -463,6 +496,8 @@ def cmd_stokes(args, problem):
 
 
 def _auxiliary_problem(args, problem):
+    from . import auxiliary
+
     return auxiliary.AuxiliaryProblem(
         F=problem.force,
         potentials=problem.potential_set(),
@@ -473,6 +508,8 @@ def _auxiliary_problem(args, problem):
 
 
 def cmd_auxiliary(args, problem):
+    from . import auxiliary
+
     run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
     dim = problem.dimension
@@ -481,12 +518,14 @@ def cmd_auxiliary(args, problem):
     traj, drift = auxiliary.auxiliary_trajectory(prob, x0, v0, _sim_config(args, problem))
     h0 = auxiliary.auxiliary_hamiltonian(x0, prob.mass * v0, prob.potentials.U, prob.mass)
     run.results = {"H0": h0, "drift": drift, "exited": traj.exited, "samples": len(traj)}
-    run.emit("trajectory", traj)
+    run.emit("trajectory", *trajectory_table(traj))
     run.check("drift", drift, args.assert_drift)
     return run.finish()
 
 
 def cmd_nonlocal_h(args, problem):
+    from . import auxiliary
+
     run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
     dim = problem.dimension
@@ -500,12 +539,14 @@ def cmd_nonlocal_h(args, problem):
         "samples": len(series.t),
         "trajectory_exited": series.exited,
     }
-    run.emit("series", series)
+    run.emit("series", *hamiltonian_table(series))
     run.check("drift", series.drift, args.assert_drift)
     return run.finish()
 
 
 def cmd_trace2d(args, problem):
+    from . import accessibility, pathwork
+
     if problem.dimension != 2:
         raise ProblemFileError("trace2d needs a 2D problem")
     run = Run(args, problem)
@@ -523,12 +564,14 @@ def cmd_trace2d(args, problem):
         U = problem.potentials["U"]
         u0 = U.value(x0)
         run.results["u_deviation"] = float(np.max(np.abs(U.values(trace.vertices) - u0)))
-    run.emit("trace", trace)
+    run.emit("trace", *polyline_table(trace))
     run.check("work", abs(work.value), args.assert_work)
     return run.finish()
 
 
 def cmd_reach2d(args, problem):
+    from . import accessibility
+
     if problem.dimension != 2:
         raise ProblemFileError("reach2d needs a 2D problem")
     run = Run(args, problem)
@@ -536,6 +579,8 @@ def cmd_reach2d(args, problem):
     targets = [
         _vector(part, 2, "--targets") for part in args.targets.split(";") if part
     ]
+    if not targets:
+        raise UsageError("--targets: expected at least one point")
     verdicts = accessibility.reachability_report_2d(
         problem.force,
         x0,
@@ -561,6 +606,8 @@ def cmd_reach2d(args, problem):
 
 
 def cmd_maneuver3d(args, problem):
+    from . import accessibility
+
     if problem.dimension != 3:
         raise ProblemFileError("maneuver3d needs a 3D problem")
     run = Run(args, problem)
@@ -573,7 +620,7 @@ def cmd_maneuver3d(args, problem):
         "work": res.work,
         "eps": res.eps,
     }
-    run.emit("path", res.path)
+    run.emit("path", *points_table(res.path))
     run.check("work", abs(res.work), args.assert_work)
     return run.finish()
 
@@ -594,8 +641,8 @@ def build_parser():
 
     sampled = _Parser(add_help=False)
     sampled.add_argument("--region", help="named region from the problem file")
-    sampled.add_argument("--seed", type=int, default=0, help="seed for default sampling")
-    sampled.add_argument("--samples", type=int, default=200, help="default sample count")
+    sampled.add_argument("--seed", type=int, help="seed for default sampling")
+    sampled.add_argument("--samples", type=int, help="default sample count")
 
     mode = _Parser(add_help=False)
     mode.add_argument("--mode", choices=("analytic", "fd"), default="analytic",
@@ -613,10 +660,10 @@ def build_parser():
     sim.add_argument("--t-end", type=float, required=True, dest="t_end")
     sim.add_argument("--mass", type=float, default=None, help="override problem mass")
     sim.add_argument("--integrator", choices=("dopri45", "rk4"), default="dopri45")
-    sim.add_argument("--h", type=float, default=1e-3, help="rk4 step")
-    sim.add_argument("--atol", type=float, default=1e-9)
-    sim.add_argument("--rtol", type=float, default=1e-9)
-    sim.add_argument("--h-max", type=float, default=None, dest="h_max")
+    sim.add_argument("--h", type=float, help="rk4 step")
+    sim.add_argument("--atol", type=float)
+    sim.add_argument("--rtol", type=float)
+    sim.add_argument("--h-max", type=float, dest="h_max")
     sim.add_argument("--record-dt", type=float, default=None, dest="record_dt",
                      help="subdivide steps to at most this output spacing")
 
@@ -667,14 +714,14 @@ def build_parser():
     p = sub.add_parser("work", parents=[common], help="line work along a declared path")
     p.add_argument("--path", required=True)
     p.add_argument("--assert-value", type=float, dest="assert_value")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float)
     p.set_defaults(handler=cmd_work)
 
     p = sub.add_parser("stokes", parents=[common],
                        help="surface-form work for a closed planar polygon")
     p.add_argument("--path", required=True)
     p.add_argument("--assert-value", type=float, dest="assert_value")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float)
     p.set_defaults(handler=cmd_stokes)
 
     p = sub.add_parser("auxiliary", parents=[common, sim, aux],
@@ -718,6 +765,32 @@ def build_parser():
     return parser
 
 
+# Options read only under another option's value: (dest, default, whether
+# the command reads it, where it is read). Their parser default is None, so
+# one given where it is not read is refused. The default is filled in before
+# the run takes its parameters, so the report and the digest of a command
+# line are the same whether or not it spells a default out.
+_CONDITIONAL = (
+    ("h", 1e-3, lambda a: a.integrator == "rk4", "with --integrator rk4"),
+    ("atol", 1e-9, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
+    ("rtol", 1e-9, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
+    ("h_max", None, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
+    ("tol", 1e-9, lambda a: a.assert_value is not None, "with --assert-value"),
+    ("seed", 0, lambda a: not a.region, "without --region"),
+    ("samples", 200, lambda a: not a.region, "without --region"),
+)
+
+
+def _resolve_conditional(args):
+    for dest, default, read, where in _CONDITIONAL:
+        if not hasattr(args, dest):
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not read(args):
+            raise UsageError(f"--{dest.replace('_', '-')} is read only {where}")
+
+
 @lru_cache(maxsize=1)
 def _parser():
     # built once per process: building costs some twenty parses, which leave it unchanged
@@ -727,6 +800,7 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
+        _resolve_conditional(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

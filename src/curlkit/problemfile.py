@@ -36,10 +36,8 @@ import math
 from dataclasses import dataclass
 
 from . import exprlang
-from .darboux import PotentialSet
 from .errors import EVAL_ERRORS, CurlkitError, ParseError, ProblemFileError
 from .fieldkit import Box, Region, ScalarFieldDef, VectorFieldDef
-from .pathwork import ParamPath
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -73,6 +71,8 @@ class ProblemFile:
                 f"problem declares no potential {'/'.join(missing)}; "
                 "add a 'potentials' entry"
             )
+        from .darboux import PotentialSet  # imported by the commands that use it
+
         return PotentialSet(
             U=self.potentials["U"],
             V=self.potentials["V"],
@@ -215,7 +215,10 @@ def load_problem(path):
                     potentials[key] = tree
 
     paths = {}
-    for name, spec in (doc.get("paths", {}) or {}).items():
+    path_specs = doc.get("paths", {}) or {}
+    if path_specs:
+        from .pathwork import ParamPath  # only a problem with paths loads it
+    for name, spec in path_specs.items():
         where = f"paths.{name}"
         if not isinstance(spec, dict) or "type" not in spec:
             diags.append(f"{where}: must be an object with a 'type' field")

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,8 +294,8 @@ def test_write_csv_matches_the_per_value_writer(tmp_path):
 
 
 def numpy_rows(series):
-    """The rows of ``series`` as ``cli.emit_series`` built them from NumPy
-    rows, before it read them from ``tolist()``."""
+    """The rows of ``series`` built from NumPy rows, as the CSV tables were
+    before they read them from ``tolist()``."""
     if isinstance(series, dynamics.Trajectory):
         return ([t, *x, *v, k, w] for t, x, v, k, w in
                 zip(series.t, series.x, series.v, series.kinetic, series.work))
@@ -308,7 +309,7 @@ def numpy_rows(series):
     return ([i, *row] for i, row in enumerate(series))
 
 
-def test_emit_series_writes_the_bytes_of_numpy_rows(tmp_path):
+def test_each_series_table_writes_the_bytes_of_numpy_rows(tmp_path):
     rng = np.random.default_rng(11)
     special = [-0.0, 0.0, 5e-324, 1e150, 0.1, 1 / 3, 2.0**53 + 2]
 
@@ -318,15 +319,16 @@ def test_emit_series_writes_the_bytes_of_numpy_rows(tmp_path):
 
     t, x, v = column(), np.column_stack([column(), column()]), np.column_stack([column(), column()])
     series = [
-        dynamics.Trajectory(t, x, v, column(), column(), None, 1.0, False, None,
-                            IntegratorStats()),
-        auxiliary.AuxiliarySeries(t, x, column(), 0.0, False),
-        pathwork.ParamPath.polyline(np.column_stack([column(), column(), column()])),
-        np.column_stack([column(), column(), column()]),
+        (cli.trajectory_table, dynamics.Trajectory(t, x, v, column(), column(), None, 1.0,
+                                                   False, None, IntegratorStats())),
+        (cli.hamiltonian_table, auxiliary.AuxiliarySeries(t, x, column(), 0.0, False)),
+        (cli.polyline_table,
+         pathwork.ParamPath.polyline(np.column_stack([column(), column(), column()]))),
+        (cli.points_table, np.column_stack([column(), column(), column()])),
     ]
-    for one in series:
+    for table, one in series:
         path = tmp_path / "series.csv"
-        cli.emit_series(one, path)
+        cli.write_csv(path, *table(one))
         header = path.read_text().split("\n", 1)[0].split(",")
         cli.write_csv(tmp_path / "rows.csv", header, numpy_rows(one))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -441,6 +443,74 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, problem,
     assert code == cli.EXIT_USAGE
     assert report is None
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--h", "0.5"),
+     "--h is read only with --integrator rk4"),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4", "--atol", "5"),
+     "--atol is read only with --integrator dopri45"),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4", "--rtol", "1e-6"),
+     "--rtol is read only with --integrator dopri45"),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4", "--h-max", "0.01"),
+     "--h-max is read only with --integrator dopri45"),
+    (BERRY_DECLARED, ("auxiliary", *AUX, "--region", "box", "--h", "0.01"),
+     "--h is read only with --integrator rk4"),
+    (BERRY_DECLARED, ("work", "--path", "square", "--tol", "1e-3"),
+     "--tol is read only with --assert-value"),
+    (BERRY_DECLARED, ("stokes", "--path", "square", "--tol", "1e-3"),
+     "--tol is read only with --assert-value"),
+    (BERRY_DECLARED, ("classify", "--region", "box", "--seed", "3"),
+     "--seed is read only without --region"),
+    (BERRY_DECLARED, ("verify", "--region", "box", "--samples", "30"),
+     "--samples is read only without --region"),
+], ids=["h-dopri45", "atol-rk4", "rtol-rk4", "h-max-rk4", "h-auxiliary", "tol-work",
+        "tol-stokes", "seed-region", "samples-region"])
+def test_an_option_read_only_under_another_value_is_a_usage_error(tmp_path, problem, capsys,
+                                                                   doc, argv, message):
+    # each was accepted and then ignored
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,default,given", [
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1"),
+     ("--atol", "1e-9", "--rtol", "1e-9")),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4"), ("--h", "0.001")),
+    (BERRY_DECLARED, ("classify",), ("--seed", "0", "--samples", "200")),
+    (BERRY_DECLARED, ("work", "--path", "square", "--assert-value", "0"), ("--tol", "1e-9")),
+], ids=["dopri45", "rk4", "classify", "work"])
+def test_a_default_reads_as_the_option_given(tmp_path, problem, doc, default, given):
+    # defaults are filled in before the report takes the parameters, so the
+    # digest of a command line does not depend on whether a default is spelled out
+    path = problem(doc)
+    code, implied = run(tmp_path, default[0], path, *default[1:])
+    assert code in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+    code, spelled = run(tmp_path, default[0], path, *default[1:], *given)
+    assert code in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+    assert implied["parameters"] == spelled["parameters"]
+    assert implied["inputs_digest"] == spelled["inputs_digest"]
+    for name, value in zip(given[::2], given[1::2]):
+        assert implied["parameters"][name[2:]] == float(value)
+
+
+def test_classify_reports_the_default_sampling(tmp_path, problem):
+    code, report = run(tmp_path, "classify", problem(BERRY))
+    assert code == cli.EXIT_OK
+    assert (report["parameters"]["seed"], report["parameters"]["samples"]) == (0, 200)
+    assert report["parameters"]["region"] is None
+
+
+@pytest.mark.parametrize("targets", ["", ";", ";;"])
+def test_reach2d_without_a_target_is_a_usage_error(tmp_path, problem, capsys, targets):
+    # it exited 0 with "verdicts": []
+    code, report = run(tmp_path, "reach2d", problem(BERRY), "--x0", "1,1", "--targets", targets,
+                       "--arclength", "0.1", "--steps", "16")
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert "--targets: expected at least one point" in capsys.readouterr().err
 
 
 def test_classify_samples_the_named_region(tmp_path, problem):
@@ -626,3 +696,123 @@ def test_every_traced_name_exists_and_is_restored(monkeypatch):
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original
+
+
+# --- the modules each command imports ---------------------------------------------------
+#
+# Earlier tests of this process have imported every module, so these run in
+# fresh interpreters.
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DEFERRED = {"_ode", "pathwork", "darboux", "dynamics", "accessibility", "auxiliary"}
+COMMAND_MODULES = {
+    **dict.fromkeys(["classify", "verify", "vpde", "gauge", "decompose3d", "characteristics"],
+                    {"darboux", "_ode"}),
+    "simulate": {"dynamics", "_ode"},
+    "work": {"pathwork"},
+    "stokes": {"pathwork"},
+    **dict.fromkeys(["auxiliary", "nonlocal-h"], {"auxiliary", "darboux", "dynamics", "_ode"}),
+    **dict.fromkeys(["trace2d", "reach2d", "maneuver3d"], {"accessibility", "pathwork", "_ode"}),
+}
+
+
+def _python(*argv, cwd):
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+
+
+def test_set_up_imports_no_analysis_module(tmp_path, problem):
+    # what the benchmark's set-up sample does: import the CLI, load a problem
+    doc = dict(BERRY, regions=BERRY_DECLARED["regions"])
+    code = ("import json, sys; import curlkit.cli; curlkit.cli.load_problem(sys.argv[1]); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('curlkit'))))")
+    proc = _python("-c", code, problem(doc), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["curlkit", "curlkit.cli", "curlkit.errors",
+                                       "curlkit.exprlang", "curlkit.fieldkit",
+                                       "curlkit.problemfile"]
+
+
+def test_every_command_has_its_modules():
+    assert set(COMMAND_MODULES) == {argv[0] for _, argv, _ in COMMAND_PARAMETERS}
+
+
+@pytest.mark.parametrize("doc,argv", [(doc, argv) for doc, argv, _ in COMMAND_PARAMETERS],
+                         ids=[argv[0] for _, argv, _ in COMMAND_PARAMETERS])
+def test_each_command_imports_only_its_own_modules(tmp_path, problem, doc, argv):
+    # a handler that misses an import of its own fails here, not in a process
+    # where an earlier command imported the module
+    if argv[0] not in ("work", "stokes"):
+        doc = {k: v for k, v in doc.items() if k != "paths"}  # paths load pathwork
+    proc = _python("-v", "-m", "curlkit.cli", argv[0], problem(doc), *argv[1:],
+                   "--out", str(tmp_path / "report.json"), cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    # -v writes "import 'name' # loader" for each module loaded; -X importtime
+    # misses the submodules of a "from . import name"
+    imported = re.findall(r"^import '([\w.]+)' #", proc.stderr, re.MULTILINE)
+    loaded = {name.split(".", 1)[1] for name in imported if name.startswith("curlkit.")}
+    assert loaded & DEFERRED == COMMAND_MODULES[argv[0]]
+
+
+def test_the_package_imports_a_submodule_on_first_read(tmp_path):
+    code = """
+import sys
+import curlkit
+assert "curlkit.accessibility" not in sys.modules
+module = curlkit.accessibility
+assert module is sys.modules["curlkit.accessibility"]
+assert module.zero_work_trace_2d
+try:
+    curlkit.nope
+except AttributeError as e:
+    assert str(e) == "module 'curlkit' has no attribute 'nope'", e
+else:
+    raise AssertionError("curlkit.nope did not raise")
+print("ok")
+"""
+    proc = _python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_the_tracer_installs_after_region_sweep_commands_only(tmp_path):
+    # the tracer reads curlkit.dynamics, .accessibility and .auxiliary, which
+    # no region-sweep command imports
+    code = """
+import importlib.util, json, sys
+from pathlib import Path
+import curlkit
+from curlkit import cli
+
+bench, work = Path(sys.argv[1]), Path(sys.argv[2])
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+workloads, tracing = load("workloads"), load("tracing")
+sweep = workloads.build("region-sweep", 101, work)
+sweep.write_files(work)
+codes = [cli.main(list(command.argv)) for command in sweep.commands]
+before = sorted(m for m in sys.modules if m.startswith("curlkit."))
+tracer = tracing.Tracer()
+tracer.install(curlkit)
+patched = [(owner, attr) for owner, attr, _ in tracer._patches]
+wrapped = all(hasattr(getattr(owner, attr), "__wrapped__") for owner, attr in patched)
+tracer.uninstall()
+restored = not any(hasattr(getattr(owner, attr), "__wrapped__") for owner, attr in patched)
+print(json.dumps({"codes": codes, "before": before, "wrapped": wrapped,
+                  "restored": restored, "patched": sorted({attr for _, attr in patched})}))
+"""
+    proc = _python("-c", code, str(BENCH), str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] and set(out["codes"]) == {cli.EXIT_OK}
+    assert {"curlkit.dynamics", "curlkit.accessibility", "curlkit.auxiliary"}.isdisjoint(
+        out["before"])
+    assert out["wrapped"] and out["restored"]
+    assert {"integrate", "zero_work_trace_2d", "auxiliary_trajectory"} <= set(out["patched"])
