@@ -309,7 +309,6 @@ def _v_field(args, problem):
 
 def _sim_config(args, problem, refine=1):
     from . import dynamics
-
     t_end = args.t_end
     return dynamics.SimConfig(
         mass=args.mass if args.mass is not None else problem.mass,
@@ -328,7 +327,6 @@ def _sim_config(args, problem, refine=1):
 
 def cmd_classify(args, problem):
     from . import darboux
-
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.classify(problem.force, region, mode=args.mode)
@@ -348,7 +346,6 @@ def cmd_classify(args, problem):
 
 def cmd_verify(args, problem):
     from . import darboux
-
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.verify_representation(
@@ -361,7 +358,6 @@ def cmd_verify(args, problem):
 
 def cmd_vpde(args, problem):
     from . import darboux
-
     run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.vpde_residual(problem.force, _v_field(args, problem), region, mode=args.mode)
@@ -372,7 +368,6 @@ def cmd_vpde(args, problem):
 
 def cmd_gauge(args, problem):
     from . import darboux
-
     run = Run(args, problem)
     region = _region(args, problem)
     try:
@@ -396,7 +391,6 @@ def cmd_gauge(args, problem):
 
 def cmd_decompose3d(args, problem):
     from . import darboux
-
     if problem.dimension != 3:
         raise ProblemFileError("decompose3d needs a 3D problem")
     run = Run(args, problem)
@@ -421,7 +415,6 @@ def cmd_decompose3d(args, problem):
 
 def cmd_characteristics(args, problem):
     from . import darboux
-
     if problem.dimension != 3:
         raise ProblemFileError("characteristics are traced for 3D problems")
     run = Run(args, problem)
@@ -439,7 +432,6 @@ def cmd_characteristics(args, problem):
 
 def cmd_simulate(args, problem):
     from . import dynamics
-
     run = Run(args, problem)
     dim = problem.dimension
     x0 = _vector(args.x0, dim, "--x0")
@@ -467,7 +459,6 @@ def cmd_simulate(args, problem):
 
 def cmd_work(args, problem):
     from . import pathwork
-
     run = Run(args, problem)
     res = pathwork.line_work(problem.force, _path(args, problem))
     run.results = {
@@ -482,7 +473,6 @@ def cmd_work(args, problem):
 
 def cmd_stokes(args, problem):
     from . import pathwork
-
     run = Run(args, problem)
     res = pathwork.stokes_work(problem.force, _path(args, problem))
     run.results = {
@@ -497,7 +487,6 @@ def cmd_stokes(args, problem):
 
 def _auxiliary_problem(args, problem):
     from . import auxiliary
-
     return auxiliary.AuxiliaryProblem(
         F=problem.force,
         potentials=problem.potential_set(),
@@ -509,7 +498,6 @@ def _auxiliary_problem(args, problem):
 
 def cmd_auxiliary(args, problem):
     from . import auxiliary
-
     run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
     dim = problem.dimension
@@ -525,7 +513,6 @@ def cmd_auxiliary(args, problem):
 
 def cmd_nonlocal_h(args, problem):
     from . import auxiliary
-
     run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
     dim = problem.dimension
@@ -546,7 +533,6 @@ def cmd_nonlocal_h(args, problem):
 
 def cmd_trace2d(args, problem):
     from . import accessibility, pathwork
-
     if problem.dimension != 2:
         raise ProblemFileError("trace2d needs a 2D problem")
     run = Run(args, problem)
@@ -571,7 +557,6 @@ def cmd_trace2d(args, problem):
 
 def cmd_reach2d(args, problem):
     from . import accessibility
-
     if problem.dimension != 2:
         raise ProblemFileError("reach2d needs a 2D problem")
     run = Run(args, problem)
@@ -607,7 +592,6 @@ def cmd_reach2d(args, problem):
 
 def cmd_maneuver3d(args, problem):
     from . import accessibility
-
     if problem.dimension != 3:
         raise ProblemFileError("maneuver3d needs a 3D problem")
     run = Run(args, problem)

@@ -496,13 +496,6 @@ def test_a_default_reads_as_the_option_given(tmp_path, problem, doc, default, gi
         assert implied["parameters"][name[2:]] == float(value)
 
 
-def test_classify_reports_the_default_sampling(tmp_path, problem):
-    code, report = run(tmp_path, "classify", problem(BERRY))
-    assert code == cli.EXIT_OK
-    assert (report["parameters"]["seed"], report["parameters"]["samples"]) == (0, 200)
-    assert report["parameters"]["region"] is None
-
-
 @pytest.mark.parametrize("targets", ["", ";", ";;"])
 def test_reach2d_without_a_target_is_a_usage_error(tmp_path, problem, capsys, targets):
     # it exited 0 with "verdicts": []
@@ -732,10 +725,6 @@ def test_set_up_imports_no_analysis_module(tmp_path, problem):
     assert json.loads(proc.stdout) == ["curlkit", "curlkit.cli", "curlkit.errors",
                                        "curlkit.exprlang", "curlkit.fieldkit",
                                        "curlkit.problemfile"]
-
-
-def test_every_command_has_its_modules():
-    assert set(COMMAND_MODULES) == {argv[0] for _, argv, _ in COMMAND_PARAMETERS}
 
 
 @pytest.mark.parametrize("doc,argv", [(doc, argv) for doc, argv, _ in COMMAND_PARAMETERS],
