@@ -528,6 +528,23 @@ def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command)
     assert "--region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,argv,dim", [
+    (TRIPLE, ("trace2d", "--x0", "1,1", "--arclength", "0.1"), 2),
+    (TRIPLE, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1"), 2),
+    (BERRY, ("decompose3d", "--samples", "10"), 3),
+    (BERRY, ("characteristics", "--x0", "1,1,1", "--s-max", "0.1"), 3),
+    (BERRY, ("maneuver3d", "--x0", "1,1,1", "--eps", "0.05"), 3),
+], ids=["trace2d", "reach2d", "decompose3d", "characteristics", "maneuver3d"])
+def test_a_command_on_the_wrong_dimension_is_an_input_error(tmp_path, problem, capsys, doc,
+                                                            argv, dim):
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]  # no CSV either
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{dim}D" in err
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 @pytest.mark.parametrize("doc,argv", [
     (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.5", "--steps")),
