@@ -130,12 +130,16 @@ def distance_to_polyline(p, vertices):
     return float(np.min(np.linalg.norm(p - (a + t[:, None] * ab), axis=1)))
 
 
+# reachability_report_2d's default delta, as a fraction of the domain diameter
+REACH_DELTA_FRACTION = 1e-4
+
+
 def reachability_report_2d(F, x0, targets, delta=None, arclength=None, steps=4096):
     """Zero-work reachability verdicts: a target is reachable iff it lies
     within delta of the traced curve through x0 (both directions)."""
     diam = F.domain.diameter()
     if delta is None:
-        delta = 1e-4 * diam
+        delta = REACH_DELTA_FRACTION * diam
     if arclength is None:
         arclength = 2.0 * diam
     trace = zero_work_trace_2d(F, x0, arclength, steps=steps, truncate_on_exit=True)

@@ -4,6 +4,16 @@ Every command reads one problem file, runs one analysis, writes a JSON
 run report to --out, and writes any series as CSV files next to the
 report (same stem, suffixed).
 
+``main`` owns each run. It parses the arguments, loads the problem,
+refuses a problem of a dimension the command does not take, builds the
+``Run``, calls the command's handler and writes the report with
+``Run.finish``. A handler (``cmd_*``) only computes: it fills
+``run.results``, queues its series with ``run.emit`` and records its
+assertions with ``run.check``. A command bound to one dimension declares
+it in ``build_parser`` with ``set_defaults(dimension=2)`` or ``3``:
+trace2d and reach2d take 2D problems; decompose3d, characteristics and
+maneuver3d 3D ones. The declaration is not a report parameter.
+
 The problem file and --out are the only options all commands share. The
 region commands (classify, verify, vpde, gauge, decompose3d) also share
 --region, --seed and --samples: without --region they sample --samples
@@ -152,25 +162,21 @@ def points_table(points):
     return header, ([i, *row] for i, row in enumerate(points.tolist()))
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """``json.dumps`` hook: a NumPy array as a list, a NumPy scalar as its number."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # --- report assembly ----------------------------------------------------------
 
 def _digest(problem, command, parameters):
     canon = json.dumps(
-        {"command": command, "parameters": _json_ready(parameters)},
+        {"command": command, "parameters": parameters},
         sort_keys=True,
         separators=(",", ":"),
+        default=_json_default,
     )
     h = sha256()
     h.update(problem.raw)
@@ -180,13 +186,16 @@ def _digest(problem, command, parameters):
 
 
 class Run:
-    """Collects results, artifacts, and assertion outcomes for one command."""
+    """Collects results, artifacts, and assertion outcomes for one command.
+
+    ``main`` builds it and calls ``finish``; a handler fills ``results`` and
+    calls ``emit`` and ``check``."""
 
     def __init__(self, args, problem):
         self.command = args.command
         self.problem = problem
         self.out = Path(args.out if args.out else f"{args.command}.json")
-        skip = {"command", "out", "problem", "handler"}
+        skip = {"command", "out", "problem", "handler", "dimension"}
         self.parameters = {
             k: v for k, v in sorted(vars(args).items()) if k not in skip
         }
@@ -241,14 +250,15 @@ class Run:
             "problem": self.problem.path,
             "inputs_digest": _digest(self.problem, self.command, self.parameters),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "parameters": _json_ready(self.parameters),
-            "results": _json_ready(self.results),
+            "parameters": self.parameters,
+            "results": self.results,
             "artifacts": self.artifacts,
-            "assertions": _json_ready(self.assertions),
+            "assertions": self.assertions,
             "passed": bool(passed),
         }
         try:
-            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                              default=_json_default)
         except ValueError:
             raise NumericalError("run report holds a non-finite number") from None
         self.out.parent.mkdir(parents=True, exist_ok=True)
@@ -271,8 +281,13 @@ def _vector(text, dim, what):
     return np.array(parts)
 
 
+def _start(args, dim):
+    """The initial position and velocity of --x0 and --v0."""
+    return _vector(args.x0, dim, "--x0"), _vector(args.v0, dim, "--v0")
+
+
 def _region(args, problem):
-    if args.region:
+    if args.region is not None:
         try:
             return problem.regions[args.region]
         except KeyError:
@@ -302,18 +317,17 @@ def _scalar_field(problem, source, what):
 
 
 def _v_field(args, problem):
-    if args.v:
+    if args.v is not None:
         return _scalar_field(problem, args.v, "--v")
     return problem.scalar_v()
 
 
 def _sim_config(args, problem, refine=1):
     from . import dynamics
-    t_end = args.t_end
     return dynamics.SimConfig(
         mass=args.mass if args.mass is not None else problem.mass,
         integrator=args.integrator,
-        t_end=t_end,
+        t_end=args.t_end,
         atol=args.atol,
         rtol=args.rtol,
         h_max=args.h_max,
@@ -325,9 +339,8 @@ def _sim_config(args, problem, refine=1):
 
 # --- command handlers -------------------------------------------------------------
 
-def cmd_classify(args, problem):
+def cmd_classify(run, args, problem):
     from . import darboux
-    run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.classify(problem.force, region, mode=args.mode)
     run.results = {
@@ -341,34 +354,28 @@ def cmd_classify(args, problem):
         },
     }
     run.check("class", rep.canonical_class, args.assert_class, kind="equals")
-    return run.finish()
 
 
-def cmd_verify(args, problem):
+def cmd_verify(run, args, problem):
     from . import darboux
-    run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.verify_representation(
         problem.force, problem.potential_set(), region, mode=args.mode
     )
     run.results = rep.to_dict()
     run.check("max_residual", rep.max, args.assert_residual)
-    return run.finish()
 
 
-def cmd_vpde(args, problem):
+def cmd_vpde(run, args, problem):
     from . import darboux
-    run = Run(args, problem)
     region = _region(args, problem)
     rep = darboux.vpde_residual(problem.force, _v_field(args, problem), region, mode=args.mode)
     run.results = rep.to_dict()
     run.check("max_residual", rep.max, args.assert_residual)
-    return run.finish()
 
 
-def cmd_gauge(args, problem):
+def cmd_gauge(run, args, problem):
     from . import darboux
-    run = Run(args, problem)
     region = _region(args, problem)
     try:
         f_tree = exprlang.parse_in_variables(args.f, ("u",))
@@ -386,14 +393,10 @@ def cmd_gauge(args, problem):
         "residual_after": after.to_dict(),
     }
     run.check("max_residual_after", after.max, args.assert_residual)
-    return run.finish()
 
 
-def cmd_decompose3d(args, problem):
+def cmd_decompose3d(run, args, problem):
     from . import darboux
-    if problem.dimension != 3:
-        raise ProblemFileError("decompose3d needs a 3D problem")
-    run = Run(args, problem)
     region = _region(args, problem)
     V = _v_field(args, problem)
     dec = darboux.decompose3d(problem.force, V, region)
@@ -410,14 +413,10 @@ def cmd_decompose3d(args, problem):
     rows = np.hstack([pts, dec.grad_u(pts), dec.f_c(pts), dec.f_nc(pts)])
     run.emit("samples", header, rows)
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
-    return run.finish()
 
 
-def cmd_characteristics(args, problem):
+def cmd_characteristics(run, args, problem):
     from . import darboux
-    if problem.dimension != 3:
-        raise ProblemFileError("characteristics are traced for 3D problems")
-    run = Run(args, problem)
     x0 = _vector(args.x0, 3, "--x0")
     V = _v_field(args, problem)
     dev = darboux.characteristic_deviation(
@@ -427,15 +426,11 @@ def cmd_characteristics(args, problem):
     run.check("deviation", dev, args.assert_deviation)
     if args.assert_deviation_min is not None:
         run.check("deviation_at_least", -dev, -args.assert_deviation_min)
-    return run.finish()
 
 
-def cmd_simulate(args, problem):
+def cmd_simulate(run, args, problem):
     from . import dynamics
-    run = Run(args, problem)
-    dim = problem.dimension
-    x0 = _vector(args.x0, dim, "--x0")
-    v0 = _vector(args.v0, dim, "--v0")
+    x0, v0 = _start(args, problem.dimension)
     traj = dynamics.integrate(problem.force, x0, v0, _sim_config(args, problem))
     resid = dynamics.work_energy_residual(traj)
     run.results = {
@@ -454,35 +449,23 @@ def cmd_simulate(args, problem):
     }
     run.emit("trajectory", *trajectory_table(traj))
     run.check("work_energy_residual", resid, args.assert_energy_residual)
-    return run.finish()
 
 
-def cmd_work(args, problem):
+def cmd_work(run, args, problem):
+    """work (line work) and stokes (surface-form work), by the command's name."""
     from . import pathwork
-    run = Run(args, problem)
-    res = pathwork.line_work(problem.force, _path(args, problem))
+    path = _path(args, problem)
+    if args.command == "work":
+        res, pieces = pathwork.line_work(problem.force, path), "segments"
+    else:
+        res, pieces = pathwork.stokes_work(problem.force, path), "triangles"
     run.results = {
         "value": res.value,
         "error_estimate": res.error_estimate,
-        "segments": res.segments,
+        pieces: res.segments,
     }
     if args.assert_value is not None:
         run.check("value", res.value, (args.assert_value, args.tol), kind="abs-diff")
-    return run.finish()
-
-
-def cmd_stokes(args, problem):
-    from . import pathwork
-    run = Run(args, problem)
-    res = pathwork.stokes_work(problem.force, _path(args, problem))
-    run.results = {
-        "value": res.value,
-        "error_estimate": res.error_estimate,
-        "triangles": res.segments,
-    }
-    if args.assert_value is not None:
-        run.check("value", res.value, (args.assert_value, args.tol), kind="abs-diff")
-    return run.finish()
 
 
 def _auxiliary_problem(args, problem):
@@ -496,28 +479,21 @@ def _auxiliary_problem(args, problem):
     )
 
 
-def cmd_auxiliary(args, problem):
+def cmd_auxiliary(run, args, problem):
     from . import auxiliary
-    run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
-    dim = problem.dimension
-    x0 = _vector(args.x0, dim, "--x0")
-    v0 = _vector(args.v0, dim, "--v0")
+    x0, v0 = _start(args, problem.dimension)
     traj, drift = auxiliary.auxiliary_trajectory(prob, x0, v0, _sim_config(args, problem))
     h0 = auxiliary.auxiliary_hamiltonian(x0, prob.mass * v0, prob.potentials.U, prob.mass)
     run.results = {"H0": h0, "drift": drift, "exited": traj.exited, "samples": len(traj)}
     run.emit("trajectory", *trajectory_table(traj))
     run.check("drift", drift, args.assert_drift)
-    return run.finish()
 
 
-def cmd_nonlocal_h(args, problem):
+def cmd_nonlocal_h(run, args, problem):
     from . import auxiliary
-    run = Run(args, problem)
     prob = _auxiliary_problem(args, problem)
-    dim = problem.dimension
-    x0 = _vector(args.x0, dim, "--x0")
-    v0 = _vector(args.v0, dim, "--v0")
+    x0, v0 = _start(args, problem.dimension)
     cfg = _sim_config(args, problem, refine=args.refine)
     series = auxiliary.nonlocal_hamiltonian_series(prob, x0, v0, cfg)
     run.results = {
@@ -528,14 +504,10 @@ def cmd_nonlocal_h(args, problem):
     }
     run.emit("series", *hamiltonian_table(series))
     run.check("drift", series.drift, args.assert_drift)
-    return run.finish()
 
 
-def cmd_trace2d(args, problem):
+def cmd_trace2d(run, args, problem):
     from . import accessibility, pathwork
-    if problem.dimension != 2:
-        raise ProblemFileError("trace2d needs a 2D problem")
-    run = Run(args, problem)
     x0 = _vector(args.x0, 2, "--x0")
     trace = accessibility.zero_work_trace_2d(
         problem.force, x0, args.arclength, steps=args.steps
@@ -552,14 +524,10 @@ def cmd_trace2d(args, problem):
         run.results["u_deviation"] = float(np.max(np.abs(U.values(trace.vertices) - u0)))
     run.emit("trace", *polyline_table(trace))
     run.check("work", abs(work.value), args.assert_work)
-    return run.finish()
 
 
-def cmd_reach2d(args, problem):
+def cmd_reach2d(run, args, problem):
     from . import accessibility
-    if problem.dimension != 2:
-        raise ProblemFileError("reach2d needs a 2D problem")
-    run = Run(args, problem)
     x0 = _vector(args.x0, 2, "--x0")
     targets = [
         _vector(part, 2, "--targets") for part in args.targets.split(";") if part
@@ -577,7 +545,7 @@ def cmd_reach2d(args, problem):
     run.results = {
         "delta": args.delta
         if args.delta is not None
-        else 1e-4 * problem.domain.diameter(),
+        else accessibility.REACH_DELTA_FRACTION * problem.domain.diameter(),
         "verdicts": [
             {
                 "target": list(v.target),
@@ -587,14 +555,10 @@ def cmd_reach2d(args, problem):
             for v in verdicts
         ],
     }
-    return run.finish()
 
 
-def cmd_maneuver3d(args, problem):
+def cmd_maneuver3d(run, args, problem):
     from . import accessibility
-    if problem.dimension != 3:
-        raise ProblemFileError("maneuver3d needs a 3D problem")
-    run = Run(args, problem)
     x0 = _vector(args.x0, 3, "--x0")
     res = accessibility.bracket_maneuver_3d(problem.force, x0, args.eps)
     run.results = {
@@ -606,7 +570,6 @@ def cmd_maneuver3d(args, problem):
     }
     run.emit("path", *points_table(res.path))
     run.check("work", abs(res.work), args.assert_work)
-    return run.finish()
 
 
 # --- parser ------------------------------------------------------------------------
@@ -622,6 +585,7 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("problem", help="problem file (JSON)")
     common.add_argument("--out", help="report path (default <command>.json)")
+    common.set_defaults(dimension=None)  # a command bound to 2D or 3D sets its own
 
     sampled = _Parser(add_help=False)
     sampled.add_argument("--region", help="named region from the problem file")
@@ -678,7 +642,7 @@ def build_parser():
                        help="conservative/non-conservative split (3D)")
     p.add_argument("--v", help="characteristic invariant V (default: problem V)")
     p.add_argument("--assert-curl-fc", type=float, dest="assert_curl_fc")
-    p.set_defaults(handler=cmd_decompose3d)
+    p.set_defaults(handler=cmd_decompose3d, dimension=3)
 
     p = sub.add_parser("characteristics", parents=[common],
                        help="deviation of V along curl characteristics (3D)")
@@ -688,25 +652,20 @@ def build_parser():
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--assert-deviation", type=float, dest="assert_deviation")
     p.add_argument("--assert-deviation-min", type=float, dest="assert_deviation_min")
-    p.set_defaults(handler=cmd_characteristics)
+    p.set_defaults(handler=cmd_characteristics, dimension=3)
 
     p = sub.add_parser("simulate", parents=[common, sim],
                        help="integrate m x'' = F(x) and emit the trajectory")
     p.add_argument("--assert-energy-residual", type=float, dest="assert_energy_residual")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("work", parents=[common], help="line work along a declared path")
-    p.add_argument("--path", required=True)
-    p.add_argument("--assert-value", type=float, dest="assert_value")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(handler=cmd_work)
-
-    p = sub.add_parser("stokes", parents=[common],
-                       help="surface-form work for a closed planar polygon")
-    p.add_argument("--path", required=True)
-    p.add_argument("--assert-value", type=float, dest="assert_value")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(handler=cmd_stokes)
+    for name, summary in (("work", "line work along a declared path"),
+                          ("stokes", "surface-form work for a closed planar polygon")):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--path", required=True)
+        p.add_argument("--assert-value", type=float, dest="assert_value")
+        p.add_argument("--tol", type=float)
+        p.set_defaults(handler=cmd_work)
 
     p = sub.add_parser("auxiliary", parents=[common, sim, aux],
                        help="integrate the rescaled conservative system")
@@ -727,7 +686,7 @@ def build_parser():
     p.add_argument("--arclength", type=float, required=True)
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--assert-work", type=float, dest="assert_work")
-    p.set_defaults(handler=cmd_trace2d)
+    p.set_defaults(handler=cmd_trace2d, dimension=2)
 
     p = sub.add_parser("reach2d", parents=[common],
                        help="zero-work reachability verdicts (2D)")
@@ -737,14 +696,14 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--arclength", type=float, default=None)
     p.add_argument("--steps", type=int, default=4096)
-    p.set_defaults(handler=cmd_reach2d)
+    p.set_defaults(handler=cmd_reach2d, dimension=2)
 
     p = sub.add_parser("maneuver3d", parents=[common],
                        help="zero-work bracket maneuver (3D)")
     p.add_argument("--x0", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--assert-work", type=float, dest="assert_work")
-    p.set_defaults(handler=cmd_maneuver3d)
+    p.set_defaults(handler=cmd_maneuver3d, dimension=3)
 
     return parser
 
@@ -760,8 +719,8 @@ _CONDITIONAL = (
     ("rtol", 1e-9, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
     ("h_max", None, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
     ("tol", 1e-9, lambda a: a.assert_value is not None, "with --assert-value"),
-    ("seed", 0, lambda a: not a.region, "without --region"),
-    ("samples", 200, lambda a: not a.region, "without --region"),
+    ("seed", 0, lambda a: a.region is None, "without --region"),
+    ("samples", 200, lambda a: a.region is None, "without --region"),
 )
 
 
@@ -785,12 +744,12 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         _resolve_conditional(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         problem = load_problem(args.problem)
-        return args.handler(args, problem)
+        if args.dimension not in (None, problem.dimension):
+            raise ProblemFileError(f"{args.command} needs a {args.dimension}D problem")
+        run = Run(args, problem)
+        args.handler(run, args, problem)
+        return run.finish()
     # library ValueErrors report parameters the parser cannot check: a
     # SimConfig field, a non-positive span (--arclength, --s-max, --eps),
     # --samples, --refine or --steps below 1, an rk4 --h beyond the step cap,

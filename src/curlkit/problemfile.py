@@ -216,6 +216,9 @@ def load_problem(path):
 
     paths = {}
     path_specs = doc.get("paths", {}) or {}
+    if not isinstance(path_specs, dict):
+        diags.append("paths: must be a name -> path object")
+        path_specs = {}
     if path_specs:
         from .pathwork import ParamPath  # only a problem with paths loads it
     for name, spec in path_specs.items():
@@ -251,7 +254,11 @@ def load_problem(path):
             diags.append(f"{where}: {e}")
 
     regions = {}
-    for name, spec in (doc.get("regions", {}) or {}).items():
+    region_specs = doc.get("regions", {}) or {}
+    if not isinstance(region_specs, dict):
+        diags.append("regions: must be a name -> region object")
+        region_specs = {}
+    for name, spec in region_specs.items():
         where = f"regions.{name}"
         if not isinstance(spec, dict):
             diags.append(f"{where}: must be an object")

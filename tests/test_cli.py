@@ -520,6 +520,34 @@ def test_undeclared_region_is_an_input_error(tmp_path, problem, capsys):
     assert "region 'nowhere' not declared (have: ['box'])" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify",),
+    ("auxiliary", *AUX),
+    ("nonlocal-h", *AUX),
+], ids=["classify", "auxiliary", "nonlocal-h"])
+def test_an_empty_region_is_an_undeclared_region(tmp_path, problem, capsys, argv):
+    # classify sampled the domain and exited 0; auxiliary and nonlocal-h
+    # crashed looking for the --samples they do not take
+    code, report = run(tmp_path, argv[0], problem(BERRY_DECLARED), *argv[1:], "--region", "")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "region '' not declared (have: ['box'])" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v", ["", "   "])
+@pytest.mark.parametrize("doc,argv", [
+    (BERRY, ("vpde", "--samples", "20")),
+    (TRIPLE, ("decompose3d", "--samples", "10")),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.1")),
+], ids=["vpde", "decompose3d", "characteristics"])
+def test_an_empty_v_is_a_parse_error(tmp_path, problem, capsys, doc, argv, v):
+    # an empty --v fell back to the problem's V and exited 0
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], "--v", v)
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "input error: --v:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
 def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command):
     code, report = run(tmp_path, command, problem(BERRY_DECLARED), *AUX)

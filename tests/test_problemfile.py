@@ -147,6 +147,24 @@ def test_number_fields_refuse_strings_and_booleans(tmp_path, field, diagnostic):
     assert err.value.diagnostics == [diagnostic]
 
 
+@pytest.mark.parametrize("field,diagnostic", [
+    ('"paths": [1]', "paths: must be a name -> path object"),
+    ('"paths": "p"', "paths: must be a name -> path object"),
+    ('"regions": ["a"]', "regions: must be a name -> region object"),
+    ('"regions": 3', "regions: must be a name -> region object"),
+], ids=["paths-list", "paths-string", "regions-list", "regions-number"])
+def test_paths_and_regions_must_be_objects(tmp_path, capsys, field, diagnostic):
+    # .items() on each ended classify in an AttributeError traceback
+    path = write(tmp_path, field)
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(path)
+    assert err.value.diagnostics == [diagnostic]
+    out = tmp_path / "report.json"
+    assert cli.main(["classify", path, "--samples", "5", "--out", str(out)]) == cli.EXIT_INPUT
+    assert diagnostic in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("vertices", ["null", "[1, 2]"])
 def test_vertices_not_a_list_of_points_get_one_diagnostic(tmp_path, vertices):
     # np.asarray took both, and the loader died with an IndexError
