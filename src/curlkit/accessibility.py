@@ -13,8 +13,9 @@ trace is a dense polyline whose quadrature work is zero to discretization
 order. ``bracket_maneuver_3d`` executes the flow square
 exp(eps X) exp(eps Y) exp(-eps X) exp(-eps Y) of the kernel frame fields;
 its transverse displacement scales as eps^2 times the normalized
-helicity, which the frame identity F . [X, Y] = -(curl F) . (X x Y)
-makes exact.
+helicity. That is the frame identity F . [X, Y] = -(curl F) . (X x Y):
+with X x Y = F / |F|, the bracket's component along the normal is
+-F . curl F / |F|^2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fieldkit
 from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
 from .pathwork import ParamPath, _cross3
@@ -31,7 +31,6 @@ from .pathwork import ParamPath, _cross3
 FIELD_FLOOR = 1e-12
 FLOW_TOL = 1e-10           # atol and rtol of every zero-work flow
 SAMPLES_PER_LEG = 32       # recorded points per leg of a bracket maneuver
-BRACKET_FD_STEP = 1e-5     # central-difference step of frame_bracket_defect
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class KernelFrame:
     """Orthonormal basis (X, Y) of the zero-work plane at a point, with
     normal n = F / |F| completing the right-handed triple X x Y = n."""
 
-    point: tuple
     X: np.ndarray
     Y: np.ndarray
     normal: np.ndarray
@@ -181,7 +179,7 @@ def kernel_frame_3d(F, x, axis=None):
     X = _cross3(e, n)
     X /= np.linalg.norm(X)
     Y = _cross3(n, X)
-    return KernelFrame(point=tuple(float(c) for c in x), X=X, Y=Y, normal=n)
+    return KernelFrame(X=X, Y=Y, normal=n)
 
 
 def bracket_maneuver_3d(F, x0, eps):
@@ -265,33 +263,3 @@ def bracket_maneuver_3d(F, x0, eps):
         path=np.array(path_pts),
     )
 
-
-def frame_bracket_defect(F, x):
-    """Numerical check of F . [X, Y] = -(curl F) . (X x Y).
-
-    The Lie bracket of the frame fields is finite-differenced with the
-    axis choice frozen at the base point (the frame is smooth there);
-    returns (lhs, rhs, defect).
-    """
-    x = np.asarray(x, dtype=float)
-    base = kernel_frame_3d(F, x)
-    k = _least_aligned_axis(base.normal)
-
-    def frame_at(q):
-        fr = kernel_frame_3d(F, q, axis=k)
-        return fr.X, fr.Y
-
-    JX = np.empty((3, 3))
-    JY = np.empty((3, 3))
-    for j in range(3):
-        dq = np.zeros(3)
-        dq[j] = BRACKET_FD_STEP
-        Xp, Yp = frame_at(x + dq)
-        Xm, Ym = frame_at(x - dq)
-        JX[:, j] = (Xp - Xm) / (2 * BRACKET_FD_STEP)
-        JY[:, j] = (Yp - Ym) / (2 * BRACKET_FD_STEP)
-
-    bracket = JY @ base.X - JX @ base.Y
-    lhs = float(np.dot(F.value_unchecked(x), bracket))
-    rhs = -float(np.dot(fieldkit.curl(F, x), _cross3(base.X, base.Y)))
-    return lhs, rhs, abs(lhs - rhs)

@@ -26,7 +26,7 @@ accepts no option it does not read, and some options are read only under
 another's value: --h only with --integrator rk4; --atol, --rtol and
 --h-max only with dopri45; --tol only with --assert-value; --seed and
 --samples only without --region. Given anywhere else, each is a usage
-error.
+error; not given there, it is not a parameter of the report.
 
 A process imports only the modules its command uses. Importing this
 module loads the problem reader, exprlang and fieldkit, which every
@@ -194,7 +194,9 @@ class Run:
     def __init__(self, args, problem):
         self.command = args.command
         self.problem = problem
-        self.out = Path(args.out if args.out else f"{args.command}.json")
+        if args.out == "":
+            raise UsageError("--out: expected a path, got ''")
+        self.out = Path(args.out if args.out is not None else f"{args.command}.json")
         skip = {"command", "out", "problem", "handler", "dimension"}
         self.parameters = {
             k: v for k, v in sorted(vars(args).items()) if k not in skip
@@ -328,10 +330,11 @@ def _sim_config(args, problem, refine=1):
         mass=args.mass if args.mass is not None else problem.mass,
         integrator=args.integrator,
         t_end=args.t_end,
-        atol=args.atol,
-        rtol=args.rtol,
-        h_max=args.h_max,
-        h=args.h,
+        # the integrator's own options; _resolve_conditional removed the others
+        atol=getattr(args, "atol", None),
+        rtol=getattr(args, "rtol", None),
+        h_max=getattr(args, "h_max", None),
+        h=getattr(args, "h", None),
         record_dt=args.record_dt,
         refine=refine,
     )
@@ -410,7 +413,7 @@ def cmd_decompose3d(run, args, problem):
         + [f"Fc_{a}" for a in "xyz"]
         + [f"Fnc_{a}" for a in "xyz"]
     )
-    rows = np.hstack([pts, dec.grad_u(pts), dec.f_c(pts), dec.f_nc(pts)])
+    rows = np.hstack([pts, dec.grad_u.values(pts), dec.f_c.values(pts), dec.f_nc.values(pts)])
     run.emit("samples", header, rows)
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
 
@@ -710,9 +713,11 @@ def build_parser():
 
 # Options read only under another option's value: (dest, default, whether
 # the command reads it, where it is read). Their parser default is None, so
-# one given where it is not read is refused. The default is filled in before
-# the run takes its parameters, so the report and the digest of a command
-# line are the same whether or not it spells a default out.
+# one given where it is not read is refused, and one not read is removed
+# from the arguments, so that the report's parameters do not list it. Where
+# it is read, the default is filled in before the run takes its parameters,
+# so the report and the digest of a command line are the same whether or
+# not it spells a default out.
 _CONDITIONAL = (
     ("h", 1e-3, lambda a: a.integrator == "rk4", "with --integrator rk4"),
     ("atol", 1e-9, lambda a: a.integrator == "dopri45", "with --integrator dopri45"),
@@ -728,9 +733,12 @@ def _resolve_conditional(args):
     for dest, default, read, where in _CONDITIONAL:
         if not hasattr(args, dest):
             continue
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif not read(args):
+        if read(args):
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is None:
+            delattr(args, dest)
+        else:
             raise UsageError(f"--{dest.replace('_', '-')} is read only {where}")
 
 

@@ -45,7 +45,6 @@ class ClassificationReport:
     curl_statistic: float
     helicity_statistic: Optional[float]
     sample_count: int
-    region: fieldkit.Region
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,11 @@ class PotentialSet:
         return self.U.dimension
 
 
-def _residual_report(values, points, definition, worst="max"):
-    """Summarize per-sample scalar magnitudes; worst point tracks the max
-    for residual-style checks and the min for independence-style checks."""
+def _residual_report(values, points, definition):
+    """Summarize per-sample residual magnitudes; the worst point is where
+    the residual is largest."""
     values = np.asarray(values, dtype=float)
-    idx = int(np.argmin(values)) if worst == "min" else int(np.argmax(values))
+    idx = int(np.argmax(values))
     return ResidualReport(
         max=float(values.max()),
         rms=float(np.sqrt(np.mean(values**2))),
@@ -160,7 +159,6 @@ def classify(F, region, mode="analytic"):
         curl_statistic=float(curl_stat),
         helicity_statistic=None if hel_stat is None else float(hel_stat),
         sample_count=len(pts),
-        region=region,
     )
 
 
@@ -254,50 +252,19 @@ def _gauge_trees(f_tree, u_tree, v_tree):
     return _GAUGE_TREES[key][3:]
 
 
-def independence_metric(U, V, region):
-    """Magnitude of grad(V) x grad(U) over samples; zero means V = f(U)
-    (functional dependence), which degenerates the two-potential form."""
-    if U.dimension != V.dimension:
-        raise DimensionMismatchError("U and V dimensions differ")
-    pts = region.samples()
-
-    def magnitudes(Q):
-        gu = U.gradients(Q)
-        gv = V.gradients(Q)
-        if U.dimension == 2:
-            return np.abs(gv[:, 0] * gu[:, 1] - gv[:, 1] * gu[:, 0])
-        return np.linalg.norm(np.cross(gv, gu), axis=1)
-
-    return _residual_report(
-        fieldkit.per_row(pts, magnitudes), pts, "|grad(V) x grad(U)|", worst="min"
-    )
-
-
 @dataclass(frozen=True)
 class Decomposition3D:
-    """Gauge-fixed split F = F_c + F_nc with samplers.
+    """Gauge-fixed split F = F_c + F_nc.
 
     grad_u is generally not a closed-form expression of the inputs, hence
-    samplers rather than expression trees; each takes a point or an (N, 3)
-    array of points.
+    sampler-backed fields rather than expression trees: ``value`` takes a
+    point and ``values`` the rows of an (N, 3) array.
     """
 
-    grad_u: object   # points -> vectors
-    f_c: object      # points -> vectors (conservative part)
-    f_nc: object     # points -> vectors (non-conservative part)
+    grad_u: fieldkit.CallableVectorField
+    f_c: fieldkit.CallableVectorField   # conservative part
+    f_nc: fieldkit.CallableVectorField  # non-conservative part
     diagnostics: dict
-
-
-def _sampler(rows):
-    """Point-or-rows sampler from ``rows``, a function of an (N, 3) array;
-    its errors are those of a loop over the points (``fieldkit.per_row``)."""
-
-    def sample(P):
-        P = np.asarray(P, dtype=float)
-        out = fieldkit.per_row(np.atleast_2d(P), rows)
-        return out[0] if P.ndim == 1 else out
-
-    return sample
 
 
 def decompose3d(F, V, region):
@@ -338,18 +305,20 @@ def decompose3d(F, V, region):
         f_nc = -V.values(Q)[:, None] * grad_u
         return grad_u, F.values(Q) - f_nc, f_nc
 
-    grad_u, f_c, f_nc = (_sampler(lambda Q, i=i: split(Q)[i]) for i in range(3))
-    fc_field = fieldkit.CallableVectorField(f_c, 3, F.domain, lambda Q: split(Q)[1])
-    fnc_field = fieldkit.CallableVectorField(f_nc, 3, F.domain, lambda Q: split(Q)[2])
+    grad_u, f_c, f_nc = (
+        fieldkit.CallableVectorField(lambda p, i=i: split(p[None, :])[i][0], 3, F.domain,
+                                     lambda Q, i=i: split(Q)[i])
+        for i in range(3)
+    )
 
     def diagnose(Q):
         g, fc, fnc = split(Q)
         return np.stack([
             np.linalg.norm(F.values(Q) - fc - fnc, axis=1),
             np.abs(np.einsum("ij,ij->i", V.gradients(Q), g)),
-            np.linalg.norm(fieldkit.curl_many(fc_field, Q, "fd"), axis=1),
+            np.linalg.norm(fieldkit.curl_many(f_c, Q, "fd"), axis=1),
             np.linalg.norm(
-                fieldkit.curl_many(fnc_field, Q, "fd") - fieldkit.curl_many(F, Q), axis=1
+                fieldkit.curl_many(f_nc, Q, "fd") - fieldkit.curl_many(F, Q), axis=1
             ),
         ])
 

@@ -71,10 +71,12 @@ class SimConfig:
     mass: float = 1.0
     integrator: str = "dopri45"  # dopri45 | rk4
     t_end: float = 1.0
-    atol: float = 1e-9
-    rtol: float = 1e-9
+    # atol, rtol and h_max are read by dopri45 only, h by rk4 only; the
+    # integrator that does not read a field may leave it None
+    atol: Optional[float] = 1e-9
+    rtol: Optional[float] = 1e-9
     h_max: Optional[float] = None  # defaults to t_end / 10
-    h: float = 1e-3  # rk4 fixed step
+    h: Optional[float] = 1e-3  # rk4 fixed step
     record_dt: Optional[float] = None  # subdivide steps to at most this spacing
     refine: int = 1  # record each piece of a step as this many equal intervals
 
@@ -86,6 +88,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.integrator not in ("dopri45", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        for name in ("h",) if self.integrator == "rk4" else ("atol", "rtol"):
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is required with integrator {self.integrator}")
         if not isinstance(self.refine, int) or self.refine < 1:
             raise ValueError(f"refine must be >= 1, got {self.refine!r}")
 
@@ -98,7 +103,6 @@ class Trajectory:
     kinetic: np.ndarray  # (N,)  K = m |v|^2 / 2
     work: np.ndarray     # (N,)  cumulative integral of F . dx, work[0] = 0
     form_work: Optional[np.ndarray]  # (N,) cumulative integral of G . dx, or None
-    mass: float
     exited: bool
     exit_state: Optional[tuple]
     stats: IntegratorStats
@@ -276,7 +280,6 @@ def integrate(F, x0, v0, cfg, form=None):
         kinetic=kinetic,
         work=np.array(sums[0]),
         form_work=None if form is None else np.array(sums[1]),
-        mass=m,
         exited=res.exited,
         exit_state=exit_state,
         stats=res.stats,

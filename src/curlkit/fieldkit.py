@@ -498,10 +498,3 @@ def curl_many(F, P, mode="analytic"):
     """``curl`` at each row of the (N, dimension) array P: shape (N,) in 2D,
     (N, 3) in 3D, from one ``jacobians`` batch, with its errors."""
     return curl_of_jacobian(F.jacobians(P, mode))
-
-
-def helicity(F, p, mode="analytic"):
-    """F . curl F; defined in 3D only."""
-    if F.dimension != 3:
-        raise DimensionMismatchError("helicity is defined for 3D fields only")
-    return float(np.dot(F.value(p), curl(F, p, mode)))

@@ -117,12 +117,6 @@ class ParamPath:
         self.closed = bool(closed)
 
     @classmethod
-    def parametric(cls, sources, dimension, constants=None, closed=None):
-        constants = dict(constants or {})
-        trees = [exprlang.parse_in_variables(s, ("s",), set(constants)) for s in sources]
-        return cls(dimension, trees=trees, constants=constants, closed=closed)
-
-    @classmethod
     def polyline(cls, vertices, closed=None):
         vertices = np.asarray(vertices, dtype=float)
         return cls(vertices.shape[1], vertices=vertices, closed=closed)
@@ -140,30 +134,6 @@ class ParamPath:
         i = min(int(u), n_edges - 1)
         frac = u - i
         return verts[i] * (1 - frac) + verts[i + 1] * frac
-
-    def velocity(self, s):
-        """dc/ds; for polylines the edge vector scaled by the edge count."""
-        if self.trees is not None:
-            # each component's value ahead of its rate, whose errors it wins over
-            rates = [u for t in self.trees for u in (t, *t.partials)]
-            return np.array(exprlang.compiled(rates, "math")((s,), self.constants)[1::2])
-        verts = self.vertices
-        n_edges = len(verts) - 1
-        i = min(int(s * n_edges), n_edges - 1)
-        return (verts[i + 1] - verts[i]) * n_edges
-
-    def reversed(self):
-        """s -> c(1 - s); the closed flag is preserved."""
-        if self.is_polyline:
-            return ParamPath(
-                self.dimension, vertices=self.vertices[::-1].copy(), closed=self.closed
-            )
-        one_minus_s = exprlang.parse_in_variables("1 - s", ("s",))
-        trees = [exprlang.substitute(t, "s", one_minus_s) for t in self.trees]
-        # substitute() rebinds to the replacement's variables, still ("s",)
-        return ParamPath(
-            self.dimension, trees=trees, constants=self.constants, closed=self.closed
-        )
 
 
 def line_work(F, path):

@@ -4,13 +4,12 @@ import pytest
 from curlkit.accessibility import (
     bracket_maneuver_3d,
     distance_to_polyline,
-    frame_bracket_defect,
     kernel_frame_3d,
     reachability_report_2d,
     zero_work_trace_2d,
 )
 from curlkit.errors import DimensionMismatchError, NumericalError, OutOfDomainError
-from curlkit.fieldkit import Box, ScalarFieldDef, VectorFieldDef
+from curlkit.fieldkit import Box, ScalarFieldDef, VectorFieldDef, curl
 from curlkit.pathwork import line_work
 
 DOM2 = Box((0.05, 0.05), (5.0, 5.0))
@@ -228,11 +227,27 @@ def test_maneuver_path_sampled():
 
 # --- frame identity ---------------------------------------------------------------
 
+def frame_bracket_defect(F, x, step=1e-5):
+    """(lhs, rhs, |lhs - rhs|) of F . [X, Y] = -(curl F) . (X x Y), with the
+    Lie bracket of the frame fields central-differenced and the frame's axis
+    frozen at x (the frame is smooth there)."""
+    x = np.asarray(x, dtype=float)
+    base = kernel_frame_3d(F, x)
+    k = int(np.argmin(np.abs(base.normal)))
+    JX, JY = np.empty((3, 3)), np.empty((3, 3))
+    for j in range(3):
+        dq = np.eye(3)[j] * step
+        plus, minus = kernel_frame_3d(F, x + dq, axis=k), kernel_frame_3d(F, x - dq, axis=k)
+        JX[:, j] = (plus.X - minus.X) / (2 * step)
+        JY[:, j] = (plus.Y - minus.Y) / (2 * step)
+    lhs = float(np.dot(F.value(x), JY @ base.X - JX @ base.Y))
+    rhs = -float(np.dot(curl(F, x), np.cross(base.X, base.Y)))
+    return lhs, rhs, abs(lhs - rhs)
+
+
 def test_frame_identity_ties_bracket_to_helicity():
     # F . [X, Y] = -(curl F) . (X x Y); with X x Y = F/|F| this reads
-    # F . [X, Y] * |F| = -helicity
-    from curlkit.fieldkit import helicity
-
+    # F . [X, Y] * |F| = -F . curl F
     for F, box in [
         (chiral_field(), (0.5, 1.5)),
         (triple_field(), (0.5, 2.0)),
@@ -243,4 +258,5 @@ def test_frame_identity_ties_bracket_to_helicity():
             lhs, rhs, defect = frame_bracket_defect(F, p)
             assert defect <= 1e-5
             norm = np.linalg.norm(F.value(p))
-            assert lhs * norm == pytest.approx(-helicity(F, p), abs=1e-5 * max(1, norm))
+            helicity = float(np.dot(F.value(p), curl(F, p)))
+            assert lhs * norm == pytest.approx(-helicity, abs=1e-5 * max(1, norm))

@@ -319,8 +319,8 @@ def test_each_series_table_writes_the_bytes_of_numpy_rows(tmp_path):
 
     t, x, v = column(), np.column_stack([column(), column()]), np.column_stack([column(), column()])
     series = [
-        (cli.trajectory_table, dynamics.Trajectory(t, x, v, column(), column(), None, 1.0,
-                                                   False, None, IntegratorStats())),
+        (cli.trajectory_table, dynamics.Trajectory(t, x, v, column(), column(), None, False,
+                                                   None, IntegratorStats())),
         (cli.hamiltonian_table, auxiliary.AuxiliarySeries(t, x, column(), 0.0, False)),
         (cli.polyline_table,
          pathwork.ParamPath.polyline(np.column_stack([column(), column(), column()]))),
@@ -386,8 +386,9 @@ BERRY_DECLARED = dict(
     regions={"box": {"box": [[1, 2], [1, 2]], "plan": {"type": "grid", "counts": [3, 3]}}},
 )
 AUX = ("--x0", "1,1", "--v0", "0.1,-0.1", "--t-end", "0.1")
-SIM_KEYS = {"x0", "v0", "t_end", "mass", "integrator", "h", "atol", "rtol", "h_max",
-            "record_dt"}
+# an option read only under another option's value is a parameter only there
+SIM_KEYS = {"x0", "v0", "t_end", "mass", "integrator", "atol", "rtol", "h_max", "record_dt"}
+RK4_KEYS = {"x0", "v0", "t_end", "mass", "integrator", "h", "record_dt"}
 SAMPLED_KEYS = {"region", "seed", "samples"}
 
 # each command's argv after the problem, and the keys of its report's parameters
@@ -403,8 +404,8 @@ COMMAND_PARAMETERS = [
     (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.1", "--steps", "20"),
      {"v", "x0", "s_max", "steps", "assert_deviation", "assert_deviation_min"}),
     (HARMONIC, ("simulate", *SIM, "--t-end", "0.1"), SIM_KEYS | {"assert_energy_residual"}),
-    (BERRY_DECLARED, ("work", "--path", "square"), {"path", "assert_value", "tol"}),
-    (BERRY_DECLARED, ("stokes", "--path", "square"), {"path", "assert_value", "tol"}),
+    (BERRY_DECLARED, ("work", "--path", "square"), {"path", "assert_value"}),
+    (BERRY_DECLARED, ("stokes", "--path", "square"), {"path", "assert_value"}),
     (BERRY_DECLARED, ("auxiliary", *AUX, "--region", "box"),
      SIM_KEYS | {"region", "rep_tol", "assert_drift"}),
     (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box"),
@@ -417,14 +418,28 @@ COMMAND_PARAMETERS = [
     (TRIPLE, ("maneuver3d", "--x0", "1,1,1", "--eps", "0.05"), {"x0", "eps", "assert_work"}),
 ]
 
+# the same for the other side of each condition that drops an option
+CONDITIONAL_PARAMETERS = [
+    (BERRY_DECLARED, ("classify", "--region", "box"), {"region", "mode", "assert_class"}),
+    (BERRY_DECLARED, ("verify", "--region", "box"), {"region", "mode", "assert_residual"}),
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4"),
+     RK4_KEYS | {"assert_energy_residual"}),
+    (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box", "--integrator", "rk4"),
+     RK4_KEYS | {"region", "rep_tol", "refine", "assert_drift"}),
+    (BERRY_DECLARED, ("work", "--path", "square", "--assert-value", "-2.5"),
+     {"path", "assert_value", "tol"}),
+]
+
 
 def test_every_command_is_pinned():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(sub.choices) == sorted(argv[0] for _, argv, _ in COMMAND_PARAMETERS)
 
 
-@pytest.mark.parametrize("doc,argv,keys", COMMAND_PARAMETERS,
-                         ids=[argv[0] for _, argv, _ in COMMAND_PARAMETERS])
+@pytest.mark.parametrize("doc,argv,keys", COMMAND_PARAMETERS + CONDITIONAL_PARAMETERS,
+                         ids=[argv[0] for _, argv, _ in COMMAND_PARAMETERS]
+                         + ["classify-region", "verify-region", "simulate-rk4", "nonlocal-h-rk4",
+                            "work-assert-value"])
 def test_report_parameters_are_the_options_the_command_reads(tmp_path, problem, doc, argv,
                                                              keys):
     code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
@@ -532,6 +547,20 @@ def test_an_empty_region_is_an_undeclared_region(tmp_path, problem, capsys, argv
     assert code == cli.EXIT_INPUT
     assert report is None
     assert "region '' not declared (have: ['box'])" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--samples", "5"),
+    ("simulate", *SIM, "--t-end", "0.1"),
+], ids=["classify", "simulate"])
+def test_an_empty_out_is_a_usage_error(tmp_path, problem, capsys, monkeypatch, argv):
+    # classify wrote classify.json into the working directory and exited 0
+    path = problem(HARMONIC)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([argv[0], path, *argv[1:], "--out", ""])
+    assert code == cli.EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert capsys.readouterr().err == "error: --out: expected a path, got ''\n"
 
 
 @pytest.mark.parametrize("v", ["", "   "])

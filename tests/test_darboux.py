@@ -8,7 +8,6 @@ from curlkit.darboux import (
     classify,
     decompose3d,
     gauge_transform,
-    independence_metric,
     verify_representation,
     vpde_residual,
 )
@@ -225,27 +224,6 @@ def test_gauge_vanishing_derivative_rejected():
         gauge_transform(P, f, region=Region.grid(Box((1.0, 1.0), (1.5, 1.5)), (2, 2)))
 
 
-# --- independence ----------------------------------------------------------------
-
-def test_independence_paper_pair_positive():
-    P = berry_potentials()
-    rep = independence_metric(P.U, P.V, R2)
-    assert rep.min > 0.0
-
-
-def test_independence_v_equals_u():
-    U = ScalarFieldDef.from_source("x^2 + y", 2, domain=DOM2)
-    rep = independence_metric(U, U, R2)
-    assert rep.max == 0.0
-
-
-def test_independence_v_function_of_u():
-    U = ScalarFieldDef.from_source("x^2 + y", 2, domain=DOM2)
-    V = ScalarFieldDef.from_source("(x^2 + y)^2 + 1", 2, domain=DOM2)
-    rep = independence_metric(U, V, R2)
-    assert rep.max <= 1e-12
-
-
 # --- decompose3d ------------------------------------------------------------------
 
 def test_decompose_v_y():
@@ -254,9 +232,9 @@ def test_decompose_v_y():
     dec = decompose3d(F, V, R3)
     for p in [(1.0, 1.0, 1.0), (0.7, 1.3, 1.9)]:
         x, y, z = p
-        assert dec.grad_u(p) == pytest.approx(np.array([-z, 0.0, -x]), abs=1e-13)
-        assert dec.f_nc(p) == pytest.approx(np.array([y * z, 0.0, x * y]), abs=1e-13)
-        assert dec.f_c(p) == pytest.approx(
+        assert dec.grad_u.value(p) == pytest.approx(np.array([-z, 0.0, -x]), abs=1e-13)
+        assert dec.f_nc.value(p) == pytest.approx(np.array([y * z, 0.0, x * y]), abs=1e-13)
+        assert dec.f_c.value(p) == pytest.approx(
             np.array([-2 * y * z, -2 * x * z, -2 * x * y]), abs=1e-13
         )
     assert dec.diagnostics["curl_f_c"].max <= 1e-6
@@ -271,9 +249,9 @@ def test_decompose_v_xz():
     dec = decompose3d(F, V, R3)
     for p in [(1.0, 1.0, 1.0), (1.4, 0.6, 0.9)]:
         x, y, z = p
-        assert dec.grad_u(p) == pytest.approx(np.array([0.0, 1.0, 0.0]), abs=1e-13)
-        assert dec.f_nc(p) == pytest.approx(np.array([0.0, -x * z, 0.0]), abs=1e-13)
-        assert dec.f_c(p) == pytest.approx(
+        assert dec.grad_u.value(p) == pytest.approx(np.array([0.0, 1.0, 0.0]), abs=1e-13)
+        assert dec.f_nc.value(p) == pytest.approx(np.array([0.0, -x * z, 0.0]), abs=1e-13)
+        assert dec.f_c.value(p) == pytest.approx(
             np.array([-y * z, -x * z, -x * y]), abs=1e-13
         )
     assert dec.diagnostics["curl_f_c"].max <= 1e-6
@@ -286,7 +264,7 @@ def test_decompositions_differ_by_conservative_field():
 
     from curlkit.fieldkit import CallableVectorField
 
-    diff = CallableVectorField(lambda p: d1.f_nc(p) - d2.f_nc(p), 3, F.domain)
+    diff = CallableVectorField(lambda p: d1.f_nc.value(p) - d2.f_nc.value(p), 3, F.domain)
     for p in R3.samples()[:40]:
         J = diff.jacobian(p)
         cn = np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
@@ -420,7 +398,7 @@ def test_decompose_refuses_a_split_that_is_not_conservative():
 def test_decompose_samplers_take_points_or_rows():
     dec = decompose3d(triple_field(), ScalarFieldDef.from_source("y", 3, domain=DOM3), R3)
     pts = R3.samples()[:5]
-    for sampler in (dec.grad_u, dec.f_c, dec.f_nc):
-        rows = sampler(pts)
+    for field in (dec.grad_u, dec.f_c, dec.f_nc):
+        rows = field.values(pts)
         assert rows.shape == (5, 3)
-        assert np.array_equal(rows, np.array([sampler(p) for p in pts]))
+        assert np.array_equal(rows, np.array([field.value(p) for p in pts]))

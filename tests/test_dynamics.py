@@ -52,6 +52,16 @@ def test_config_rejects_non_finite(name, value):
         SimConfig(**{name: value})
 
 
+def test_config_takes_none_only_for_a_field_its_integrator_does_not_read():
+    SimConfig(integrator="rk4", atol=None, rtol=None, h_max=None)
+    SimConfig(integrator="dopri45", h=None)
+    with pytest.raises(ValueError, match="h is required with integrator rk4"):
+        SimConfig(integrator="rk4", h=None)
+    for name in ("atol", "rtol"):
+        with pytest.raises(ValueError, match=f"{name} is required with integrator dopri45"):
+            SimConfig(**{name: None})
+
+
 def test_free_particle():
     traj = integrate(free_field(), (0, 0), (1, 2), SimConfig(t_end=3.0))
     assert not traj.exited
