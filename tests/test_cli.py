@@ -421,11 +421,8 @@ COMMAND_PARAMETERS = [
 # the same for the other side of each condition that drops an option
 CONDITIONAL_PARAMETERS = [
     (BERRY_DECLARED, ("classify", "--region", "box"), {"region", "mode", "assert_class"}),
-    (BERRY_DECLARED, ("verify", "--region", "box"), {"region", "mode", "assert_residual"}),
     (HARMONIC, ("simulate", *SIM, "--t-end", "0.1", "--integrator", "rk4"),
      RK4_KEYS | {"assert_energy_residual"}),
-    (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box", "--integrator", "rk4"),
-     RK4_KEYS | {"region", "rep_tol", "refine", "assert_drift"}),
     (BERRY_DECLARED, ("work", "--path", "square", "--assert-value", "-2.5"),
      {"path", "assert_value", "tol"}),
 ]
@@ -438,8 +435,7 @@ def test_every_command_is_pinned():
 
 @pytest.mark.parametrize("doc,argv,keys", COMMAND_PARAMETERS + CONDITIONAL_PARAMETERS,
                          ids=[argv[0] for _, argv, _ in COMMAND_PARAMETERS]
-                         + ["classify-region", "verify-region", "simulate-rk4", "nonlocal-h-rk4",
-                            "work-assert-value"])
+                         + ["classify-region", "simulate-rk4", "work-assert-value"])
 def test_report_parameters_are_the_options_the_command_reads(tmp_path, problem, doc, argv,
                                                              keys):
     code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
