@@ -310,12 +310,11 @@ def _path(args, problem):
 
 def _scalar_field(problem, source, what):
     try:
-        tree = exprlang.parse(source, problem.dimension, set(problem.constants))
+        return fieldkit.ScalarFieldDef.from_source(
+            source, problem.dimension, problem.constants, problem.domain
+        )
     except ParseError as e:
         raise ProblemFileError(f"{what}: {e}")
-    return fieldkit.ScalarFieldDef(
-        problem.dimension, tree, problem.constants, problem.domain
-    )
 
 
 def _v_field(args, problem):

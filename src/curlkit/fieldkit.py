@@ -19,6 +19,7 @@ is redone point by point, as ``per_row`` does for a consumer's function.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,57 +87,6 @@ def _radical_inverse(index, base):
     return inv
 
 
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const, mult):
-    """numpy SeedSequence's word hash, whose constant advances per call."""
-
-    def hash_word(value):
-        nonlocal const
-        value = (value ^ const) * (const := const * mult & _M32) & _M32
-        return value ^ value >> 16
-
-    return hash_word
-
-
-def _random_doubles(seed, n):
-    """``numpy.random.default_rng(seed).random(n)`` as a list, bit for bit:
-    SeedSequence entropy mixing, then PCG64 (128-bit LCG, XSL-RR output).
-    Written out because importing numpy.random loads OpenSSL's hashing."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-
-    def mix(x, y):
-        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(value))
-    state_hash = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [state_hash(pool[i % 4]) for i in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-    inc = (inc_hi << 64 | inc_lo) << 1 | 1
-    state = (inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc
-    out = []
-    for _ in range(n):
-        state = state * _PCG_MULT + inc & ((1 << 128) - 1)
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
-    return out
-
-
 _HALTON_BASES = (2, 3, 5)
 
 
@@ -145,8 +95,10 @@ class Region:
     """Sample region: a box inside a field domain plus a sample plan.
 
     plan is ("grid", counts) for a regular inclusive grid or
-    ("random", count, seed) for a seeded quasi-random (Halton) set; both
-    are deterministic regardless of evaluation order.
+    ("random", count, seed) for a seeded quasi-random set: the Halton
+    points of bases 2, 3, 5 from index 1, each axis shifted mod 1 by
+    ``random.Random(seed)``. Both are deterministic regardless of
+    evaluation order.
     """
 
     box: Box
@@ -174,7 +126,10 @@ class Region:
             return np.stack([m.ravel() for m in mesh], axis=-1)
         count, seed = self.plan[1], self.plan[2]
         dim = self.box.dimension
-        shift = _random_doubles(seed, dim)
+        if seed < 0:  # Random(-n) would silently give the stream of n
+            raise ValueError("expected non-negative integer")
+        rng = random.Random(seed)
+        shift = [rng.random() for _ in range(dim)]
         pts = np.empty((count, dim))
         for j in range(dim):
             base = _HALTON_BASES[j]

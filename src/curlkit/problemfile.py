@@ -104,6 +104,24 @@ def _finite_rows(rows, what):
                 raise ValueError(f"{what} must be finite numbers, got {value!r}")
 
 
+def _box(spec, dimension, where, diags):
+    """The Box of a list of ``dimension`` [lo, hi] pairs, or None after one
+    diagnostic under ``where``."""
+    if (
+        not isinstance(spec, list)
+        or len(spec) != dimension
+        or not all(isinstance(ax, list) and len(ax) == 2 for ax in spec)
+    ):
+        diags.append(f"{where}: must be {dimension} [lo, hi] pairs")
+        return None
+    try:
+        _finite_rows(spec, "box bounds")
+        return Box(tuple(ax[0] for ax in spec), tuple(ax[1] for ax in spec))
+    except (TypeError, ValueError, OverflowError) as e:
+        diags.append(f"{where}: {e}")
+        return None
+
+
 def _is_int(value):
     # JSON true and false read as bools, which are ints to Python
     return isinstance(value, int) and not isinstance(value, bool)
@@ -155,20 +173,7 @@ def load_problem(path):
                 clean[name] = float(value)
         constants = clean
 
-    domain_spec = doc.get("domain")
-    box = None
-    if (
-        not isinstance(domain_spec, list)
-        or len(domain_spec) != dimension
-        or not all(isinstance(ax, list) and len(ax) == 2 for ax in domain_spec)
-    ):
-        diags.append(f"domain: must be {dimension} [lo, hi] pairs")
-    else:
-        try:
-            _finite_rows(domain_spec, "box bounds")
-            box = Box(tuple(ax[0] for ax in domain_spec), tuple(ax[1] for ax in domain_spec))
-        except (TypeError, ValueError, OverflowError) as e:
-            diags.append(f"domain: {e}")
+    box = _box(doc.get("domain"), dimension, "domain", diags)
 
     mass = doc.get("mass", 1.0)
     if not _is_finite_number(mass) or mass <= 0:
@@ -263,15 +268,9 @@ def load_problem(path):
         if not isinstance(spec, dict):
             diags.append(f"{where}: must be an object")
             continue
-        rbox_spec = spec.get("box")
         plan = spec.get("plan")
-        try:
-            _finite_rows(rbox_spec, "box bounds")
-            rbox = Box(
-                tuple(ax[0] for ax in rbox_spec), tuple(ax[1] for ax in rbox_spec)
-            )
-        except (TypeError, ValueError, IndexError, OverflowError) as e:
-            diags.append(f"{where}.box: {e}")
+        rbox = _box(spec.get("box"), dimension, f"{where}.box", diags)
+        if rbox is None:
             continue
         if box is not None and not box.contains_box(rbox):
             diags.append(f"{where}.box: not contained in the problem domain")

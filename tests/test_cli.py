@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlkit import auxiliary, cli, darboux, dynamics, exprlang, pathwork
+from curlkit import auxiliary, cli, dynamics, exprlang, pathwork
 from curlkit._ode import IntegratorStats
 from curlkit.problemfile import load_problem
 
@@ -200,6 +200,21 @@ def test_inputs_digest_is_deterministic(tmp_path, problem):
     assert first["timestamp"] != second["timestamp"]
     _, other = run(tmp_path, "simulate", path, *SIM, "--t-end", "0.25")
     assert other["inputs_digest"] != first["inputs_digest"]
+
+
+def test_inputs_digest_and_results_do_not_depend_on_the_hash_seed(tmp_path, problem):
+    # a random plan, classify's statistics and the digest are the same in
+    # processes whose str hashes, and so set and dict orders, differ
+    path = problem(BERRY)
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        argv = ["classify", path, "--samples", "50", "--seed", "7", "--out", str(out)]
+        assert _fresh_process(argv, tmp_path, PYTHONHASHSEED=hash_seed) == cli.EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    first, second = reports
+    assert first["results"] == second["results"]
+    assert first["inputs_digest"] == second["inputs_digest"]
 
 
 def test_trajectory_csv_round_trips_exactly(tmp_path, problem):
@@ -573,6 +588,16 @@ def test_an_empty_v_is_a_parse_error(tmp_path, problem, capsys, doc, argv, v):
     assert "input error: --v:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", [[[1, 2], [1, 2], [1, 2]], [[1, 2]]], ids=["3-axes", "1-axis"])
+def test_a_region_box_of_another_dimension_is_an_input_error(tmp_path, problem, capsys, box):
+    # it loaded, and the sampled rows failed the force's shape check: exit 3
+    doc = dict(BERRY, regions={"r": {"box": box, "plan": {"type": "random", "count": 4}}})
+    code, report = run(tmp_path, "classify", problem(doc), "--region", "r")
+    assert code == cli.EXIT_INPUT
+    assert report is None
+    assert "regions.r.box: must be 2 [lo, hi] pairs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
 def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command):
     code, report = run(tmp_path, command, problem(BERRY_DECLARED), *AUX)
@@ -636,11 +661,12 @@ def test_vertex_dimension_unlike_the_problem_is_an_input_error(tmp_path, problem
 # --- one parser per process, builtin SHA-256 -----------------------------------------
 
 
-def _fresh_process(argv, cwd):
-    """cli.main on argv in a new interpreter; returns its exit code."""
+def _fresh_process(argv, cwd, **env):
+    """cli.main on argv in a new interpreter with ``env`` added to its
+    environment; returns its exit code."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys; from curlkit import cli; sys.exit(cli.main(sys.argv[1:]))"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
                           capture_output=True).returncode
 
@@ -729,7 +755,6 @@ def test_every_workload_command_repeats_its_report_and_csv(tmp_path, monkeypatch
     assert _run_workloads(built) == first  # every tree from the cache
     assert emitted == []
     exprlang._parsed.cache_clear()
-    darboux._GAUGE_TREES.clear()
     assert _run_workloads(built) == first  # every tree parsed again
     assert {label for _, label in first} >= {"gauge", "simulate-rk4", "nonlocal-h", "maneuver3d"}
 

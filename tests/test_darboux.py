@@ -215,6 +215,17 @@ def test_gauge_representation_residual_invariance():
         assert abs(after - base) <= 1e-9
 
 
+def test_gauge_trees_come_from_the_parse_cache():
+    # so a second gauge of the same potentials reuses their partials and
+    # compiled functions, and an error cites the printed u_prime/v_prime
+    P = berry_potentials()
+    f = exprlang.parse_in_variables("u + u^3", ("u",))
+    P2 = gauge_transform(P, f, region=R2)
+    for t in (P2.U.tree, P2.V.tree):
+        assert exprlang.parse_in_variables(exprlang.to_source(t), t.variables, t.constants) is t
+        assert t.source == exprlang.to_source(t)
+
+
 def test_gauge_vanishing_derivative_rejected():
     P = berry_potentials()
     # f(u) = (u + 2)^2 has f' = 0 at u = -2 = U(1, 1); the grid corner

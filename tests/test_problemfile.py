@@ -165,6 +165,15 @@ def test_paths_and_regions_must_be_objects(tmp_path, capsys, field, diagnostic):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["[[0, 1], [0, 1], [0, 1]]", "[[0, 1]]"], ids=["3-axes", "1-axis"])
+def test_a_region_box_must_have_the_problem_dimension(tmp_path, box):
+    # zip in Box.contains_box compared the common axes only, so both loaded
+    field = '"regions": {"r": {"box": ' + box + ', "plan": {"type": "random", "count": 4}}}'
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(write(tmp_path, field))
+    assert err.value.diagnostics == ["regions.r.box: must be 2 [lo, hi] pairs"]
+
+
 @pytest.mark.parametrize("vertices", ["null", "[1, 2]"])
 def test_vertices_not_a_list_of_points_get_one_diagnostic(tmp_path, vertices):
     # np.asarray took both, and the loader died with an IndexError
