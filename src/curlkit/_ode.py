@@ -39,9 +39,11 @@ bit-identical to the scalar call. A dense callable holds everything of its
 own step, so it stays valid after the integrator has moved on, and callers
 may keep it to evaluate later.
 
-``sample_every(ds, visit)`` builds such a callback: it calls ``visit(y)``
-at t = ds, 2*ds, ... from the dense output of the step that contains each sample time, so
-sampling costs no extra derivative evaluations. Each consumer passes the
+``sample_every(ds, visit)`` builds such a callback for the samples at
+t = ds, 2*ds, ...: each accepted step evaluates the sample times it reaches
+with one dense call and hands ``visit`` their states as the rows of a
+(k, n) block, k >= 1, so sampling costs no extra derivative evaluations
+and each row is the state the scalar call gives. Each consumer passes the
 callback to the integrator itself, wrapping it when it needs more per
 step.
 """
@@ -133,19 +135,25 @@ def _dopri_dense(y0, y1, k, h):
 
 
 def sample_every(ds, visit):
-    """Step callback calling ``visit(y)`` at t = ds, 2*ds, ...
+    """Step callback calling ``visit(block)`` with the states at t = ds, 2*ds, ...
 
-    Each sample time is visited once, from the first accepted step whose
-    end reaches it (within 1e-15).
+    Each sample time is taken once, by the first accepted step whose end
+    reaches it (within 1e-15). A step evaluates its sample times with one
+    dense call and passes the states, in time order, as the rows of a
+    (k, n) array with k >= 1; a step that reaches no sample time does not
+    call ``visit``.
     """
     next_t = ds
 
     def on_step(t0, y0, t1, y1, dense):
         nonlocal next_t
+        thetas = []
         while next_t <= t1 + 1e-15:
             theta = (next_t - t0) / (t1 - t0) if t1 > t0 else 1.0
-            visit(dense(min(max(theta, 0.0), 1.0)))
+            thetas.append(min(max(theta, 0.0), 1.0))
             next_t += ds
+        if thetas:
+            visit(dense(np.array(thetas)))
 
     return on_step
 

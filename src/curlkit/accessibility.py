@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ode import integrate_dopri45, sample_every
-from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
+from .errors import DimensionMismatchError, NumericalError, OutOfDomainError, require_positive
 from .pathwork import ParamPath, _cross3
 
 FIELD_FLOOR = 1e-12
@@ -67,7 +67,7 @@ def _unit_perp_2d(F, x, floor):
         raise NumericalError(
             f"equilibrium point reached (|F| = {norm:.3e}) at {tuple(x)}"
         )
-    return np.array([-f[1], f[0]]) / norm
+    return -f[1] / norm, f[0] / norm
 
 
 def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
@@ -80,6 +80,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
     """
     if F.dimension != 2:
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
+    require_positive("arclength", arclength)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
@@ -89,9 +90,10 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
 
     def trace(sign):
         def rhs(s, x):
-            return sign * _unit_perp_2d(F, x, floor)
+            a, b = _unit_perp_2d(F, x, floor)
+            return sign * a, sign * b
 
-        pts = []
+        blocks = []
         res = integrate_dopri45(
             rhs,
             0.0,
@@ -100,19 +102,19 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
             atol=FLOW_TOL,
             rtol=FLOW_TOL,
             inside=lambda x: F.domain.contains(x),
-            on_step=sample_every(arclength / steps, pts.append),
+            on_step=sample_every(arclength / steps, blocks.append),
         )
         if res.exited and not truncate_on_exit:
             raise OutOfDomainError(
                 f"zero-work curve left the domain after arclength {res.t:.6g}", res.y
             )
-        if not pts or np.linalg.norm(pts[-1] - res.y) > 1e-15:
-            pts.append(res.y)
-        return pts
+        if not blocks or np.linalg.norm(blocks[-1][-1] - res.y) > 1e-15:
+            blocks.append(res.y[None])
+        return np.concatenate(blocks)
 
     backward = trace(-1.0)
     forward = trace(+1.0)
-    vertices = np.array(backward[::-1] + [x0] + forward)
+    vertices = np.concatenate([backward[::-1], x0[None], forward])
     return ParamPath(2, vertices=vertices)
 
 
@@ -138,6 +140,7 @@ def reachability_report_2d(F, x0, targets, delta=None, arclength=None, steps=409
     diam = F.domain.diameter()
     if delta is None:
         delta = REACH_DELTA_FRACTION * diam
+    require_positive("delta", delta)
     if arclength is None:
         arclength = 2.0 * diam
     trace = zero_work_trace_2d(F, x0, arclength, steps=steps, truncate_on_exit=True)
@@ -193,6 +196,7 @@ def bracket_maneuver_3d(F, x0, eps):
     """
     if F.dimension != 3:
         raise DimensionMismatchError("bracket maneuvers are the 3D construction")
+    require_positive("eps", eps)
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)
@@ -225,7 +229,7 @@ def bracket_maneuver_3d(F, x0, eps):
 
         leg_work = 0.0
         leg_pts = []
-        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.append)
+        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.extend)
 
         def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
             nonlocal leg_work

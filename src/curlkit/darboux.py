@@ -28,7 +28,7 @@ import numpy as np
 
 from . import exprlang, fieldkit
 from ._ode import integrate_dopri45, sample_every
-from .errors import DimensionMismatchError, NumericalError, OutOfDomainError
+from .errors import DimensionMismatchError, NumericalError, OutOfDomainError, require_positive
 
 GRAD_V_FLOOR = 1e-12
 SCALE_FLOOR = 1e-30
@@ -334,6 +334,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     """
     if F.dimension != 3:
         raise DimensionMismatchError("characteristics are traced for 3D fields")
+    require_positive("s_max", s_max)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = np.asarray(x0, dtype=float)
@@ -345,9 +346,10 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     def rhs(s, x):
         return fieldkit.curl(F, x)
 
-    def visit(x):
+    def visit(block):
         nonlocal deviation
-        deviation = max(deviation, abs(V.value(x) - v0))
+        for x in block:
+            deviation = max(deviation, abs(V.value(x) - v0))
 
     res = integrate_dopri45(
         rhs,
@@ -363,5 +365,5 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         raise OutOfDomainError(
             f"characteristic left the domain at s={res.t:.6g}", res.y
         )
-    visit(res.y)
+    visit(res.y[None])
     return float(deviation)

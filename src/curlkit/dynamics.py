@@ -55,7 +55,7 @@ import numpy as np
 
 from ._ode import _MAX_STEPS, IntegratorStats, integrate_dopri45, integrate_rk4
 from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
-                     OutOfDomainError)
+                     OutOfDomainError, require_positive)
 
 # recorded intervals whose work is computed together; bounds the pending
 # dense outputs and node values
@@ -83,9 +83,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("mass", "t_end", "atol", "rtol", "h", "h_max", "record_dt"):
             value = getattr(self, name)
-            # written so that NaN compares false and is rejected with inf
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if value is not None:
+                require_positive(name, value)
         if self.integrator not in ("dopri45", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         for name in ("h",) if self.integrator == "rk4" else ("atol", "rtol"):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the check of a
+parameter that must be positive and finite."""
+
+import math
 
 
 class CurlkitError(Exception):
@@ -63,3 +66,10 @@ class ProblemFileError(CurlkitError):
 # what evaluating a field can raise: the package's errors, and the math
 # domain errors and overflow of the pointwise evaluator
 EVAL_ERRORS = (CurlkitError, ArithmeticError, ValueError)
+
+
+def require_positive(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is positive and finite."""
+    # written so that NaN compares false and is rejected with inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -86,6 +86,29 @@ def test_exit_usage_for_rejected_parameter(tmp_path, problem, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+REACH = ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("doc,argv,name", [
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength"), "arclength"),
+    (BERRY, (*REACH, "--arclength"), "arclength"),
+    (BERRY, (*REACH, "--delta"), "delta"),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max"), "s_max"),
+    (TRIPLE, ("maneuver3d", "--x0", "1,1,1", "--eps"), "eps"),
+], ids=["trace2d", "reach2d-arclength", "reach2d-delta", "characteristics", "maneuver3d"])
+def test_a_span_or_delta_not_positive_and_finite_is_a_usage_error(tmp_path, problem, capsys,
+                                                                  doc, argv, name, value):
+    # inf ended in a NumPy warning and exit 3, nan took no step, and a
+    # negative --delta exited 0 with every target unreachable
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], value)
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert capsys.readouterr().err == (
+        f"error: {name} must be positive and finite, got {float(value)!r}\n")
+
+
 def test_exit_input(tmp_path, problem):
     bad = dict(HARMONIC, force=["-x*", "-y"])
     code, report = run(tmp_path, "classify", problem(bad))
@@ -152,10 +175,10 @@ def test_exit_numerical_for_nan_start(tmp_path, problem):
 
 
 def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys):
-    # a NaN delta reaches the report; strict JSON refuses it and no
-    # report file is left behind
+    # a NaN target's distance reaches the report; strict JSON refuses it
+    # and no report file is left behind
     code, report = run(tmp_path, "reach2d", problem(BERRY), "--x0", "1,1",
-                       "--targets", "2,2", "--delta", "nan", "--steps", "64")
+                       "--targets", "nan,2", "--steps", "64")
     assert code == cli.EXIT_NUMERICAL
     assert report is None
     assert "non-finite" in capsys.readouterr().err

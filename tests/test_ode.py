@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curlkit import _ode
+from curlkit import _ode, accessibility, darboux
 from curlkit._ode import IntegratorStats, OdeResult, integrate_dopri45, integrate_rk4, sample_every
 from curlkit.errors import NumericalError
+from curlkit.fieldkit import Box, ScalarFieldDef, VectorFieldDef
 
 
 def harmonic(t, y):
@@ -192,8 +193,8 @@ def test_dopri_nan_error_estimate_raises():
 
 def test_sample_every_hits_each_sample_time_once():
     ds = 0.0137
-    samples, step_ends = [], []
-    sample = sample_every(ds, samples.append)
+    blocks, step_ends = [], []
+    sample = sample_every(ds, blocks.append)
 
     def on_step(t0, y0, t1, y1, dense):
         step_ends.append(t1)
@@ -201,13 +202,105 @@ def test_sample_every_hits_each_sample_time_once():
 
     integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0,
                       atol=1e-10, rtol=1e-10, on_step=on_step)
+    samples = np.concatenate(blocks)
     # many steps, each holding several samples or none
     assert len(step_ends) > 5
+    assert len(blocks) < len(samples)
     assert len(samples) == int(1.0 / ds)
     # a dropped or repeated sample would shift every later one off its time
     for k, y in enumerate(samples, start=1):
         t = k * ds
         assert y == pytest.approx([math.cos(t), -math.sin(t)], abs=1e-9)
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4", "clipped"])
+def test_sample_every_block_rows_are_the_scalar_dense_states(integrator):
+    # one dense call per step that reaches a sample; each row of its block is
+    # the scalar call at the same theta, bit for bit. "clipped" ends on the
+    # guard's truncated step, whose dense output is the clipped one.
+    calls, blocks, ends = [], [], []
+    sample = sample_every(0.0137, blocks.append)
+
+    def on_step(t0, y0, t1, y1, dense):
+        def spy(theta):
+            calls.append((t1, dense, theta))
+            return dense(theta)
+
+        ends.append(t1)
+        sample(t0, y0, t1, y1, spy)
+
+    y0 = np.array([1.0, 0.0])
+    if integrator == "rk4":
+        res = integrate_rk4(harmonic, 0.0, y0, 1.0, 0.05, on_step=on_step)
+    else:
+        inside = (lambda y: y[0] > 0.8) if integrator == "clipped" else None
+        res = integrate_dopri45(harmonic, 0.0, y0, 1.0, atol=1e-10, rtol=1e-10,
+                                inside=inside, on_step=on_step)
+    assert res.exited is (integrator == "clipped")
+    # the last step, the truncated one when clipped, holds samples
+    assert calls[-1][0] == ends[-1] == res.t
+    assert len(calls) == len(blocks) > 5
+    assert len({t1 for t1, _, _ in calls}) == len(calls)
+    for (_, dense, thetas), block in zip(calls, blocks):
+        assert isinstance(thetas, np.ndarray)
+        assert len(block) == len(thetas) >= 1
+        for theta, row in zip(thetas.tolist(), block):
+            assert np.array_equal(row, dense(theta))
+
+
+def per_sample_every(ds, visit):
+    """The sampler as it was before blocks, kept as the reference: one
+    scalar dense call per sample time, handed over as a block of one row."""
+    next_t = ds
+
+    def on_step(t0, y0, t1, y1, dense):
+        nonlocal next_t
+        while next_t <= t1 + 1e-15:
+            theta = (next_t - t0) / (t1 - t0) if t1 > t0 else 1.0
+            visit(np.asarray(dense(min(max(theta, 0.0), 1.0)))[None])
+            next_t += ds
+
+    return on_step
+
+
+def _trace_vertices(**kw):
+    F = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=Box((0.05, 0.05), (5.0, 5.0)))
+    return (accessibility.zero_work_trace_2d(F, (1.0, 1.0), **kw).vertices,)
+
+
+def _triple_field():
+    return VectorFieldDef.from_source(["-(y*z)", "-(2*x*z)", "-(x*y)"], 3,
+                                      domain=Box((0.05,) * 3, (10.0,) * 3))
+
+
+def _deviation():
+    F = _triple_field()
+    # x = e^s along the characteristic, so the largest deviation is inside
+    V = ScalarFieldDef.from_source("sin(4*x) + y", 3, domain=F.domain)
+    return (darboux.characteristic_deviation(F, V, (1.0, 1.0, 1.0), 1.5),)
+
+
+def _maneuver():
+    res = accessibility.bracket_maneuver_3d(_triple_field(), (1.0, 2.0, 1.5), 0.1)
+    return res.path, res.work
+
+
+@pytest.mark.parametrize("module,consumer", [
+    # the sample times sum exactly, so the last one is the end of the trace
+    (accessibility, lambda: _trace_vertices(arclength=0.5, steps=256)),
+    # leaves the domain: the last block comes from the guard's clipped step
+    (accessibility, lambda: _trace_vertices(arclength=20.0, steps=300, truncate_on_exit=True)),
+    (darboux, _deviation),
+    (accessibility, _maneuver),
+], ids=["trace2d", "trace2d-exit", "characteristics", "maneuver3d"])
+def test_block_sampling_consumers_match_the_per_sample_reference(monkeypatch, module,
+                                                                  consumer):
+    blocked = consumer()
+    monkeypatch.setattr(module, "sample_every", per_sample_every)
+    reference = consumer()
+    # the vertices, the deviation, or the path and the work
+    for got, want in zip(blocked, reference, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_rk4_dense_stays_valid_after_its_step():
