@@ -39,8 +39,9 @@ accessibility bring the integrator core, _ode. A problem file that
 declares paths loads pathwork.
 
 Exit codes: 0 success, 1 usage error (including an option the command
-does not take and a parameter the analysis rejects, such as an rk4 --h
-that would need more steps than the step cap), 2 input error, 3
+does not take, a non-finite component of --x0, --v0 or --targets, and a
+parameter the analysis rejects, such as an rk4 --h that would need more
+steps than the step cap), 2 input error, 3
 numerical failure (domain exit, rescaling floor, non-convergence, more
 recorded rows than the step cap, a non-finite number in the report), 4
 assertion failure.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -101,65 +103,26 @@ class _Parser(argparse.ArgumentParser):
 
 # --- serialization helpers ---------------------------------------------------
 
-def write_csv(path, header, rows):
-    """CSV with a header row, comma separator, '.' decimals, LF endings,
-    17 significant digits; an empty series yields a header-only file. A
-    float prints as f"{v:.17g}", anything else as str(v): an int keeps every digit."""
-    lines = [",".join(header)]
-    formats = {}  # the line format of each tuple of value types met
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
-        lines.append(formats[kinds] % row)
+def write_csv(path, header, columns):
+    """CSV of ``header`` and ``columns``, the series' arrays of N rows, each
+    of shape (N,) or (N, k), side by side: comma separator, '.' decimals, LF
+    endings, every cell a float with 17 significant digits. An empty series
+    yields a header-only file."""
+    rows = np.column_stack(columns).tolist()
+    line = ",".join(["%.17g"] * len(header))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n")
 
 
 def _axis_names(dim):
     return ["x", "y", "z"][:dim]
 
 
-# Each series type has its own table, (header, rows), for write_csv. Rows
-# are built from ``tolist()``: Python floats format faster than NumPy
-# scalars, and ``%.17g`` prints both alike.
-
 def trajectory_table(traj):
-    """t, the coordinates, the velocities, K and Wcum of a ``dynamics.Trajectory``."""
+    """The header and the columns (t, x, v, K, Wcum) of a ``dynamics.Trajectory``."""
     axes = _axis_names(traj.x.shape[1])
     header = ["t"] + axes + [f"v{a}" for a in axes] + ["K", "Wcum"]
-    rows = (
-        [t, *x, *v, k, w]
-        for t, x, v, k, w in zip(
-            traj.t.tolist(), traj.x.tolist(), traj.v.tolist(),
-            traj.kinetic.tolist(), traj.work.tolist()
-        )
-    )
-    return header, rows
-
-
-def hamiltonian_table(series):
-    """t, the coordinates and H of an ``auxiliary.AuxiliarySeries``."""
-    header = ["t"] + _axis_names(series.x.shape[1]) + ["H"]
-    rows = ([t, *x, h] for t, x, h in zip(series.t.tolist(), series.x.tolist(),
-                                         series.H.tolist()))
-    return header, rows
-
-
-def polyline_table(path):
-    """Arclength s and the coordinates of each vertex of a polyline ``ParamPath``."""
-    verts = path.vertices
-    s = np.zeros(len(verts))
-    if len(verts) > 1:
-        s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
-    rows = ([si, *v] for si, v in zip(s.tolist(), verts.tolist()))
-    return ["s"] + _axis_names(verts.shape[1]), rows
-
-
-def points_table(points):
-    """Index i and the coordinates of each row of an (N, dim) array."""
-    header = ["i"] + _axis_names(points.shape[1])
-    return header, ([i, *row] for i, row in enumerate(points.tolist()))
+    return header, (traj.t, traj.x, traj.v, traj.kinetic, traj.work)
 
 
 def _json_default(obj):
@@ -209,40 +172,36 @@ class Run:
     def artifact_path(self, kind):
         return self.out.with_name(f"{self.out.stem}_{kind}.csv")
 
-    def emit(self, kind, header, rows):
-        """Queue the CSV artifact; finish writes it only once the report is
-        known to serialize, so a refused run writes nothing."""
+    def emit(self, kind, header, columns):
+        """Queue the CSV artifact ``kind``, passing ``header`` and ``columns``
+        unchanged to ``write_csv``; ``finish`` writes it only once the report
+        is known to serialize, so a refused run writes nothing."""
         path = self.artifact_path(kind)
-        self._writes.append(lambda: write_csv(path, header, rows))
+        self._writes.append(lambda: write_csv(path, header, columns))
         self.artifacts[kind] = str(path)
 
     def check(self, name, value, threshold, kind="max"):
-        """kind 'max': pass iff value <= threshold; 'abs-diff': threshold is
-        (target, tol) and pass iff |value - target| <= tol."""
+        """Record an assertion, unless ``threshold`` is None. The record is
+        ``name``, ``value``, the bound fields of ``kind``, then ``passed``:
+        'max' and 'min' hold ``threshold`` and pass iff value <= or >= it;
+        'equals' holds ``expected`` and passes iff value == threshold;
+        'abs-diff' takes threshold = (target, tol), holds ``target`` and
+        ``tolerance`` and passes iff |value - target| <= tol."""
         if threshold is None:
             return
+        record = {"name": name, "value": value}
         if kind == "abs-diff":
             target, tol = threshold
+            record.update(target=target, tolerance=tol)
             passed = abs(value - target) <= tol
-            self.assertions.append(
-                {
-                    "name": name,
-                    "value": value,
-                    "target": target,
-                    "tolerance": tol,
-                    "passed": bool(passed),
-                }
-            )
         elif kind == "equals":
+            record["expected"] = threshold
             passed = value == threshold
-            self.assertions.append(
-                {"name": name, "value": value, "expected": threshold, "passed": bool(passed)}
-            )
         else:
-            passed = value <= threshold
-            self.assertions.append(
-                {"name": name, "value": value, "threshold": threshold, "passed": bool(passed)}
-            )
+            record["threshold"] = threshold
+            passed = value >= threshold if kind == "min" else value <= threshold
+        record["passed"] = bool(passed)
+        self.assertions.append(record)
 
     def finish(self):
         passed = all(a["passed"] for a in self.assertions)
@@ -280,6 +239,8 @@ def _vector(text, dim, what):
         raise UsageError(f"{what}: expected comma-separated numbers, got {text!r}")
     if len(parts) != dim:
         raise UsageError(f"{what}: expected {dim} components, got {len(parts)}")
+    if not all(map(math.isfinite, parts)):
+        raise UsageError(f"{what}: expected finite numbers, got {text!r}")
     return np.array(parts)
 
 
@@ -406,14 +367,9 @@ def cmd_decompose3d(run, args, problem):
         name: rep.to_dict() for name, rep in dec.diagnostics.items()
     }
     pts = region.samples()
-    header = (
-        ["x", "y", "z"]
-        + [f"gradU_{a}" for a in "xyz"]
-        + [f"Fc_{a}" for a in "xyz"]
-        + [f"Fnc_{a}" for a in "xyz"]
-    )
-    rows = np.hstack([pts, dec.grad_u.values(pts), dec.f_c.values(pts), dec.f_nc.values(pts)])
-    run.emit("samples", header, rows)
+    header = ["x", "y", "z"] + [f"{q}_{a}" for q in ("gradU", "Fc", "Fnc") for a in "xyz"]
+    run.emit("samples", header,
+             (pts, dec.grad_u.values(pts), dec.f_c.values(pts), dec.f_nc.values(pts)))
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
 
 
@@ -426,8 +382,7 @@ def cmd_characteristics(run, args, problem):
     )
     run.results = {"deviation": dev, "s_max": args.s_max, "x0": list(x0)}
     run.check("deviation", dev, args.assert_deviation)
-    if args.assert_deviation_min is not None:
-        run.check("deviation_at_least", -dev, -args.assert_deviation_min)
+    run.check("deviation_at_least", dev, args.assert_deviation_min, kind="min")
 
 
 def cmd_simulate(run, args, problem):
@@ -504,7 +459,8 @@ def cmd_nonlocal_h(run, args, problem):
         "samples": len(series.t),
         "trajectory_exited": series.exited,
     }
-    run.emit("series", *hamiltonian_table(series))
+    run.emit("series", ["t", *_axis_names(problem.dimension), "H"],
+             (series.t, series.x, series.H))
     run.check("drift", series.drift, args.assert_drift)
 
 
@@ -524,7 +480,10 @@ def cmd_trace2d(run, args, problem):
         U = problem.potentials["U"]
         u0 = U.value(x0)
         run.results["u_deviation"] = float(np.max(np.abs(U.values(trace.vertices) - u0)))
-    run.emit("trace", *polyline_table(trace))
+    verts = trace.vertices
+    s = np.zeros(len(verts))
+    s[1:] = np.cumsum(np.linalg.norm(np.diff(verts, axis=0), axis=1))
+    run.emit("trace", ["s", "x", "y"], (s, verts))
     run.check("work", abs(work.value), args.assert_work)
 
 
@@ -570,7 +529,7 @@ def cmd_maneuver3d(run, args, problem):
         "work": res.work,
         "eps": res.eps,
     }
-    run.emit("path", *points_table(res.path))
+    run.emit("path", ["i", "x", "y", "z"], (np.arange(len(res.path)), res.path))
     run.check("work", abs(res.work), args.assert_work)
 
 

@@ -167,28 +167,49 @@ def test_decompose3d_exits_numerical_when_the_split_is_not_conservative(
     assert "not conservative" in capsys.readouterr().err
 
 
-def test_exit_numerical_for_nan_start(tmp_path, problem):
-    code, report = run(tmp_path, "simulate", problem(HARMONIC), "--x0", "nan,0",
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("doc,argv,option", [
+    (HARMONIC, ("simulate", "--x0", "1,{}", "--v0", "0,1", "--t-end", "1"), "--x0"),
+    (HARMONIC, ("simulate", "--x0", "1,0", "--v0", "0,{}", "--t-end", "1",
+                "--integrator", "rk4"), "--v0"),
+    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1;2,{}", "--steps", "64"),
+     "--targets"),
+], ids=["x0", "v0", "targets"])
+def test_a_non_finite_vector_component_is_a_usage_error(tmp_path, problem, capsys, doc, argv,
+                                                        option, value):
+    # each exited 3: a start outside the domain, or a non-finite number in the report
+    argv = [a.format(value) for a in argv]
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    text = argv[argv.index(option) + 1].split(";")[-1]
+    assert capsys.readouterr().err == f"error: {option}: expected finite numbers, got {text!r}\n"
+
+
+def test_exit_numerical_for_a_start_outside_the_domain(tmp_path, problem, capsys):
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), "--x0", "9,0",
                        "--v0", "0,1", "--t-end", "1")
     assert code == cli.EXIT_NUMERICAL
     assert report is None
+    assert "initial position outside field domain" in capsys.readouterr().err
 
 
-def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys):
-    # a NaN target's distance reaches the report; strict JSON refuses it
-    # and no report file is left behind
-    code, report = run(tmp_path, "reach2d", problem(BERRY), "--x0", "1,1",
-                       "--targets", "nan,2", "--steps", "64")
+def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys, monkeypatch):
+    # strict JSON refuses the NaN residual, and no report file is left behind
+    monkeypatch.setattr(dynamics, "work_energy_residual", lambda traj: float("nan"))
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), *SIM, "--t-end", "1")
     assert code == cli.EXIT_NUMERICAL
     assert report is None
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_refused_run_writes_no_artifact(tmp_path, problem):
-    # rk4 carries the NaN velocity to the end; the report is refused, and
-    # so is the trajectory CSV that would have gone with it
-    code, report = run(tmp_path, "simulate", problem(HARMONIC), "--x0", "1,0",
-                       "--v0", "nan,1", "--t-end", "1", "--integrator", "rk4")
+def test_refused_run_writes_no_artifact(tmp_path, problem, monkeypatch):
+    # simulate queues its trajectory CSV before the report is refused; the
+    # CSV is refused with it
+    monkeypatch.setattr(dynamics, "work_energy_residual", lambda traj: float("nan"))
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), *SIM, "--t-end", "1",
+                       "--integrator", "rk4")
     assert code == cli.EXIT_NUMERICAL
     assert report is None
     assert list(tmp_path.glob("*.csv")) == []
@@ -296,6 +317,21 @@ def test_nonlocal_h_asserts_conservation_on_rk4(tmp_path, problem):
     ]
 
 
+@pytest.mark.parametrize("v,bound,code", [("x", "1e-6", cli.EXIT_OK),
+                                          ("y", "1e-20", cli.EXIT_ASSERTION)])
+def test_assert_deviation_min_records_the_deviation_and_its_bound(tmp_path, problem, v, bound,
+                                                                  code):
+    # y is invariant along the characteristics, x is not; the record held
+    # the negated deviation and bound
+    got, report = run(tmp_path, "characteristics", problem(TRIPLE), "--v", v, "--x0", "1,1,1",
+                      "--s-max", "1", "--steps", "50", "--assert-deviation-min", bound)
+    assert got == code
+    assert report["assertions"] == [
+        {"name": "deviation_at_least", "value": report["results"]["deviation"],
+         "threshold": float(bound), "passed": code == cli.EXIT_OK}
+    ]
+
+
 def reference_csv(header, rows):
     """The CSV bytes of the per-value writer: a float as f"{v:.17g}",
     anything else as str(v), one join per row."""
@@ -309,25 +345,22 @@ def reference_csv(header, rows):
 
 CSV_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
               1 / 3, 2.0**53 + 2, float("inf"), float("nan"), np.float64(0.1),
-              np.float64(-0.0), np.float64(1 / 3), np.float32(0.1), np.int64(2**62),
-              0, 7, -123456789012345678, 2**53 + 1, 10**18, True]
+              np.float64(-0.0), np.float64(1 / 3)]
 
 
 def test_write_csv_matches_the_per_value_writer(tmp_path):
-    # rows of mixed and of uniform value types, each type in every column
+    # rows of mixed and of uniform values, each value in every column
     rng = np.random.default_rng(5)
-    rows = [rng.choice(len(CSV_VALUES), 3).tolist() for _ in range(200)]
-    rows = [[CSV_VALUES[i] for i in row] for row in rows]
-    rows += [[v, v, v] for v in CSV_VALUES] + [list(r) for r in rng.normal(size=(20, 3))]
+    rows = [[CSV_VALUES[i] for i in rng.choice(len(CSV_VALUES), 3)] for _ in range(200)]
+    rows += [[v, v, v] for v in CSV_VALUES] + rng.normal(size=(20, 3)).tolist()
     header = ["a", "b", "c"]
     path = tmp_path / "out.csv"
-    cli.write_csv(path, header, iter(rows))
-    assert path.read_bytes() == reference_csv(header, rows)
-    # an ndarray of rows, as decompose3d writes, and an empty series
-    rows = np.column_stack([np.arange(5.0), np.linspace(-1, 1, 5) / 3])
-    cli.write_csv(path, ["i", "v"], rows)
-    assert path.read_bytes() == reference_csv(["i", "v"], rows)
-    cli.write_csv(path, ["i", "v"], [])
+    table = np.array(rows)
+    # the series as one (N, 3) column, as (N,) and (N, 2) columns, and as (N,) columns
+    for columns in ((table,), (table[:, 0], table[:, 1:]), tuple(table.T)):
+        cli.write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, rows)
+    cli.write_csv(path, ["i", "v"], (np.zeros(0), np.zeros((0, 1))))
     assert path.read_bytes() == b"i,v\n"
 
 
@@ -351,26 +384,33 @@ def test_each_series_table_writes_the_bytes_of_numpy_rows(tmp_path):
     rng = np.random.default_rng(11)
     special = [-0.0, 0.0, 5e-324, 1e150, 0.1, 1 / 3, 2.0**53 + 2]
 
-    def column(n=40):
+    def column(n=40, k=None):
+        if k is not None:
+            return np.column_stack([column(n) for _ in range(k)])
         scale = 10.0 ** rng.integers(-9, 9, n - len(special))
         return np.concatenate([special, rng.normal(size=n - len(special)) * scale])
 
-    t, x, v = column(), np.column_stack([column(), column()]), np.column_stack([column(), column()])
+    t, x, v = column(), column(k=2), column(k=2)
+    traj = dynamics.Trajectory(t, x, v, column(), column(), None, False, None,
+                               IntegratorStats())
+    aux = auxiliary.AuxiliarySeries(t, x, column(), 0.0, False)
+    trace = pathwork.ParamPath.polyline(column(k=2))
+    arclength = [row[0] for row in numpy_rows(trace)]
+    points = column(k=3)
+    split = (column(k=3), column(k=3), column(k=3), column(k=3))
+    # each series' header and columns as its command passes them to emit, and
+    # the rows the per-row tables wrote
     series = [
-        (cli.trajectory_table, dynamics.Trajectory(t, x, v, column(), column(), None, False,
-                                                   None, IntegratorStats())),
-        (cli.hamiltonian_table, auxiliary.AuxiliarySeries(t, x, column(), 0.0, False)),
-        (cli.polyline_table,
-         pathwork.ParamPath.polyline(np.column_stack([column(), column(), column()]))),
-        (cli.points_table, np.column_stack([column(), column(), column()])),
+        (*cli.trajectory_table(traj), numpy_rows(traj)),
+        (["t", "x", "y", "H"], (aux.t, aux.x, aux.H), numpy_rows(aux)),
+        (["s", "x", "y"], (np.array(arclength), trace.vertices), numpy_rows(trace)),
+        (["i", "x", "y", "z"], (np.arange(len(points)), points), numpy_rows(points)),
+        ([f"c{j}" for j in range(12)], split, np.hstack(split)),
     ]
-    for table, one in series:
-        path = tmp_path / "series.csv"
-        cli.write_csv(path, *table(one))
-        header = path.read_text().split("\n", 1)[0].split(",")
-        cli.write_csv(tmp_path / "rows.csv", header, numpy_rows(one))
-        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
-        assert path.read_bytes() == reference_csv(header, numpy_rows(one))
+    path = tmp_path / "series.csv"
+    for header, columns, rows in series:
+        cli.write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, rows)
 
 
 RESIDUAL_KEYS = {"max", "rms", "min", "worst_point", "definition", "sample_count"}
@@ -464,6 +504,40 @@ CONDITIONAL_PARAMETERS = [
     (BERRY_DECLARED, ("work", "--path", "square", "--assert-value", "-2.5"),
      {"path", "assert_value", "tol"}),
 ]
+
+
+# each command that writes a series: its argv after the problem, the artifact
+# and its CSV header
+SERIES_HEADERS = [
+    (HARMONIC, ("simulate", *SIM, "--t-end", "0.1"), "trajectory", "t,x,y,vx,vy,K,Wcum"),
+    (BERRY_DECLARED, ("auxiliary", *AUX, "--region", "box"), "trajectory",
+     "t,x,y,vx,vy,K,Wcum"),
+    (BERRY_DECLARED, ("nonlocal-h", *AUX, "--region", "box"), "series", "t,x,y,H"),
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.1", "--steps", "16"), "trace",
+     "s,x,y"),
+    (TRIPLE, ("maneuver3d", "--x0", "1,1,1", "--eps", "0.05"), "path", "i,x,y,z"),
+    (TRIPLE, ("decompose3d", "--samples", "10"), "samples",
+     "x,y,z,gradU_x,gradU_y,gradU_z,Fc_x,Fc_y,Fc_z,Fnc_x,Fnc_y,Fnc_z"),
+]
+
+
+@pytest.mark.parametrize("doc,argv,kind,header", SERIES_HEADERS,
+                         ids=[argv[0] for _, argv, _, _ in SERIES_HEADERS])
+def test_each_series_csv_has_its_header(tmp_path, problem, doc, argv, kind, header):
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert code == cli.EXIT_OK
+    assert list(report["artifacts"]) == [kind]
+    with open(report["artifacts"][kind], newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert ",".join(rows[0]) == header
+    body = np.array(rows[1:], dtype=float)
+    assert body.shape[0] > 1 and body.shape[1] == len(rows[0])
+    # a trace's first column is the arclength along its vertices, a path's the row index
+    if kind == "trace":
+        steps = np.linalg.norm(np.diff(body[:, 1:], axis=0), axis=1)
+        assert np.array_equal(body[:, 0], np.concatenate([[0.0], np.cumsum(steps)]))
+    if kind == "path":
+        assert np.array_equal(body[:, 0], np.arange(len(body)))
 
 
 def test_every_command_is_pinned():
