@@ -36,8 +36,7 @@ at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
 dopri45) that consumers only index, slice and iterate. Given a 1-D array of
 k thetas ``dense`` returns the k states as rows of a (k, n) array, each
 bit-identical to the scalar call. A dense callable holds everything of its
-own step, so it stays valid after the integrator has moved on, and callers
-may keep it to evaluate later.
+own step, so it stays valid after the integrator has moved on.
 
 ``sample_every(ds, visit)`` builds such a callback for the samples at
 t = ds, 2*ds, ...: each accepted step evaluates the sample times it reaches
@@ -192,12 +191,7 @@ def _guard_step(t0, h, y0, y1, dense, inside, on_step):
     y_exit = dense(theta)
     t_exit = t0 + theta * h
     if on_step is not None and theta > 0.0:
-        trunc = theta
-
-        def clipped(s, _dense=dense, _trunc=trunc):
-            return _dense(s * _trunc)
-
-        on_step(t0, y0, t_exit, y_exit, clipped)
+        on_step(t0, y0, t_exit, y_exit, lambda s: dense(s * theta))
     return True, t_exit, y_exit
 
 
@@ -249,7 +243,7 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             continue
 
-        dense = _dopri_dense(y, y1, k.copy(), h)
+        dense = _dopri_dense(y, y1, k, h)
         stats.n_steps += 1
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, h, y, y1, dense, inside, on_step)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import darboux, dynamics, fieldkit
-from .errors import NumericalError
+from .errors import NumericalError, require_positive
 
 V_FLOOR_REL = 1e-9  # the floor of |V|, relative to max |V| over the region
 
@@ -52,8 +52,8 @@ class AuxiliaryProblem:
     rep_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        require_positive("mass", self.mass)
+        require_positive("rep_tol", self.rep_tol)
         rep = darboux.verify_representation(self.F, self.potentials, self.region)
         if rep.max > self.rep_tol:
             raise NumericalError(
@@ -63,7 +63,8 @@ class AuxiliaryProblem:
         v_vals = np.abs(self.potentials.V.values(self.region.samples()))
         v_max = float(np.max(v_vals))
         floor = V_FLOOR_REL * v_max
-        if np.min(v_vals) < floor:
+        # <=, so that a V that is 0 on the whole region (a floor of 0) fails
+        if np.min(v_vals) <= floor:
             raise NumericalError(
                 f"|V| falls below its floor {floor:.3e} on the region; "
                 "the 1/V rescaling would blow up"

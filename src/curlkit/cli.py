@@ -717,9 +717,9 @@ def main(argv=None):
         args.handler(run, args, problem)
         return run.finish()
     # library ValueErrors report parameters the parser cannot check: a
-    # SimConfig field, a span (--arclength, --s-max, --eps) or --delta not
-    # positive and finite, --samples, --refine or --steps below 1, an rk4
-    # --h beyond the step cap, a gauge --f not in u, a bad --path
+    # SimConfig field, a span (--arclength, --s-max, --eps), --delta or
+    # --rep-tol not positive and finite, --samples, --refine or --steps
+    # below 1, an rk4 --h beyond the step cap, a gauge --f not in u, a bad --path
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,20 +16,20 @@ as a second column next to F . v, and returned as ``form_work``; it costs
 one batch ``G.values`` per block and no further step. The auxiliary
 Hamiltonian of ``auxiliary`` accumulates its kinetic part this way.
 
-The quadrature is deferred and batched. The step callback records each
-interval (its ends in t and in the step's dense-output theta, and the
-dense output itself); once ``QUAD_BLOCK`` intervals are pending, and at
-the end, the block is integrated at once, with one dense(theta-array)
-call per step and one batch ``F.values`` call (and one ``G.values``).
-Errors are those of a per-node loop that evaluates F, then G, at each
-node: if anything in a block fails, the block is redone one node at a
-time with the pointwise fields, and if the integrator raises,
-the pending intervals are integrated first, so a node error from an
+The quadrature is batched. The step callback takes the states at the
+nodes of all its intervals, and at their inner ends, with one dense call,
+and keeps each interval's width and (3, n) node states; once
+``QUAD_BLOCK`` intervals wait, and at the end, the block is integrated at
+once, with one batch ``F.values`` call (and one ``G.values``). Errors are
+those of a per-node loop that evaluates F, then G, at each node: if
+anything in a block fails, the block is redone one node at a time with
+the pointwise fields on the stored states, and if the integrator raises,
+the waiting intervals are integrated first, so a node error from an
 earlier step is the one raised.
 
 The right-hand side and the step callback, run per stage and per step,
 stay on Python floats: the force's ``value_unchecked`` tuple and the
-integrator's state (see ``_ode``). States become arrays in the quadrature.
+integrator's state (see ``_ode``). States become arrays at the dense call.
 
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
@@ -46,7 +46,6 @@ before its rows are allocated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,12 +56,12 @@ from ._ode import _MAX_STEPS, IntegratorStats, integrate_dopri45, integrate_rk4
 from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
                      OutOfDomainError, require_positive)
 
-# recorded intervals whose work is computed together; bounds the pending
-# dense outputs and node values
+# recorded intervals whose work is computed together; bounds the waiting
+# node states and node values
 QUAD_BLOCK = 128
 
 # the 3-node Gauss-Legendre rule on [0, 1]: nodes and weights
-_GAUSS_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+_GAUSS_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
 _GAUSS_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
 
 
@@ -148,61 +147,46 @@ def integrate(F, x0, v0, cfg, form=None):
     def rhs(t, y):
         return [*y[dim:], *[c / m for c in force(y[:dim])]]
 
-    def pointwise_powers(denses, theta):
-        # node by node, each field in turn, in the order of a per-node loop
-        rows = [
-            [float(np.dot(sample(y[:dim]), y[dim:])) for sample in samplers]
-            for dense, row in zip(denses, theta.tolist())
-            for y in map(dense, row)
-        ]
+    def node_powers(states):
+        # node by node, each field in turn, in the order of a per-node loop;
+        # one contiguous row per field, so the Gauss sums round as on a batch
+        rows = [[float(np.dot(sample(y[:dim]), y[dim:])) for sample in samplers] for y in states]
         return np.array(rows).T.copy()
 
-    def batch_powers(denses, theta):
-        # the intervals cut from one step are adjacent and share its dense
-        states, pos = [], 0
-        for dense, group in itertools.groupby(denses):
-            size = len(list(group))
-            states.append(dense(theta[pos : pos + size].ravel()))
-            pos += size
-        Y = np.concatenate(states)
-        X, V = Y[:, :dim], Y[:, dim:, None]
-        # matmul takes the kernel of np.dot, so each row rounds as in pointwise_powers
+    def batch_powers(states):
+        X, V = states[:, :dim], states[:, dim:, None]
+        # matmul takes the kernel of np.dot, so each row rounds as in node_powers
         return np.array([np.matmul(field.values(X)[:, None, :], V)[:, 0, 0] for field in fields])
-
-    def block_work(block, powers):
-        # one 3-node Gauss-Legendre rule per recorded interval of the block,
-        # with no refinement. On an rk4 step it spans the joint of the two
-        # Hermite pieces at theta = 1/2, its middle node, and the
-        # work-energy defect keeps the scheme's h^4 slope (16.1 per halving
-        # of h, measured on Berry's field); on a dopri45 step, whose dense
-        # output is a quartic, the defect stays at the controller's tolerance.
-        # ``powers`` gives one contiguous row of node values per field.
-        ta, tb, tha, thb, denses = zip(*block)
-        ta, tb, tha, thb = (np.array(c) for c in (ta, tb, tha, thb))
-        theta = tha[:, None] + _GAUSS_NODES * (thb - tha)[:, None]
-        return [(p.reshape(-1, 3) @ _GAUSS_WEIGHTS) * (tb - ta) for p in powers(denses, theta)]
 
     ts = [0.0]
     xs = [x0.copy()]
     vs = [v0.copy()]
     sums = [[0.0] for _ in fields]  # cumulative work, then form work
-    pending = []  # (ta, tb, tha, thb, dense) of each recorded interval
+    pending = []  # (width, (3, n) node states) of each recorded interval
 
     def flush():
         block = pending.copy()
         pending.clear()  # a block that raises is not integrated again
         if not block:
             return
+        widths, states = zip(*block)
+        states = np.concatenate(states)
         try:
-            increments = block_work(block, batch_powers)
+            powers = batch_powers(states)
         except EVAL_ERRORS:
             # redo the block one node at a time with the pointwise fields,
             # which meet the nodes in the order of a per-node loop and so
             # raise that loop's first error (or finish, when the batch
             # only failed on a node past the domain box)
-            increments = block_work(block, pointwise_powers)
-        for column, column_increments in zip(sums, increments):
-            for inc in column_increments:
+            powers = node_powers(states)
+        # one 3-node Gauss-Legendre rule per recorded interval, with no
+        # refinement. On an rk4 step it spans the joint of the two Hermite
+        # pieces at theta = 1/2, its middle node, and the work-energy defect
+        # keeps the scheme's h^4 slope (16.1 per halving of h, measured on
+        # Berry's field); on a dopri45 step, whose dense output is a quartic,
+        # the defect stays at the controller's tolerance
+        for column, p in zip(sums, powers):
+            for inc in (p.reshape(-1, 3) @ _GAUSS_WEIGHTS) * np.array(widths):
                 column.append(column[-1] + float(inc))
 
     def on_step(t0, y0, t1, y1, dense):
@@ -221,22 +205,26 @@ def integrate(F, x0, v0, cfg, form=None):
         pieces = int(pieces)
         t = [t0 + span * j / pieces for j in range(pieces + 1)]
         theta = [j / pieces for j in range(pieces + 1)]
+        nodes = [a + g * (b - a) for a, b in zip(theta, theta[1:]) for g in _GAUSS_NODES]
         try:
-            inner = dense(np.array(theta[1:-1])) if pieces > 1 else None
+            states = dense(np.array(nodes + theta[1:-1]))
         except EVAL_ERRORS:
-            # only the rk4 end slope can fail here: take the pieces one at
-            # a time, so that the ones before its first use are pending
-            # when it raises, as their nodes came first in a per-node loop
-            inner = None
-        for i in range(1, pieces + 1):
-            if i == pieces:
-                yb = y1
-            else:
-                yb = dense(theta[i]) if inner is None else inner[i - 1]
-            pending.append((t[i - 1], t[i], theta[i - 1], theta[i], dense))
-            ts.append(t[i])
-            xs.append(yb[:dim])
-            vs.append(yb[dim:])
+            # only the rk4 end slope can fail here: integrate what is
+            # waiting, then meet this step's points as a per-node loop does,
+            # each piece's inner end before its nodes, so that loop's first
+            # error is the one raised
+            flush()
+            for i in range(pieces):
+                if i + 1 < pieces:
+                    dense(theta[i + 1])
+                node_powers(map(dense, nodes[3 * i : 3 * i + 3]))
+            raise
+        ends = [*states[3 * pieces :].copy(), y1]  # rows that keep no node states alive
+        for i in range(pieces):
+            pending.append((t[i + 1] - t[i], states[3 * i : 3 * i + 3]))
+            ts.append(t[i + 1])
+            xs.append(ends[i][:dim])
+            vs.append(ends[i][dim:])
             if len(pending) == QUAD_BLOCK:
                 flush()
 

@@ -703,6 +703,38 @@ def test_auxiliary_commands_require_a_region(tmp_path, problem, capsys, command)
     assert "--region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
+def test_a_rep_tol_not_positive_and_finite_is_a_usage_error(tmp_path, problem, capsys, command,
+                                                            value):
+    # nan and inf ran the whole integration into the report's non-finite
+    # guard; 0 and -1 claimed the potentials fail to represent the force
+    code, report = run(tmp_path, command, problem(BERRY_DECLARED), *AUX, "--region", "box",
+                       "--rep-tol", value)
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    want = f"error: rep_tol must be positive and finite, got {float(value)!r}\n"
+    assert capsys.readouterr().err == want
+
+
+ZERO_V = {"dimension": 2, "force": ["0", "0"], "potentials": {"U": "x", "V": "0"},
+          "domain": [[-1.0, 1.0], [-1.0, 1.0]],
+          "regions": {"r": {"box": [[-0.5, 0.5], [-0.5, 0.5]],
+                            "plan": {"type": "grid", "counts": [3, 3]}}}}
+
+
+@pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
+def test_a_v_that_is_zero_on_the_region_is_below_its_floor(tmp_path, problem, capsys, command):
+    # max |V| = 0 made the floor 0, which min |V| = 0 passed: the 1/V
+    # rescaling divided by zero
+    code, report = run(tmp_path, command, problem(ZERO_V), "--x0", "0,0", "--v0", "0.1,0",
+                       "--t-end", "0.1", "--region", "r")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    assert "|V| falls below its floor 0.000e+00 on the region" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc,argv,dim", [
     (TRIPLE, ("trace2d", "--x0", "1,1", "--arclength", "0.1"), 2),
     (TRIPLE, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1"), 2),

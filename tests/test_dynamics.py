@@ -558,6 +558,29 @@ def test_node_error_comes_before_the_end_slope_of_its_step(integrator):
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
 
 
+@pytest.mark.parametrize("k", range(30, 60))
+@pytest.mark.parametrize("refine", [1, 2, 3])
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_error_order_on_steps_cut_into_pieces(integrator, refine, k):
+    # node k fails, every later node with its own message, and the stage
+    # evaluated just before node k fails too: with rk4 and refine > 1 that
+    # stage is the end slope, which the per-node loop meets at an inner end
+    # or a node of the step, after the nodes of its earlier pieces
+    cfg = SimConfig(integrator=integrator, h=0.05, t_end=3.0, refine=refine)
+    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ordered, stages = evaluated_points(integrator, cfg, x0, v0)
+    nodes = [p for p in ordered if p not in stages]
+    before = ordered[ordered.index(nodes[k]) - 1]
+    if before not in stages:
+        pytest.skip("node k follows another node")
+    bad = {p: f"node {j} fails" for j, p in enumerate(nodes[k + 1 :], k + 1)}
+    bad[nodes[k]] = "node fails"
+    bad[before] = "stage fails"
+    F = failing_field(bad)
+    want = raised(lambda: reference_integrate(F, x0, v0, cfg))
+    assert raised(lambda: integrate(F, x0, v0, cfg)) == want
+
+
 # --- the cost of the quadrature -------------------------------------------------
 
 
