@@ -361,15 +361,10 @@ def cmd_gauge(run, args, problem):
 def cmd_decompose3d(run, args, problem):
     from . import darboux
     region = _region(args, problem)
-    V = _v_field(args, problem)
-    dec = darboux.decompose3d(problem.force, V, region)
-    run.results = {
-        name: rep.to_dict() for name, rep in dec.diagnostics.items()
-    }
-    pts = region.samples()
+    dec = darboux.decompose3d(problem.force, _v_field(args, problem), region)
+    run.results = {name: rep.to_dict() for name, rep in dec.diagnostics.items()}
     header = ["x", "y", "z"] + [f"{q}_{a}" for q in ("gradU", "Fc", "Fnc") for a in "xyz"]
-    run.emit("samples", header,
-             (pts, dec.grad_u.values(pts), dec.f_c.values(pts), dec.f_nc.values(pts)))
+    run.emit("samples", header, (dec.points, dec.grad_u, dec.f_c, dec.f_nc))
     run.check("curl_f_c", dec.diagnostics["curl_f_c"].max, args.assert_curl_fc)
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import exprlang, fieldkit
 from ._ode import integrate_dopri45, sample_every
-from .errors import DimensionMismatchError, NumericalError, OutOfDomainError, require_positive
+from .errors import EVAL_ERRORS, DimensionMismatchError, NumericalError, OutOfDomainError
+from .errors import require_positive
 
 GRAD_V_FLOOR = 1e-12
 SCALE_FLOOR = 1e-30
@@ -242,16 +243,15 @@ def gauge_transform(potentials, f_tree, region=None):
 
 @dataclass(frozen=True)
 class Decomposition3D:
-    """Gauge-fixed split F = F_c + F_nc.
+    """Gauge-fixed split F = F_c + F_nc at the rows of ``points``, the region's
+    samples: grad U (rarely a closed form of the inputs), the conservative part
+    F_c and the non-conservative part F_nc, each (N, 3), and a ResidualReport
+    per check of the split in ``diagnostics``."""
 
-    grad_u is generally not a closed-form expression of the inputs, hence
-    sampler-backed fields rather than expression trees: ``value`` takes a
-    point and ``values`` the rows of an (N, 3) array.
-    """
-
-    grad_u: fieldkit.CallableVectorField
-    f_c: fieldkit.CallableVectorField   # conservative part
-    f_nc: fieldkit.CallableVectorField  # non-conservative part
+    points: np.ndarray
+    grad_u: np.ndarray
+    f_c: np.ndarray
+    f_nc: np.ndarray
     diagnostics: dict
 
 
@@ -276,53 +276,46 @@ def decompose3d(F, V, region):
             raise NumericalError(f"{reason}: max {quantity} = {worst:.3e} exceeds "
                                  f"{ADMISSIBILITY_RTOL:.1e} * scale = {bound:.3e}")
 
-    def admissibility(Q):
+    def split(Q, gv):
+        """curl F, F, grad U, F_c and F_nc at the rows of Q, where grad V is gv."""
+        ngv2 = np.einsum("ij,ij->i", gv, gv)
+        _refuse_first(ngv2 < GRAD_V_FLOOR**2, Q, "||grad V|| below floor at {}")
+        c = fieldkit.curl_many(F, Q)
+        grad_u = np.cross(gv, c) / ngv2[:, None]
+        f, f_nc = F.values(Q), -V.values(Q)[:, None] * grad_u
+        return c, f, grad_u, f - f_nc, f_nc
+
+    def at_samples(Q):
         gv = V.gradients(Q)
         _refuse_first(np.linalg.norm(gv, axis=1) < GRAD_V_FLOOR, Q,
                       "||grad V|| below floor at sample {}")
-        return np.abs(np.einsum("ij,ij->i", gv, fieldkit.curl_many(F, Q)))
+        return (gv, *split(Q, gv))
 
-    require_below(float(np.max(fieldkit.per_row(pts, admissibility))), "|grad V . curl F|",
+    gv, c, f, grad_u, f_c, f_nc = fieldkit.per_row(pts, at_samples)
+    require_below(float(np.max(np.abs(np.einsum("ij,ij->i", gv, c)))), "|grad V . curl F|",
                   "V is not constant along the curl characteristics")
 
-    def split(Q):
-        gv = V.gradients(Q)
-        ngv2 = np.einsum("ij,ij->i", gv, gv)
-        _refuse_first(ngv2 < GRAD_V_FLOOR**2, Q, "||grad V|| below floor at {}")
-        grad_u = np.cross(gv, fieldkit.curl_many(F, Q)) / ngv2[:, None]
-        f_nc = -V.values(Q)[:, None] * grad_u
-        return grad_u, F.values(Q) - f_nc, f_nc
+    def at_stencil(Q):
+        """[F_c | F_nc] at the rows of Q, raising the error of a loop over them."""
+        try:
+            return np.hstack(split(Q, V.gradients(Q))[3:])
+        except EVAL_ERRORS:
+            for q in Q[:, None]:
+                split(q, V.gradients(q))
+            raise
 
-    grad_u, f_c, f_nc = (
-        fieldkit.CallableVectorField(lambda p, i=i: split(p[None, :])[i][0], 3, F.domain,
-                                     lambda Q, i=i: split(Q)[i])
-        for i in range(3)
-    )
-
-    def diagnose(Q):
-        g, fc, fnc = split(Q)
-        return np.stack([
-            np.linalg.norm(F.values(Q) - fc - fnc, axis=1),
-            np.abs(np.einsum("ij,ij->i", V.gradients(Q), g)),
-            np.linalg.norm(fieldkit.curl_many(f_c, Q, "fd"), axis=1),
-            np.linalg.norm(
-                fieldkit.curl_many(f_nc, Q, "fd") - fieldkit.curl_many(F, Q), axis=1
-            ),
-        ])
-
-    definitions = {
-        "sum_identity": "F - F_c - F_nc",
-        "gauge_orthogonality": "grad(V) . grad(U)",
-        "curl_f_c": "||curl F_c|| (fd)",
-        "curl_f_nc_agreement": "||curl F_nc - curl F|| (fd vs analytic)",
-    }
-    diagnostics = {
-        name: _residual_report(values, pts, definition)
-        for (name, definition), values in zip(definitions.items(), fieldkit.per_row(pts, diagnose))
-    }
+    J = fieldkit._fd_jacobians(at_stencil, pts, F.domain).reshape(len(pts), 2, 3, 3)
+    curl_f_c, curl_f_nc = np.moveaxis(fieldkit.curl_of_jacobian(J), 1, 0)
+    diagnostics = {name: _residual_report(r, pts, definition) for name, definition, r in (
+        ("sum_identity", "F - F_c - F_nc", np.linalg.norm(f - f_c - f_nc, axis=1)),
+        ("gauge_orthogonality", "grad(V) . grad(U)", np.abs(np.einsum("ij,ij->i", gv, grad_u))),
+        ("curl_f_c", "||curl F_c|| (fd)", np.linalg.norm(curl_f_c, axis=1)),
+        ("curl_f_nc_agreement", "||curl F_nc - curl F|| (fd vs analytic)",
+         np.linalg.norm(curl_f_nc - c, axis=1)),
+    )}
     require_below(diagnostics["curl_f_c"].max, "||curl F_c||",
                   "the split is not conservative (no U in the gauge grad V . grad U = 0)")
-    return Decomposition3D(grad_u=grad_u, f_c=f_c, f_nc=f_nc, diagnostics=diagnostics)
+    return Decomposition3D(points=pts, grad_u=grad_u, f_c=f_c, f_nc=f_nc, diagnostics=diagnostics)
 
 
 def characteristic_deviation(F, V, x0, s_max, steps=200):

@@ -341,9 +341,8 @@ class VectorFieldDef:
 class CallableVectorField:
     """Vector field backed by a sampler rather than expressions.
 
-    Used where values exist pointwise but not in closed form (the
-    conservative/non-conservative split, rescaled forces). Jacobian and
-    curl are finite-difference only.
+    Used where values exist pointwise but not in closed form (rescaled
+    forces). Jacobian and curl are finite-difference only.
 
     ``batch``, if given, maps an (N, dimension) array of points to the
     (N, dimension) values of ``fn`` at its rows; ``values`` and the fd

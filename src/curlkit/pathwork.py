@@ -26,6 +26,7 @@ and the right-hand rule applies to the vertex order in 3D.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,15 +192,20 @@ def line_work(F, path):
         )
         return total, n_edges * k
 
-    prev, count = estimate(panels)
-    for _ in range(MAX_REFINEMENTS):
-        panels *= 2
-        value, count = estimate(panels)
+    return _converged((estimate(panels << i) for i in range(MAX_REFINEMENTS + 1)),
+                      f"line quadrature did not converge after {MAX_REFINEMENTS} refinements")
+
+
+def _converged(estimates, failure):
+    """WorkResult of the first (value, segments) of ``estimates`` within max(QUAD_ATOL,
+    QUAD_RTOL * |value|) of the one before it; NumericalError(failure) if none is."""
+    prev, _ = next(estimates)
+    for value, count in estimates:
         err = abs(value - prev)
         if err <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return WorkResult(value=value, error_estimate=err, segments=count)
         prev = value
-    raise NumericalError(f"line quadrature did not converge after {MAX_REFINEMENTS} refinements")
+    raise NumericalError(failure)
 
 
 # --- surface (Stokes) form ----------------------------------------------------
@@ -316,17 +322,9 @@ def stokes_work(F, loop):
     chunk = max(1, BATCH_POINTS // len(_TRI_POINTS))
 
     def estimate(tri):
-        return sum(
-            _triangle_rule(integrand, tri[lo : lo + chunk]) for lo in range(0, len(tri), chunk)
-        )
+        chunks = (tri[lo : lo + chunk] for lo in range(0, len(tri), chunk))
+        return sum(_triangle_rule(integrand, c) for c in chunks), len(tri)
 
-    prev = estimate(triangles)
-    for _ in range(SURFACE_REFINEMENTS):
-        triangles = _subdivide(triangles)
-        value = estimate(triangles)
-        count = len(triangles)
-        err = abs(value - prev)
-        if err <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
-            return WorkResult(value=value, error_estimate=err, segments=count)
-        prev = value
-    raise NumericalError("surface quadrature did not converge")
+    rounds = itertools.accumulate(range(SURFACE_REFINEMENTS), lambda tri, _: _subdivide(tri),
+                                  initial=triangles)
+    return _converged(map(estimate, rounds), "surface quadrature did not converge")

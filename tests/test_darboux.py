@@ -11,8 +11,9 @@ from curlkit.darboux import (
     verify_representation,
     vpde_residual,
 )
-from curlkit.errors import DimensionMismatchError, NumericalError, OutOfDomainError
-from curlkit.fieldkit import Box, Region, ScalarFieldDef, VectorFieldDef
+from curlkit.errors import (DimensionMismatchError, EvalDomainError, NumericalError,
+                            OutOfDomainError)
+from curlkit.fieldkit import FD_STEP_FACTOR, Box, Region, ScalarFieldDef, VectorFieldDef
 
 
 DOM2 = Box((0.05, 0.05), (5.0, 5.0))
@@ -241,13 +242,14 @@ def test_decompose_v_y():
     F = triple_field()
     V = ScalarFieldDef.from_source("y", 3, domain=DOM3)
     dec = decompose3d(F, V, R3)
-    for p in [(1.0, 1.0, 1.0), (0.7, 1.3, 1.9)]:
-        x, y, z = p
-        assert dec.grad_u.value(p) == pytest.approx(np.array([-z, 0.0, -x]), abs=1e-13)
-        assert dec.f_nc.value(p) == pytest.approx(np.array([y * z, 0.0, x * y]), abs=1e-13)
-        assert dec.f_c.value(p) == pytest.approx(
-            np.array([-2 * y * z, -2 * x * z, -2 * x * y]), abs=1e-13
-        )
+    assert np.array_equal(dec.points, R3.samples())
+    x, y, z = dec.points.T
+    zero = np.zeros_like(x)
+    assert dec.grad_u == pytest.approx(np.stack([-z, zero, -x], axis=1), abs=1e-13)
+    assert dec.f_nc == pytest.approx(np.stack([y * z, zero, x * y], axis=1), abs=1e-13)
+    assert dec.f_c == pytest.approx(
+        np.stack([-2 * y * z, -2 * x * z, -2 * x * y], axis=1), abs=1e-13
+    )
     assert dec.diagnostics["curl_f_c"].max <= 1e-6
     assert dec.diagnostics["sum_identity"].max <= 1e-13
     assert dec.diagnostics["gauge_orthogonality"].max <= 1e-9
@@ -258,28 +260,26 @@ def test_decompose_v_xz():
     F = triple_field()
     V = ScalarFieldDef.from_source("x*z", 3, domain=DOM3)
     dec = decompose3d(F, V, R3)
-    for p in [(1.0, 1.0, 1.0), (1.4, 0.6, 0.9)]:
-        x, y, z = p
-        assert dec.grad_u.value(p) == pytest.approx(np.array([0.0, 1.0, 0.0]), abs=1e-13)
-        assert dec.f_nc.value(p) == pytest.approx(np.array([0.0, -x * z, 0.0]), abs=1e-13)
-        assert dec.f_c.value(p) == pytest.approx(
-            np.array([-y * z, -x * z, -x * y]), abs=1e-13
-        )
+    x, y, z = dec.points.T
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    assert dec.grad_u == pytest.approx(np.stack([zero, one, zero], axis=1), abs=1e-13)
+    assert dec.f_nc == pytest.approx(np.stack([zero, -x * z, zero], axis=1), abs=1e-13)
+    assert dec.f_c == pytest.approx(np.stack([-y * z, -x * z, -x * y], axis=1), abs=1e-13)
     assert dec.diagnostics["curl_f_c"].max <= 1e-6
 
 
 def test_decompositions_differ_by_conservative_field():
+    # F_nc(y) - F_nc(xz) = grad(xyz), and the fd curl of the difference is
+    # the difference of the two fd curls of F_c
     F = triple_field()
     d1 = decompose3d(F, ScalarFieldDef.from_source("y", 3, domain=DOM3), R3)
     d2 = decompose3d(F, ScalarFieldDef.from_source("x*z", 3, domain=DOM3), R3)
-
-    from curlkit.fieldkit import CallableVectorField
-
-    diff = CallableVectorField(lambda p: d1.f_nc.value(p) - d2.f_nc.value(p), 3, F.domain)
-    for p in R3.samples()[:40]:
-        J = diff.jacobian(p)
-        cn = np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
-        assert np.linalg.norm(cn) <= 1e-6
+    assert np.array_equal(d1.points, d2.points)
+    x, y, z = d1.points.T
+    assert d1.f_nc - d2.f_nc == pytest.approx(np.stack([y * z, x * z, x * y], axis=1),
+                                              abs=1e-13)
+    assert d1.diagnostics["curl_f_c"].max <= 1e-6
+    assert d2.diagnostics["curl_f_c"].max <= 1e-6
 
 
 def test_decompose_rejects_bad_v():
@@ -328,7 +328,6 @@ def test_characteristic_domain_exit_reported():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlkit.errors import EvalDomainError
 
 REPEATABLE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -406,10 +405,48 @@ def test_decompose_refuses_a_split_that_is_not_conservative():
         decompose3d(F, V, region)
 
 
-def test_decompose_samplers_take_points_or_rows():
-    dec = decompose3d(triple_field(), ScalarFieldDef.from_source("y", 3, domain=DOM3), R3)
-    pts = R3.samples()[:5]
-    for field in (dec.grad_u, dec.f_c, dec.f_nc):
-        rows = field.values(pts)
-        assert rows.shape == (5, 3)
-        assert np.array_equal(rows, np.array([field.value(p) for p in pts]))
+@pytest.mark.parametrize("count", [20, 40])
+def test_decompose_evaluates_each_sample_and_stencil_point_once(monkeypatch, count):
+    # F's Jacobian on the samples for the scale, on the first sample and on
+    # all samples for the split, then on the first row's stencil points and
+    # on all of them for both fd curls: N + (1 + N) + (6 + 6N) rows
+    rows = {"F": 0, "V": 0}
+    jacobians, gradients = VectorFieldDef.jacobians, ScalarFieldDef.gradients
+
+    def count_rows(name, real):
+        def counted(self, P, mode="analytic"):
+            rows[name] += len(P)
+            return real(self, P, mode)
+        return counted
+
+    monkeypatch.setattr(VectorFieldDef, "jacobians", count_rows("F", jacobians))
+    monkeypatch.setattr(ScalarFieldDef, "gradients", count_rows("V", gradients))
+    V = ScalarFieldDef.from_source("y", 3, domain=DOM3)
+    decompose3d(triple_field(), V, Region.random(R3.box, count, seed=42))
+    assert rows == {"F": 8 * count + 7, "V": 7 * count + 7}
+
+
+def test_decompose_stencil_error_comes_after_the_admissibility_checks():
+    # V = log(y - c) is admissible at every sample, but its log fails at
+    # the y - h stencil point of the sample with the smallest y
+    c = float(R3.samples()[:, 1].min()) - 3e-6
+    V = ScalarFieldDef.from_source("log(y - c)", 3, {"c": c}, DOM3)
+    with pytest.raises(EvalDomainError, match=r"log of non-positive value -3\.06"):
+        decompose3d(triple_field(), V, R3)
+
+
+def test_decompose_stencil_error_is_the_one_of_the_pointwise_loop():
+    # at the sample r with the largest x, F fails at its first stencil point
+    # x + h, and grad V vanishes at a later one, y - h: a loop over the
+    # stencil points meets F's error first, though a batch of them meets
+    # V's floor first. F's sqrt terms cancel exactly, so curl F is unchanged
+    pts = R3.samples()
+    x, y, _ = pts[int(np.argmax(pts[:, 0]))]
+    hx, hy = (max(1.0, abs(c)) * FD_STEP_FACTOR for c in (x, y))
+    sources = ["-(y*z) + sqrt(c - x) - sqrt(c - x)", "-(2*x*z)", "-(x*y)"]
+    F = VectorFieldDef.from_source(sources, 3, {"c": float(x + hx / 2)}, DOM3)
+    V = ScalarFieldDef.from_source("(y - c)^2", 3, {"c": float(y - hy)}, DOM3)
+    with pytest.raises(EvalDomainError, match="sqrt of negative value"):
+        decompose3d(F, V, R3)
+    with pytest.raises(NumericalError, match=r"below floor at \("):
+        decompose3d(triple_field(), V, R3)

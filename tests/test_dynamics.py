@@ -558,21 +558,35 @@ def test_node_error_comes_before_the_end_slope_of_its_step(integrator):
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
 
 
-@pytest.mark.parametrize("k", range(30, 60))
-@pytest.mark.parametrize("refine", [1, 2, 3])
-@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def cut_step_points(integrator, refine):
+    """``evaluated_points`` on a step cut into ``refine`` pieces, with its
+    nodes in order: (config, start, points, stages, nodes)."""
+    cfg = SimConfig(integrator=integrator, h=0.05, t_end=3.0, refine=refine)
+    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    ordered, stages = evaluated_points(integrator, cfg, x0, v0)
+    return cfg, (x0, v0), ordered, stages, [p for p in ordered if p not in stages]
+
+
+def nodes_after_a_stage():
+    """(integrator, refine, k) for the nodes k in 30-59 that the per-node
+    loop evaluates just after a stage of the integrator."""
+    cases = []
+    for integrator in ("dopri45", "rk4"):
+        for refine in (1, 2, 3):
+            _, _, ordered, stages, nodes = cut_step_points(integrator, refine)
+            cases += [(integrator, refine, k) for k in range(30, 60)
+                      if ordered[ordered.index(nodes[k]) - 1] in stages]
+    return cases
+
+
+@pytest.mark.parametrize("integrator, refine, k", nodes_after_a_stage())
 def test_error_order_on_steps_cut_into_pieces(integrator, refine, k):
     # node k fails, every later node with its own message, and the stage
     # evaluated just before node k fails too: with rk4 and refine > 1 that
     # stage is the end slope, which the per-node loop meets at an inner end
     # or a node of the step, after the nodes of its earlier pieces
-    cfg = SimConfig(integrator=integrator, h=0.05, t_end=3.0, refine=refine)
-    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    ordered, stages = evaluated_points(integrator, cfg, x0, v0)
-    nodes = [p for p in ordered if p not in stages]
+    cfg, (x0, v0), ordered, stages, nodes = cut_step_points(integrator, refine)
     before = ordered[ordered.index(nodes[k]) - 1]
-    if before not in stages:
-        pytest.skip("node k follows another node")
     bad = {p: f"node {j} fails" for j, p in enumerate(nodes[k + 1 :], k + 1)}
     bad[nodes[k]] = "node fails"
     bad[before] = "stage fails"
