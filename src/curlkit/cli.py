@@ -106,12 +106,12 @@ class _Parser(argparse.ArgumentParser):
 def write_csv(path, header, columns):
     """CSV of ``header`` and ``columns``, the series' arrays of N rows, each
     of shape (N,) or (N, k), side by side: comma separator, '.' decimals, LF
-    endings, every cell a float with 17 significant digits. An empty series
-    yields a header-only file."""
-    rows = np.column_stack(columns).tolist()
-    line = ",".join(["%.17g"] * len(header))
+    endings, every cell a float with 17 significant digits, all formatted by
+    one ``%`` of the row template N times. An empty series gives the header."""
+    cells = np.column_stack(columns)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n")
+        fh.write(",".join(header) + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 def _axis_names(dim):

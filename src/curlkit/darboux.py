@@ -120,9 +120,9 @@ def _scale(J, region):
 
 
 def _refuse_first(bad, Q, message):
-    """NumericalError naming the first row of Q flagged in ``bad``."""
+    """NumericalError naming the first row of Q flagged in ``bad``, in plain floats."""
     if bad.any():
-        raise NumericalError(message.format(tuple(Q[int(np.argmax(bad))])))
+        raise NumericalError(message.format(tuple(Q[int(np.argmax(bad))].tolist())))
 
 
 def sampled_scale(F, region, points):

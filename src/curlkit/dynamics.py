@@ -16,20 +16,21 @@ as a second column next to F . v, and returned as ``form_work``; it costs
 one batch ``G.values`` per block and no further step. The auxiliary
 Hamiltonian of ``auxiliary`` accumulates its kinetic part this way.
 
-The quadrature is batched. The step callback takes the states at the
-nodes of all its intervals, and at their inner ends, with one dense call,
-and keeps each interval's width and (3, n) node states; once
-``QUAD_BLOCK`` intervals wait, and at the end, the block is integrated at
-once, with one batch ``F.values`` call (and one ``G.values``). Errors are
+The quadrature is batched. Each step makes one dense call for the states
+at the nodes of its k intervals and at their inner ends, and appends its
+k end rows, times, widths and (3k, n) node states. After the step that
+brings the waiting intervals to ``QUAD_BLOCK`` or more, and at the end,
+they are integrated at once: one batch ``F.values`` (and ``G.values``),
+and one ``np.cumsum``, which adds an increment at a time. Errors are
 those of a per-node loop that evaluates F, then G, at each node: if
 anything in a block fails, the block is redone one node at a time with
 the pointwise fields on the stored states, and if the integrator raises,
 the waiting intervals are integrated first, so a node error from an
 earlier step is the one raised.
 
-The right-hand side and the step callback, run per stage and per step,
-stay on Python floats: the force's ``value_unchecked`` tuple and the
-integrator's state (see ``_ode``). States become arrays at the dense call.
+The right-hand side, run per stage, stays on Python floats: the force's
+``value_unchecked`` tuple and the integrator's state (see ``_ode``).
+States become arrays at the step callback's one dense call.
 
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
@@ -56,8 +57,8 @@ from ._ode import _MAX_STEPS, IntegratorStats, integrate_dopri45, integrate_rk4
 from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
                      OutOfDomainError, require_positive)
 
-# recorded intervals whose work is computed together; bounds the waiting
-# node states and node values
+# waiting recorded intervals are integrated after the step that brings them to
+# this many or more; with that step's, this bounds the waiting node states
 QUAD_BLOCK = 128
 
 # the 3-node Gauss-Legendre rule on [0, 1]: nodes and weights
@@ -158,19 +159,19 @@ def integrate(F, x0, v0, cfg, form=None):
         # matmul takes the kernel of np.dot, so each row rounds as in node_powers
         return np.array([np.matmul(field.values(X)[:, None, :], V)[:, 0, 0] for field in fields])
 
+    y0 = np.concatenate((x0, v0))
     ts = [0.0]
-    xs = [x0.copy()]
-    vs = [v0.copy()]
-    sums = [[0.0] for _ in fields]  # cumulative work, then form work
-    pending = []  # (width, (3, n) node states) of each recorded interval
+    rows = [y0[None]]  # a (k, 2 dim) block of (x, v) rows per step
+    sums = [[np.zeros(1)] for _ in fields]  # cumulative work, then form work
+    widths, nodes = [], []  # of the waiting intervals: widths, (3k, n) node states per step
+    grids = {}  # piece count -> its thetas, node thetas and dense-call thetas
 
     def flush():
-        block = pending.copy()
-        pending.clear()  # a block that raises is not integrated again
-        if not block:
+        if not widths:
             return
-        widths, states = zip(*block)
-        states = np.concatenate(states)
+        width, states = np.array(widths), np.concatenate(nodes)
+        widths.clear()  # a block that raises is not integrated again
+        nodes.clear()
         try:
             powers = batch_powers(states)
         except EVAL_ERRORS:
@@ -186,8 +187,13 @@ def integrate(F, x0, v0, cfg, form=None):
         # Berry's field); on a dopri45 step, whose dense output is a quartic,
         # the defect stays at the controller's tolerance
         for column, p in zip(sums, powers):
-            for inc in (p.reshape(-1, 3) @ _GAUSS_WEIGHTS) * np.array(widths):
-                column.append(column[-1] + float(inc))
+            increments = (p.reshape(-1, 3) @ _GAUSS_WEIGHTS) * width
+            column.append(np.cumsum(np.concatenate((column[-1][-1:], increments)))[1:])
+
+    def grid(pieces):
+        theta = [j / pieces for j in range(pieces + 1)]
+        node = [a + g * (b - a) for a, b in zip(theta, theta[1:]) for g in _GAUSS_NODES]
+        return theta, node, np.array(node + theta[1:-1])
 
     def on_step(t0, y0, t1, y1, dense):
         span = t1 - t0
@@ -203,33 +209,30 @@ def integrate(F, x0, v0, cfg, form=None):
                 "raise record_dt or lower refine"
             )
         pieces = int(pieces)
-        t = [t0 + span * j / pieces for j in range(pieces + 1)]
-        theta = [j / pieces for j in range(pieces + 1)]
-        nodes = [a + g * (b - a) for a, b in zip(theta, theta[1:]) for g in _GAUSS_NODES]
+        if pieces not in grids:
+            grids[pieces] = grid(pieces)
+        theta, node, thetas = grids[pieces]
         try:
-            states = dense(np.array(nodes + theta[1:-1]))
+            states = dense(thetas)
         except EVAL_ERRORS:
-            # only the rk4 end slope can fail here: integrate what is
-            # waiting, then meet this step's points as a per-node loop does,
-            # each piece's inner end before its nodes, so that loop's first
-            # error is the one raised
-            flush()
+            # only the rk4 end slope can fail here: meet this step's points
+            # as a per-node loop does, each piece's inner end before its
+            # nodes, so that loop's first error is the one raised (on the way
+            # out, the waiting intervals are integrated first)
             for i in range(pieces):
                 if i + 1 < pieces:
                     dense(theta[i + 1])
-                node_powers(map(dense, nodes[3 * i : 3 * i + 3]))
+                node_powers(map(dense, node[3 * i : 3 * i + 3]))
             raise
-        ends = [*states[3 * pieces :].copy(), y1]  # rows that keep no node states alive
-        for i in range(pieces):
-            pending.append((t[i + 1] - t[i], states[3 * i : 3 * i + 3]))
-            ts.append(t[i + 1])
-            xs.append(ends[i][:dim])
-            vs.append(ends[i][dim:])
-            if len(pending) == QUAD_BLOCK:
-                flush()
+        t = [t0 + span * j / pieces for j in range(pieces + 1)]
+        ts.extend(t[1:])
+        widths.extend([b - a for a, b in zip(t, t[1:])])
+        nodes.append(states[: 3 * pieces])
+        rows.append(np.concatenate((states[3 * pieces :], [y1])))
+        if len(widths) >= QUAD_BLOCK:
+            flush()
 
     inside = lambda y: F.domain.contains(y[:dim])
-    y0 = np.concatenate((x0, v0))
     try:
         if cfg.integrator == "dopri45":
             res = integrate_dopri45(
@@ -254,21 +257,17 @@ def integrate(F, x0, v0, cfg, form=None):
         raise
     flush()
 
-    t_arr = np.array(ts)
-    v_arr = np.array(vs)
-    kinetic = 0.5 * m * np.sum(v_arr * v_arr, axis=1)
-    exit_state = None
-    if res.exited:
-        exit_state = (res.t, res.y[:dim].copy())
+    states = np.concatenate(rows)
+    v = states[:, dim:]
     return Trajectory(
-        t=t_arr,
-        x=np.array(xs),
-        v=v_arr,
-        kinetic=kinetic,
-        work=np.array(sums[0]),
-        form_work=None if form is None else np.array(sums[1]),
+        t=np.array(ts),
+        x=states[:, :dim],
+        v=v,
+        kinetic=0.5 * m * np.sum(v * v, axis=1),
+        work=np.concatenate(sums[0]),
+        form_work=None if form is None else np.concatenate(sums[1]),
         exited=res.exited,
-        exit_state=exit_state,
+        exit_state=(res.t, res.y[:dim].copy()) if res.exited else None,
         stats=res.stats,
     )
 

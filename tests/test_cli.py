@@ -343,21 +343,29 @@ def reference_csv(header, rows):
     return "".join(lines).encode()
 
 
-CSV_VALUES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
-              1 / 3, 2.0**53 + 2, float("inf"), float("nan"), np.float64(0.1),
+# signed zeros, subnormals, the largest finite values, infinities, NaN, and
+# values whose shortest round trip takes all 17 significant digits (0.1 + 0.2,
+# 1 / 3)
+CSV_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
+              1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+              float("nan"), 0.1, 0.1 + 0.2, 1 / 3, -2 / 3, 2.0**53 + 2, np.float64(0.1),
               np.float64(-0.0), np.float64(1 / 3)]
 
 
 def test_write_csv_matches_the_per_value_writer(tmp_path):
-    # rows of mixed and of uniform values, each value in every column
+    # 1,000 rows of mixed values, rows of one value in every column, and
+    # normal draws over 40 decades, many of which need 17 digits
     rng = np.random.default_rng(5)
-    rows = [[CSV_VALUES[i] for i in rng.choice(len(CSV_VALUES), 3)] for _ in range(200)]
-    rows += [[v, v, v] for v in CSV_VALUES] + rng.normal(size=(20, 3)).tolist()
-    header = ["a", "b", "c"]
+    rows = [[CSV_VALUES[i] for i in rng.choice(len(CSV_VALUES), 4)] for _ in range(1000)]
+    rows += [[v] * 4 for v in CSV_VALUES]
+    rows += (rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-20, 20, (200, 4))).tolist()
+    header = ["a", "b", "c", "d"]
     path = tmp_path / "out.csv"
     table = np.array(rows)
-    # the series as one (N, 3) column, as (N,) and (N, 2) columns, and as (N,) columns
-    for columns in ((table,), (table[:, 0], table[:, 1:]), tuple(table.T)):
+    # the series as one (N, 4) column, as (N,) and (N, k) columns, and as (N,) columns
+    splits = ((table,), (table[:, 0], table[:, 1:]), (table[:, :2], table[:, 2], table[:, 3:]),
+              tuple(table.T))
+    for columns in splits:
         cli.write_csv(path, header, columns)
         assert path.read_bytes() == reference_csv(header, rows)
     cli.write_csv(path, ["i", "v"], (np.zeros(0), np.zeros((0, 1))))

@@ -232,8 +232,10 @@ def test_gauge_vanishing_derivative_rejected():
     # f(u) = (u + 2)^2 has f' = 0 at u = -2 = U(1, 1); the grid corner
     # hits (1, 1) exactly
     f = exprlang.parse_in_variables("(u + 2)^2", ("u",))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as err:
         gauge_transform(P, f, region=Region.grid(Box((1.0, 1.0), (1.5, 1.5)), (2, 2)))
+    # the point reads as plain floats, not as NumPy scalars
+    assert str(err.value) == "gauge derivative f'(U) vanishes at sample (1.0, 1.0)"
 
 
 # --- decompose3d ------------------------------------------------------------------
@@ -293,8 +295,11 @@ def test_decompose_rejects_bad_v():
 def test_decompose_rejects_vanishing_grad_v():
     F = triple_field()
     V = ScalarFieldDef.from_source("1", 3, domain=DOM3)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as err:
         decompose3d(F, V, R3)
+    # the first sample, as plain floats
+    x, y, z = (float(c) for c in R3.samples()[0])
+    assert str(err.value) == f"||grad V|| below floor at sample ({x!r}, {y!r}, {z!r})"
 
 
 # --- characteristics ----------------------------------------------------------------

@@ -399,6 +399,20 @@ def test_batched_form_work_matches_pointwise(F, G, x0, v0, options):
     assert_matches_reference(F, x0, v0, SimConfig(t_end=1.0, **options), form=G)
 
 
+@pytest.mark.parametrize("options", [dict(integrator="rk4", h=0.05, record_dt=0.02),
+                                     dict(record_dt=0.05)])
+def test_steps_that_straddle_a_block_are_recorded_as_one_loop(monkeypatch, options):
+    # a block of 4 intervals and steps of 3 or more: each flush comes after
+    # a step that takes the waiting intervals past the block, so the rows,
+    # times and cumulative sums of several steps join across flushes; t_end
+    # 2 runs into the wall, so the clipped last step is recorded too
+    monkeypatch.setattr(dynamics, "QUAD_BLOCK", 4)
+    cfg = SimConfig(t_end=2.0, refine=3, **options)
+    traj = assert_matches_reference(berry_field(), *BERRY_START, cfg)
+    assert traj.exited
+    assert len(traj) - 1 > 3 * traj.stats.n_steps  # some step is cut into pieces
+
+
 @pytest.mark.parametrize("options", [dict(integrator="rk4", h=1e-2), dict(record_dt=1e-3),
                                      dict(refine=4)])
 def test_form_leaves_the_trajectory_and_the_work_unchanged(options):
@@ -592,6 +606,37 @@ def test_error_order_on_steps_cut_into_pieces(integrator, refine, k):
     bad[before] = "stage fails"
     F = failing_field(bad)
     want = raised(lambda: reference_integrate(F, x0, v0, cfg))
+    assert raised(lambda: integrate(F, x0, v0, cfg)) == want
+
+
+def end_slope_case():
+    """The first (integrator, refine, k) of ``nodes_after_a_stage`` for rk4 cut
+    into three pieces whose stage is its step's end slope: a node comes
+    before that stage, where an integrator stage would come before a step's
+    first node."""
+    _, _, ordered, stages, nodes = cut_step_points("rk4", 3)
+    return next(c for c in nodes_after_a_stage() if c[:2] == ("rk4", 3)
+                and ordered[ordered.index(nodes[c[2]]) - 2] not in stages)
+
+
+@pytest.mark.parametrize("block", [QUAD_BLOCK, 4])
+@pytest.mark.parametrize("back", [0, 3, 4])
+def test_error_order_when_the_end_slope_fails(monkeypatch, block, back):
+    # the end slope case of the test above, with node k - back and every
+    # later node failing: node k itself (back 0), the first node of its step
+    # (3), which the step meets after its dense call raised, or the last node
+    # of the step before (4), which may still wait then. A block of 4
+    # intervals ends blocks inside the steps, which record 3 each
+    monkeypatch.setattr(dynamics, "QUAD_BLOCK", block)
+    integrator, refine, k = end_slope_case()
+    cfg, (x0, v0), ordered, stages, nodes = cut_step_points(integrator, refine)
+    before = ordered[ordered.index(nodes[k]) - 1]
+    bad = {p: f"node {j} fails" for j, p in enumerate(nodes[k - back + 1 :], k - back + 1)}
+    bad[nodes[k - back]] = "node fails"
+    bad[before] = "stage fails"
+    F = failing_field(bad)
+    want = raised(lambda: reference_integrate(F, x0, v0, cfg))
+    assert want == (NumericalError, "node fails" if back else "stage fails")
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
 
 
