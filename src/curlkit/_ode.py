@@ -18,11 +18,15 @@ Two integrators are provided for first-order systems y' = f(t, y):
     piece. The end slope f(t1, y1) of the Hermite is the next step's k1, so
     a step costs eight right-hand sides (plus one for the first k1).
 
-The rk4 state is a list of Python floats; its stages and Hermite go
-element by element, each scalar coefficient first (``(0.5*h)*k``), so every
-number is the one of the array expressions. dopri45 keeps an ndarray state:
-its ``@`` stage sums round unlike a left-to-right float sum. Both take any
-sequence of floats from f, and both return ``OdeResult.y`` as an ndarray.
+Both drivers keep the state as a list of Python floats, and their
+stages, dopri45's error norm and both dense outputs go element by element.
+rk4 takes each scalar coefficient first (``(0.5*h)*k``), so every number is
+the one of the array expressions it replaced. dopri45 sums its stages left
+to right over the tableau's nonzero weights, which rounds unlike the matrix
+products it replaced. Its error estimate cancels down to the tolerance, so
+that round-off reaches the step sizes (up to about 1e-7 relative), and the
+step ends and states move by about 1e-9. Both take any sequence of floats
+from f, and both return ``OdeResult.y`` as an ndarray.
 
 Both drivers support a region guard: when a step (checked at the midpoint
 and the endpoint of its dense output) leaves the admissible set, the step
@@ -32,11 +36,11 @@ is bisected down to the boundary within 1e-10 and integration stops with
 The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
 at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
-``dense(theta)`` are sequences of floats (lists from rk4, arrays from
-dopri45) that consumers only index, slice and iterate. Given a 1-D array of
-k thetas ``dense`` returns the k states as rows of a (k, n) array, each
-bit-identical to the scalar call. A dense callable holds everything of its
-own step, so it stays valid after the integrator has moved on.
+``dense(theta)`` are lists of floats that consumers only index, slice and
+iterate. Given a 1-D array of k thetas ``dense`` returns the k states as
+rows of a (k, n) array, each bit-identical to the scalar call. A dense
+callable holds everything of its own step, so it stays valid after the
+integrator has moved on.
 
 ``sample_every(ds, visit)`` builds such a callback for the samples at
 t = ds, 2*ds, ...: each accepted step evaluates the sample times it reaches
@@ -56,35 +60,30 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Dormand-Prince 5(4) Butcher tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# fifth-order weights; the seventh stage (FSAL, evaluated at the new point)
-# enters only the error estimate and the dense output
-_B = np.append(_A[6], 0.0)
-# difference between the fifth- and embedded fourth-order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Dormand-Prince 5(4) Butcher tableau: nodes, and the stage weights by row
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    # the fifth-order weights; the seventh stage (FSAL, evaluated at the new
+    # point) enters only the error estimate and the dense output
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# difference between the fifth- and embedded fourth-order weights
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # dense-output coefficients of the classic fourth-order continuous extension
-_D = np.array(
-    [
-        -12715105075 / 11282082432,
-        0.0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ]
+_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
 )
 
 _SAFETY = 0.9
@@ -114,21 +113,31 @@ def _dopri_dense(y0, y1, k, h):
     """Continuous extension over one accepted step.
 
     Matches y0, y1 and the end slopes exactly; fourth-order accurate in
-    the interior.
+    the interior. Each element is a quartic in theta, kept as its five
+    Horner coefficients; a scalar theta gives a list of floats, and an
+    array of thetas runs the same expression on arrays of the
+    coefficients, built on the first such call.
     """
-    ydiff = y1 - y0
-    bspl = h * k[0] - ydiff
-    r1 = y0
-    r2 = ydiff
-    r3 = bspl
-    r4 = ydiff - h * k[6] - bspl
-    r5 = h * (_D @ k)
+    d1, _, d3, d4, d5, d6, d7 = _D
+    coeffs = []
+    for a, b, p1, p3, p4, p5, p6, p7 in zip(y0, y1, k[0], *k[2:]):
+        diff = b - a
+        bspl = h * p1 - diff
+        r5 = h * (d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7)
+        coeffs.append((a, diff, bspl, diff - h * p7 - bspl, r5))
+    rows = []
 
     def dense(theta):
         if isinstance(theta, np.ndarray):
+            if not rows:
+                rows.extend(np.array(coeffs).T)
+            r1, r2, r3, r4, r5 = rows
             theta = theta[:, None]
+            th1 = 1.0 - theta
+            return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
         th1 = 1.0 - theta
-        return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+        return [r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+                for r1, r2, r3, r4, r5 in coeffs]
 
     return dense
 
@@ -164,7 +173,7 @@ def _locate_boundary(dense, inside, theta_lo, theta_hi):
     y_lo = dense(theta_lo)
     y_hi = dense(theta_hi)
     for _ in range(200):
-        # as np.max(np.abs(y_hi - y_lo)) < tol, NaN included, on either state type
+        # as np.max(np.abs(y_hi - y_lo)) < tol, NaN included
         if all(abs(a - b) < _BOUNDARY_TOL for a, b in zip(y_hi, y_lo)):
             break
         mid = 0.5 * (theta_lo + theta_hi)
@@ -195,26 +204,70 @@ def _guard_step(t0, h, y0, y1, dense, inside, on_step):
     return True, t_exit, y_exit
 
 
+def _dopri_stages(f, t, y, h, k1):
+    """Stages 2-7 of one step from (t, y) with first stage k1.
+
+    Returns the fifth-order state y1 and the seven stages; the seventh is
+    f(t + h, y1). Each stage sum goes element by element, left to right.
+    """
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65),
+     (b1, _, b3, b4, b5, b6)) = _A[1:]
+    c2, c3, c4, c5 = _C[1:5]
+    k2 = f(t + c2 * h, [yi + h * (a21 * p1) for yi, p1 in zip(y, k1)])
+    k3 = f(t + c3 * h, [yi + h * (a31 * p1 + a32 * p2) for yi, p1, p2 in zip(y, k1, k2)])
+    k4 = f(t + c4 * h, [yi + h * (a41 * p1 + a42 * p2 + a43 * p3)
+                        for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
+    k5 = f(t + c5 * h, [yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                        for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    k6 = f(t + h, [yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                   for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    y1 = [yi + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+          for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    return y1, (k1, k2, k3, k4, k5, k6, f(t + h, y1))
+
+
+def _error_norm(y, y1, k, h, atol, rtol):
+    """RMS over the elements of the embedded error estimate, each scaled by
+    atol + rtol * max(|y|, |y1|); a NaN in y1 makes it NaN.
+
+    A scaled element too large to square (a tiny tolerance) gives inf, which
+    rejects the step: each element is a Python float, whose q * q overflows
+    to inf without the warning of a NumPy scalar (stages from an f that
+    returns arrays) and without the OverflowError of q ** 2. A zero scale
+    (atol 0 on a zero element) divides as IEEE does, to inf or NaN.
+    """
+    e1, _, e3, e4, e5, e6, e7 = _E
+    total = 0.0
+    for a, b, p1, p3, p4, p5, p6, p7 in zip(y, y1, k[0], *k[2:]):
+        a, b = abs(a), abs(b)
+        e = float(h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7))
+        scale = float(atol + rtol * (a if a > b else b))
+        q = e / scale if scale else e * math.inf
+        total += q * q
+    return math.sqrt(total / len(y))
+
+
 def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside=None,
                       on_step=None):
     """Integrate y' = f(t, y) from t0 to t_end adaptively.
 
-    Raises NumericalError on step-size underflow or step-count overflow;
-    returns early with ``exited=True`` if the guard reports a boundary
-    crossing.
+    The state is a list of Python floats and every stage, the error norm
+    and the dense output go element by element; ``OdeResult.y`` is an
+    ndarray. Raises NumericalError on step-size underflow, step-count
+    overflow or a NaN error estimate; returns early with ``exited=True``
+    if the guard reports a boundary crossing.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     stats = IntegratorStats()
-    y = np.asarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)
     span = t_end - t0
     if h_max is None:
         h_max = span / 10.0
     h = min(h_max, span / 100.0)
 
-    k = np.empty((7, y.size))
-    k[0] = f(t, y)
+    k1 = f(t, y)
     stats.n_fev += 1
 
     while t < t_end:
@@ -224,15 +277,9 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
         if stats.n_steps + stats.n_rejected > _MAX_STEPS:
             raise NumericalError("step count exceeded")
 
-        for i in range(1, 7):
-            yi = y + h * (_A[i][: i] @ k[:i])
-            k[i] = f(t + _C[i] * h, yi)
+        y1, k = _dopri_stages(f, t, y, h, k1)
         stats.n_fev += 6
-        y1 = y + h * (_B @ k)  # stage 7 already evaluated at (t+h, y1)
-
-        err_vec = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = _error_norm(y, y1, k, h, atol, rtol)
         if math.isnan(err):
             # NaN compares false against the acceptance test below; an
             # infinite estimate is rejected there and the step shrinks
@@ -248,17 +295,17 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, h, y, y1, dense, inside, on_step)
             if crossed:
-                return OdeResult(t_new, y_new, True, stats)
+                return OdeResult(t_new, np.array(y_new), True, stats)
         if on_step is not None:
             on_step(t, y, t + h, y1, dense)
 
         t = t + h
         y = y1
-        k[0] = k[6]  # FSAL
+        k1 = k[6]  # FSAL
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** (-0.2))
         h *= max(_MIN_FACTOR, factor)
 
-    return OdeResult(t, y, False, stats)
+    return OdeResult(t, np.array(y), False, stats)
 
 
 def _rk4_step(f, t, y, h, k1):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ode
 from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError, require_positive
 from .pathwork import ParamPath, _cross3
@@ -81,8 +82,9 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
     if F.dimension != 2:
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
     require_positive("arclength", arclength)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= _ode._MAX_STEPS:
+        # sample_every makes a theta per sample: refuse more samples than the step cap
+        raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)

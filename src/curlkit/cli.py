@@ -41,7 +41,7 @@ declares paths loads pathwork.
 Exit codes: 0 success, 1 usage error (including an option the command
 does not take, a non-finite component of --x0, --v0 or --targets, and a
 parameter the analysis rejects, such as an rk4 --h that would need more
-steps than the step cap), 2 input error, 3
+steps than the step cap or a --steps above it), 2 input error, 3
 numerical failure (domain exit, rescaling floor, non-convergence, more
 recorded rows than the step cap, a non-finite number in the report), 4
 assertion failure.
@@ -714,7 +714,8 @@ def main(argv=None):
     # library ValueErrors report parameters the parser cannot check: a
     # SimConfig field, a span (--arclength, --s-max, --eps), --delta or
     # --rep-tol not positive and finite, --samples, --refine or --steps
-    # below 1, an rk4 --h beyond the step cap, a gauge --f not in u, a bad --path
+    # below 1, a --steps or an rk4 --h beyond the step cap, a gauge --f not
+    # in u, a bad --path
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

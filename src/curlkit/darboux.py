@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import exprlang, fieldkit
+from . import _ode, exprlang, fieldkit
 from ._ode import integrate_dopri45, sample_every
 from .errors import EVAL_ERRORS, DimensionMismatchError, NumericalError, OutOfDomainError
 from .errors import require_positive
@@ -328,8 +328,9 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     if F.dimension != 3:
         raise DimensionMismatchError("characteristics are traced for 3D fields")
     require_positive("s_max", s_max)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= _ode._MAX_STEPS:
+        # sample_every makes a theta per sample: refuse more samples than the step cap
+        raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)

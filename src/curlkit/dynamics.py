@@ -28,9 +28,10 @@ the pointwise fields on the stored states, and if the integrator raises,
 the waiting intervals are integrated first, so a node error from an
 earlier step is the one raised.
 
-The right-hand side, run per stage, stays on Python floats: the force's
-``value_unchecked`` tuple and the integrator's state (see ``_ode``).
-States become arrays at the step callback's one dense call.
+The right-hand side, run per stage, stays on Python floats with either
+integrator: the force's ``value_unchecked`` tuple and the integrator's list
+state (see ``_ode``). States become arrays at the step callback's one dense
+call.
 
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlkit import auxiliary, cli, dynamics, exprlang, pathwork
+from curlkit import _ode, auxiliary, cli, dynamics, exprlang, pathwork
 from curlkit._ode import IntegratorStats
 from curlkit.problemfile import load_problem
 
@@ -193,6 +193,22 @@ def test_exit_numerical_for_a_start_outside_the_domain(tmp_path, problem, capsys
     assert code == cli.EXIT_NUMERICAL
     assert report is None
     assert "initial position outside field domain" in capsys.readouterr().err
+
+
+def test_a_tolerance_too_small_for_the_error_norm_is_a_numerical_failure(tmp_path, problem):
+    # the scaled error estimate overflowed in NumPy's square: a RuntimeWarning,
+    # and a traceback under error::RuntimeWarning; its square is now inf, and
+    # the step shrinks to underflow
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curlkit.cli", "simulate", problem(BERRY), "--x0", "1,1",
+         "--v0", "0.1,-0.1", "--t-end", "0.5", "--atol", "1e-300", "--rtol", "1e-300",
+         "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="error::RuntimeWarning"))
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert not out.exists()
+    assert proc.stderr == "numerical failure: step size underflow at t=0.0\n"
 
 
 def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys, monkeypatch):
@@ -774,6 +790,25 @@ def test_steps_below_one_is_a_usage_error(tmp_path, problem, capsys, doc, argv, 
     assert code == cli.EXIT_USAGE
     assert report is None
     assert f"{argv[-1][2:]} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,argv", [
+    (BERRY, ("trace2d", "--x0", "1,1", "--arclength", "0.5")),
+    (BERRY, ("reach2d", "--x0", "1,1", "--targets", "1.1,1.1", "--arclength", "0.5")),
+    (TRIPLE, ("characteristics", "--x0", "1,1,1", "--s-max", "0.5")),
+], ids=["trace2d", "reach2d", "characteristics"])
+def test_steps_above_the_step_cap_is_a_usage_error(tmp_path, problem, capsys, monkeypatch,
+                                                   doc, argv):
+    # the sampler takes one theta per sample, so a huge --steps ran out of memory
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 100)
+    path = problem(doc)
+    code, report = run(tmp_path, argv[0], path, *argv[1:], "--steps", "101")
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert capsys.readouterr().err == "error: steps must be >= 1 and at most 100, got 101\n"
+    code, report = run(tmp_path, argv[0], path, *argv[1:], "--steps", "100")
+    assert code == cli.EXIT_OK
+    assert report["parameters"]["steps"] == 100
 
 
 def test_string_domain_bound_is_an_input_error(tmp_path, problem, capsys):

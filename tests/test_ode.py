@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curlkit import _ode, accessibility, darboux
+from curlkit import _ode, accessibility, darboux, fieldkit
 from curlkit._ode import IntegratorStats, OdeResult, integrate_dopri45, integrate_rk4, sample_every
 from curlkit.errors import NumericalError
 from curlkit.fieldkit import Box, ScalarFieldDef, VectorFieldDef
@@ -610,3 +610,168 @@ def test_float_rk4_is_the_numpy_rk4_bit_for_bit(system, h, t_end, extra_theta, g
         assert all(same(a, b) for a, b in zip(at_scalars, want[4]))
         assert isinstance(at_array, np.ndarray) and same(at_array, want[5])
         assert same(at_none, want[6])
+
+
+# --- the NumPy dopri45 that the float dopri45 replaced, kept as its reference -
+# (integrate_dopri45 and its dense output as they were, with an np_ prefix;
+# the state is an ndarray, each stage sum a matrix product, and the guard is
+# the NumPy rk4's above)
+
+NP_C = np.array(_ode._C)
+NP_A = [np.array(row) for row in _ode._A]
+NP_B = np.append(NP_A[6], 0.0)
+NP_E = np.array(_ode._E)
+NP_D = np.array(_ode._D)
+
+
+def np_dopri_dense(y0, y1, k, h):
+    ydiff = y1 - y0
+    bspl = h * k[0] - ydiff
+    r1 = y0
+    r2 = ydiff
+    r3 = bspl
+    r4 = ydiff - h * k[6] - bspl
+    r5 = h * (NP_D @ k)
+
+    def dense(theta):
+        if isinstance(theta, np.ndarray):
+            theta = theta[:, None]
+        th1 = 1.0 - theta
+        return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+
+    return dense
+
+
+def np_integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside=None,
+                         on_step=None):
+    if t_end <= t0:
+        raise ValueError("t_end must exceed t0")
+    stats = IntegratorStats()
+    y = np.asarray(y0, dtype=float)
+    t = float(t0)
+    span = t_end - t0
+    if h_max is None:
+        h_max = span / 10.0
+    h = min(h_max, span / 100.0)
+
+    k = np.empty((7, y.size))
+    k[0] = f(t, y)
+    stats.n_fev += 1
+
+    while t < t_end:
+        h = min(h, t_end - t, h_max)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise NumericalError(f"step size underflow at t={t!r}")
+        if stats.n_steps + stats.n_rejected > _ode._MAX_STEPS:
+            raise NumericalError("step count exceeded")
+
+        for i in range(1, 7):
+            yi = y + h * (NP_A[i][:i] @ k[:i])
+            k[i] = f(t + NP_C[i] * h, yi)
+        stats.n_fev += 6
+        y1 = y + h * (NP_B @ k)
+
+        err_vec = h * (NP_E @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if math.isnan(err):
+            raise NumericalError(f"error estimate is NaN at t={t!r}")
+
+        if err > 1.0:
+            stats.n_rejected += 1
+            h *= max(_ode._MIN_FACTOR, _ode._SAFETY * err ** (-0.2))
+            continue
+
+        dense = np_dopri_dense(y, y1, k, h)
+        stats.n_steps += 1
+        if inside is not None:
+            crossed, t_new, y_new = np_guard_step(t, h, y, y1, dense, inside, on_step)
+            if crossed:
+                return OdeResult(t_new, y_new, True, stats)
+        if on_step is not None:
+            on_step(t, y, t + h, y1, dense)
+
+        t = t + h
+        y = y1
+        k[0] = k[6]
+        factor = (_ode._MAX_FACTOR if err == 0.0
+                  else min(_ode._MAX_FACTOR, _ode._SAFETY * err ** (-0.2)))
+        h *= max(_ode._MIN_FACTOR, factor)
+
+    return OdeResult(t, y, False, stats)
+
+
+def berry_particle(t, y):
+    # (x, y, vx, vy) under Berry's F = (-x y^2, -x^3)
+    return [y[2], y[3], -y[0] * y[1] ** 2, -y[0] ** 3]
+
+
+def in_berry_box(y):
+    return 0.05 <= y[0] <= 5.0 and 0.05 <= y[1] <= 5.0
+
+
+def triple_curl_line(s, x):
+    return fieldkit.curl(_triple_field(), x)
+
+
+DOPRI_CASES = {
+    # (f, y0, t_end, tolerance, guard)
+    "harmonic": (harmonic, [1.0, 0.0], 2 * math.pi, 1e-10, None),
+    # runs into the wall y = 0.05 near t = 1.45
+    "berry-wall": (berry_particle, [1.0, 1.0, 0.1, -0.1], 2.0, 1e-11, in_berry_box),
+    # x = e^s, z = e^-s along curl F = (x, 0, -z)
+    "curl-line": (triple_curl_line, [1.0, 1.0, 1.0], 1.5, 1e-11, None),
+}
+# The error norm scales a difference of stage sums that cancel down to about
+# the tolerance, so the round-off of those sums, whose order differs between
+# a matrix product and a left-to-right float sum, reaches each new step size
+# at up to about 1e-7 relative. The accepted steps then end up to about 1e-9
+# apart, and their states differ by that shift times the slope. Measured on
+# these cases: step ends 7.8e-10, states and dense rows 1.6e-9, exit point
+# 5.7e-11.
+DOPRI_ROUND_OFF = 1e-8
+
+
+def run_dopri_logged(driver, f, y0, t_end, tol, inside):
+    steps = []
+
+    def on_step(t0, ya, t1, yb, dense):
+        steps.append((t0, t1, np.array(yb, dtype=float), dense(np.array(THETAS))))
+
+    res = driver(f, 0.0, np.array(y0), t_end, atol=tol, rtol=tol, inside=inside, on_step=on_step)
+    return res, steps
+
+
+@pytest.mark.parametrize("case", list(DOPRI_CASES))
+def test_float_dopri45_is_the_numpy_dopri45_to_round_off(case):
+    f, y0, t_end, tol, inside = DOPRI_CASES[case]
+    res, steps = run_dopri_logged(integrate_dopri45, f, y0, t_end, tol, inside)
+    ref, ref_steps = run_dopri_logged(np_integrate_dopri45, f, y0, t_end, tol, inside)
+    assert isinstance(res.y, np.ndarray)
+    # the same accepted and rejected steps and right-hand sides
+    assert res.stats == ref.stats
+    assert res.exited == ref.exited == (inside is not None)
+    assert len(steps) == len(ref_steps) > 10
+    for (t0, t1, y1, rows), (r0, r1, ry1, ref_rows) in zip(steps, ref_steps):
+        assert abs(t0 - r0) <= DOPRI_ROUND_OFF and abs(t1 - r1) <= DOPRI_ROUND_OFF
+        assert np.max(np.abs(y1 - ry1)) <= DOPRI_ROUND_OFF
+        assert np.max(np.abs(rows - ref_rows)) <= DOPRI_ROUND_OFF
+    # the end of the span, or the exit point at the wall
+    assert abs(res.t - ref.t) <= DOPRI_ROUND_OFF
+    assert np.max(np.abs(res.y - ref.y)) <= DOPRI_ROUND_OFF
+
+
+@pytest.mark.parametrize("f, y0, atol, rtol, message", [
+    # a scaled error estimate near 1e290 overflows when squared: NumPy warns
+    # (an error in this suite), and a float ** 2 raises OverflowError; q * q is
+    # inf, so every step is rejected until the step size underflows
+    (harmonic, [1.0, 0.0], 1e-300, 1e-300, "step size underflow"),
+    # a second element that stays 0 has a zero scale and a zero error: 0 / 0,
+    # which a float division raises as ZeroDivisionError
+    (lambda t, y: [1.0, 0.0], [0.0, 0.0], 0.0, 1e-9, "error estimate is NaN"),
+], ids=["overflow", "zero-scale"])
+def test_dopri_error_norm_ends_as_the_numpy_one(f, y0, atol, rtol, message):
+    with pytest.raises(NumericalError, match=message):
+        integrate_dopri45(f, 0.0, np.array(y0), 1.0, atol=atol, rtol=rtol)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=message):
+        np_integrate_dopri45(f, 0.0, np.array(y0), 1.0, atol=atol, rtol=rtol)
