@@ -16,10 +16,17 @@ its transverse displacement scales as eps^2 times the normalized
 helicity. That is the frame identity F . [X, Y] = -(curl F) . (X x Y):
 with X x Y = F / |F|, the bracket's component along the normal is
 -F . curl F / |F|^2.
+
+Both right-hand sides return Python floats, so the dopri45 stages stay
+on them (see ``_ode``). One helper, ``_frame``, builds the kernel frame
+on floats from F's ``value_unchecked`` tuple; a leg's right-hand side and
+each node of its Simpson work pass it the F they evaluated, and
+``kernel_frame_3d`` returns its frame as arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +34,7 @@ import numpy as np
 from . import _ode
 from ._ode import integrate_dopri45, sample_every
 from .errors import DimensionMismatchError, NumericalError, OutOfDomainError, require_positive
-from .pathwork import ParamPath, _cross3
+from .pathwork import ParamPath
 
 FIELD_FLOOR = 1e-12
 FLOW_TOL = 1e-10           # atol and rtol of every zero-work flow
@@ -103,7 +110,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
             arclength,
             atol=FLOW_TOL,
             rtol=FLOW_TOL,
-            inside=lambda x: F.domain.contains(x),
+            inside=F.domain.contains,
             on_step=sample_every(arclength / steps, blocks.append),
         )
         if res.exited and not truncate_on_exit:
@@ -161,30 +168,49 @@ def reachability_report_2d(F, x0, targets, delta=None, arclength=None, steps=409
 
 
 def _least_aligned_axis(normal):
-    return int(np.argmin(np.abs(normal)))
+    # the first index of the smallest |component|, as np.argmin breaks ties
+    return min(range(3), key=lambda i: abs(normal[i]))
+
+
+def _frame(f, q, axis):
+    """(n, X, Y) of the plane f . w = 0, f = F(q), as float tuples.
+
+    X = normalize(e_k x n) and Y = n x X, with k = ``axis`` or, when it is
+    None, the axis least aligned with n. A frozen ``axis`` that is no longer
+    within 0.25 of least aligned is refused: the chart has changed (ties at
+    the base point may resolve either way without harming smoothness).
+    """
+    f0, f1, f2 = f
+    norm = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+    if norm < FIELD_FLOOR:
+        raise NumericalError(f"|F| below floor at {tuple(float(c) for c in q)}")
+    n = (f0 / norm, f1 / norm, f2 / norm)
+    if axis is None:
+        axis = _least_aligned_axis(n)
+    elif abs(n[axis]) > min(abs(c) for c in n) + 0.25:
+        raise NumericalError("kernel frame axis flipped during the flow; reduce eps")
+    # e_k x n has n_j at i and -n_i at j for (k, i, j) cyclic, and 0 at k
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    r = math.sqrt(n[i] * n[i] + n[j] * n[j])
+    X = [0.0, 0.0, 0.0]
+    X[i], X[j] = -n[j] / r, n[i] / r
+    n0, n1, n2 = n
+    a0, a1, a2 = X
+    return n, tuple(X), (n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0)
 
 
 def kernel_frame_3d(F, x, axis=None):
     """Deterministic orthonormal frame of the plane F . w = 0.
 
     X = normalize(e_k x n) with e_k the standard axis least aligned with
-    n = F/|F| (ties resolved to the smallest index), Y = n x X.
+    n = F/|F| (ties resolved to the smallest index), Y = n x X. A given
+    ``axis`` is refused once it is 0.25 more aligned than the least, as on
+    a maneuver's legs, whose float frame this returns as arrays.
     """
     if F.dimension != 3:
         raise DimensionMismatchError("kernel frames are the 3D construction")
-    x = np.asarray(x, dtype=float)
-    f = np.array(F.value_unchecked(x))
-    norm = float(np.linalg.norm(f))
-    if norm < FIELD_FLOOR:
-        raise NumericalError(f"|F| below floor at {tuple(x)}")
-    n = f / norm
-    k = _least_aligned_axis(n) if axis is None else axis
-    e = np.zeros(3)
-    e[k] = 1.0
-    X = _cross3(e, n)
-    X /= np.linalg.norm(X)
-    Y = _cross3(n, X)
-    return KernelFrame(X=X, Y=Y, normal=n)
+    n, X, Y = _frame(F.value_unchecked(x), x, axis)
+    return KernelFrame(X=np.array(X), Y=np.array(Y), normal=np.array(n))
 
 
 def bracket_maneuver_3d(F, x0, eps):
@@ -193,8 +219,9 @@ def bracket_maneuver_3d(F, x0, eps):
     The frame is recomputed pointwise along each leg with the axis choice
     frozen at the leg start; if the least-aligned axis flips mid-leg the
     maneuver aborts (reduce eps). Work along each leg is accumulated by
-    Simpson panels on the flow samples and stays at round-off: the
-    instantaneous power F . dx/ds vanishes identically on the kernel.
+    Simpson panels on the flow's steps, with one F per node shared with its
+    frame, and stays at round-off: the instantaneous power F . dx/ds
+    vanishes identically on the kernel.
     """
     if F.dimension != 3:
         raise DimensionMismatchError("bracket maneuvers are the 3D construction")
@@ -202,44 +229,36 @@ def bracket_maneuver_3d(F, x0, eps):
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
         raise OutOfDomainError("start point outside domain", x0)
-    base = kernel_frame_3d(F, x0)
-    n0 = base.normal
+    n0 = kernel_frame_3d(F, x0).normal
     # one chart for the whole maneuver: X and Y must be the same two vector
     # fields on every leg or the commutator structure is lost
     k0 = _least_aligned_axis(n0)
 
-    def leg_field(q, name):
-        frame = kernel_frame_3d(F, q, axis=k0)
-        n = np.abs(frame.normal)
-        # ties at the base point may resolve either way without harming
-        # frame smoothness; abort only when the frozen axis is no longer
-        # close to least aligned (the chart has genuinely changed)
-        if n[k0] > n.min() + 0.25:
-            raise NumericalError(
-                "kernel frame axis flipped during the flow; reduce eps"
-            )
-        return frame.X if name == "X" else frame.Y
-
     work_total = 0.0
     path_pts = [x0.copy()]
-    x = x0.copy()
-    legs = [("X", +1.0), ("Y", +1.0), ("X", -1.0), ("Y", -1.0)]
-    for name, sign in legs:
+    x = x0
+    # (index into the frame (n, X, Y), sign) of each leg
+    for index, sign in ((1, 1.0), (2, 1.0), (1, -1.0), (2, -1.0)):
 
-        def rhs(s, q, _name=name, _sign=sign):
-            return _sign * leg_field(q, _name)
+        def leg(q, _index=index, _sign=sign):
+            # F at q, and the leg's direction there
+            f = F.value_unchecked(q)
+            return f, [_sign * c for c in _frame(f, q, k0)[_index]]
+
+        def rhs(s, q):
+            return leg(q)[1]
+
+        def power(q):
+            (f0, f1, f2), (d0, d1, d2) = leg(q)
+            return f0 * d0 + f1 * d1 + f2 * d2
 
         leg_work = 0.0
         leg_pts = []
         sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.extend)
 
-        def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
+        def on_step(s0, qa, s1, qb, dense):
             nonlocal leg_work
-            qm = dense(0.5)
-            ga = float(np.dot(F.value_unchecked(qa), _sign * leg_field(qa, _name)))
-            gm = float(np.dot(F.value_unchecked(qm), _sign * leg_field(qm, _name)))
-            gb = float(np.dot(F.value_unchecked(qb), _sign * leg_field(qb, _name)))
-            leg_work += (s1 - s0) / 6.0 * (ga + 4.0 * gm + gb)
+            leg_work += (s1 - s0) / 6.0 * (power(qa) + 4.0 * power(dense(0.5)) + power(qb))
             sample(s0, qa, s1, qb, dense)
 
         res = integrate_dopri45(
@@ -249,7 +268,7 @@ def bracket_maneuver_3d(F, x0, eps):
             eps,
             atol=FLOW_TOL,
             rtol=FLOW_TOL,
-            inside=lambda q: F.domain.contains(q),
+            inside=F.domain.contains,
             on_step=on_step,
         )
         if res.exited:

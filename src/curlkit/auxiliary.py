@@ -94,16 +94,18 @@ def auxiliary_force(prob):
     floor = prob.v_floor
 
     def fn(p):
+        # on Python floats; W's gradient refuses a point past the wall, where
+        # ``dynamics.integrate`` then takes the box-clamped point
         v = V.value_unchecked(p)
         if abs(v) < floor:
             raise NumericalError(
                 f"V={v:.3e} below the rescaling floor {floor:.3e} at "
                 f"{tuple(float(c) for c in p)}"
             )
-        f = np.array(F.value_unchecked(p))
+        f = F.value_unchecked(p)
         if W is not None:
-            f = f + W.gradient(p)
-        return f / v
+            f = [a + b for a, b in zip(f, W.gradient(p).tolist())]
+        return [c / v for c in f]
 
     def batch(P):
         v = V.values(P)

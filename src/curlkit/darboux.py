@@ -338,7 +338,12 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     deviation = 0.0
 
     def rhs(s, x):
-        return fieldkit.curl(F, x)
+        try:
+            return fieldkit.curl(F, x)
+        except OutOfDomainError:
+            # a trial stage past the wall: take the curl at the box-clamped
+            # point, as ``dynamics`` does, and let the guard place the exit
+            return fieldkit.curl(F, np.clip(x, F.domain.lo, F.domain.hi))
 
     def visit(block):
         nonlocal deviation
@@ -352,7 +357,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         s_max,
         atol=CHARACTERISTIC_TOL,
         rtol=CHARACTERISTIC_TOL,
-        inside=lambda x: F.domain.contains(x),
+        inside=F.domain.contains,
         on_step=sample_every(s_max / steps, visit),
     )
     if res.exited:

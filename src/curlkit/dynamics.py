@@ -36,7 +36,10 @@ call.
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
 ``exited=True``; the example fields are singular on the coordinate axes,
-so running into a wall is an expected outcome, not an exception.
+so running into a wall is an expected outcome, not an exception. Trial
+stages past the wall take ``value_unchecked``; where the field fails there
+(an expression singular beyond the wall, or a sampler that tests the box,
+as ``auxiliary``'s W gradient does), they take the box-clamped point.
 
 Each piece of a step (one, or as many as ``record_dt`` asks) is recorded
 as ``refine`` equal intervals, each with its own Gauss rule; an integrand
@@ -133,12 +136,12 @@ def integrate(F, x0, v0, cfg, form=None):
     def pointwise(field):
         def value(x):
             # trial stages probe past the wall before the guard truncates
-            # the step; evaluate the smooth field there, and only if the
-            # expression itself fails (singular just beyond the wall) fall
-            # back to the box-clamped point
+            # the step; evaluate the smooth field there, and only if it
+            # fails (see the module docstring) fall back to the box-clamped
+            # point
             try:
                 return field.value_unchecked(x)
-            except EvalDomainError:
+            except (EvalDomainError, OutOfDomainError):
                 return field.value(np.clip(x, field.domain.lo, field.domain.hi)).tolist()
 
         return value

@@ -361,8 +361,9 @@ class CallableVectorField:
         return np.asarray(self._fn(p), dtype=float)
 
     def value_unchecked(self, p):
-        """``value`` as a tuple of floats, without the domain-box test."""
-        return tuple(np.asarray(self._fn(np.asarray(p, dtype=float)), dtype=float).tolist())
+        """``value`` as a tuple of floats, without the domain-box test; ``fn``
+        gets the point as given (the integrators' list of floats)."""
+        return tuple(map(float, self._fn(p)))
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, from the

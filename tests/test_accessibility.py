@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from curlkit import accessibility
+from curlkit._ode import integrate_dopri45, sample_every
 from curlkit.accessibility import (
+    FIELD_FLOOR,
+    FLOW_TOL,
+    SAMPLES_PER_LEG,
+    KernelFrame,
+    ManeuverResult,
+    _frame,
     bracket_maneuver_3d,
     distance_to_polyline,
     kernel_frame_3d,
@@ -260,3 +268,153 @@ def test_frame_identity_ties_bracket_to_helicity():
             norm = np.linalg.norm(F.value(p))
             helicity = float(np.dot(F.value(p), curl(F, p)))
             assert lhs * norm == pytest.approx(-helicity, abs=1e-5 * max(1, norm))
+
+
+# --- the float maneuver against the NumPy one ----------------------------------------
+
+def np_kernel_frame_3d(F, x, axis=None):
+    """The kernel frame as built on NumPy arrays before the maneuver moved to
+    Python floats: the reference of the float frame."""
+    x = np.asarray(x, dtype=float)
+    f = np.array(F.value_unchecked(x))
+    norm = float(np.linalg.norm(f))
+    if norm < FIELD_FLOOR:
+        raise NumericalError(f"|F| below floor at {tuple(x)}")
+    n = f / norm
+    k = int(np.argmin(np.abs(n))) if axis is None else axis
+    e = np.zeros(3)
+    e[k] = 1.0
+    X = np.cross(e, n)
+    X /= np.linalg.norm(X)
+    Y = np.cross(n, X)
+    return KernelFrame(X=X, Y=Y, normal=n)
+
+
+def np_bracket_maneuver_3d(F, x0, eps, integrate=integrate_dopri45):
+    """``bracket_maneuver_3d`` with the array ``leg_field`` and the array
+    Simpson it had before it moved to Python floats."""
+    x0 = np.asarray(x0, dtype=float)
+    n0 = np_kernel_frame_3d(F, x0).normal
+    k0 = int(np.argmin(np.abs(n0)))
+
+    def leg_field(q, name):
+        frame = np_kernel_frame_3d(F, q, axis=k0)
+        n = np.abs(frame.normal)
+        if n[k0] > n.min() + 0.25:
+            raise NumericalError("kernel frame axis flipped during the flow; reduce eps")
+        return frame.X if name == "X" else frame.Y
+
+    work_total = 0.0
+    path_pts = [x0.copy()]
+    x = x0.copy()
+    for name, sign in [("X", +1.0), ("Y", +1.0), ("X", -1.0), ("Y", -1.0)]:
+
+        def rhs(s, q, _name=name, _sign=sign):
+            return _sign * leg_field(q, _name)
+
+        leg_work = 0.0
+        leg_pts = []
+        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.extend)
+
+        def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
+            nonlocal leg_work
+            qm = dense(0.5)
+            ga = float(np.dot(F.value_unchecked(qa), _sign * leg_field(qa, _name)))
+            gm = float(np.dot(F.value_unchecked(qm), _sign * leg_field(qm, _name)))
+            gb = float(np.dot(F.value_unchecked(qb), _sign * leg_field(qb, _name)))
+            leg_work += (s1 - s0) / 6.0 * (ga + 4.0 * gm + gb)
+            sample(s0, qa, s1, qb, dense)
+
+        res = integrate(rhs, 0.0, x, eps, atol=FLOW_TOL, rtol=FLOW_TOL,
+                        inside=F.domain.contains, on_step=on_step)
+        x = res.y
+        work_total += leg_work
+        leg_pts.append(x.copy())
+        path_pts.extend(leg_pts)
+
+    displacement = x - x0
+    return ManeuverResult(endpoint=x, net_displacement=displacement,
+                          transverse=float(np.dot(displacement, n0)), work=work_total,
+                          eps=eps, path=np.array(path_pts))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025])
+@pytest.mark.parametrize("make,x0", [
+    (triple_field, (1.0, 1.0, 1.0)),
+    (triple_field, (1.0, 2.0, 1.5)),
+    (chiral_field, (0.5, 0.5, 0.5)),
+    (chiral_field, (1.0, -0.3, 0.2)),
+], ids=["triple-111", "triple-121.5", "chiral-half", "chiral-off"])
+def test_float_maneuver_is_the_numpy_maneuver_to_round_off(make, x0, eps):
+    F = make()
+    got, want = bracket_maneuver_3d(F, x0, eps), np_bracket_maneuver_3d(F, x0, eps)
+    assert np.max(np.abs(got.endpoint - want.endpoint)) <= 1e-15
+    assert abs(got.transverse - want.transverse) <= 1e-15
+    assert got.path.shape == want.path.shape
+    assert np.max(np.abs(got.path - want.path)) <= 1e-15
+    assert abs(got.work) <= 1e-16
+
+
+def tilting_field():
+    # n = (x, 1, 1)/|F|: least aligned along x at x = 0.1; a Y leg runs along
+    # x, and past x of about 1.5 the frozen x axis is 0.25 more aligned
+    return VectorFieldDef.from_source(["x", "1", "1"], 3, domain=Box((-5,) * 3, (5,) * 3))
+
+
+def test_axis_flip_is_refused_on_the_numpy_maneuver_s_leg(monkeypatch):
+    F = tilting_field()
+    legs = []
+
+    def counting(*args, **kwargs):
+        legs.append(len(legs) + 1)
+        return integrate_dopri45(*args, **kwargs)
+
+    with pytest.raises(NumericalError, match="kernel frame axis flipped") as want:
+        np_bracket_maneuver_3d(F, (0.1, 0.0, 0.0), 2.0, integrate=counting)
+    want_leg = legs[-1]
+    legs.clear()
+    monkeypatch.setattr(accessibility, "integrate_dopri45", counting)
+    with pytest.raises(NumericalError) as got:
+        bracket_maneuver_3d(F, (0.1, 0.0, 0.0), 2.0)
+    assert str(got.value) == str(want.value)
+    assert legs[-1] == want_leg == 2  # the first Y leg
+    # a shorter maneuver keeps the chart
+    bracket_maneuver_3d(F, (0.1, 0.0, 0.0), 0.2)
+
+
+@pytest.mark.parametrize("make", [triple_field, chiral_field, tilting_field])
+def test_kernel_frame_3d_is_the_float_frame(make):
+    F = make()
+    rng = np.random.default_rng(5)
+    for p in rng.uniform(0.2, 1.8, (50, 3)):
+        frame = kernel_frame_3d(F, p)
+        n, X, Y = _frame(F.value_unchecked(p), p, None)
+        assert frame.normal.tolist() == list(n)
+        assert frame.X.tolist() == list(X)
+        assert frame.Y.tolist() == list(Y)
+        # |F| and |X| are summed in another order than NumPy's: a few ulps
+        want = np_kernel_frame_3d(F, p)
+        for a, b in ((frame.normal, want.normal), (frame.X, want.X), (frame.Y, want.Y)):
+            assert np.max(np.abs(a - b)) <= 4 * np.finfo(float).eps
+
+
+# --- the paper's 3D dichotomy --------------------------------------------------------
+
+def test_chiral_bracket_escapes_at_the_normalized_helicity():
+    # (y, 0, 1) at (0.5, 0.5, 0.5): -F . curl F / |F|^2 = 1 / 1.25 = 0.8, and
+    # transverse / eps^2 tends to it at first order in eps
+    F = chiral_field()
+    epss = [0.2, 0.1, 0.05, 0.025, 0.0125]
+    defects = [abs(bracket_maneuver_3d(F, (0.5, 0.5, 0.5), eps).transverse / eps**2 - 0.8)
+               for eps in epss]
+    ratios = [a / b for a, b in zip(defects, defects[1:])]
+    assert all(1.8 <= r <= 2.2 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_two_potential_bracket_keeps_u_constant(eps):
+    # the triple field is -(1/y) grad(x y^2 z): its kernel planes are tangent
+    # to the level sets of U = x y^2 z, so every zero-work path keeps U
+    res = bracket_maneuver_3d(triple_field(), (1.0, 1.0, 1.0), eps)
+    x, y, z = res.path.T
+    assert np.max(np.abs(x * y * y * z - 1.0)) <= 1e-11

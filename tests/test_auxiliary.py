@@ -325,3 +325,19 @@ def test_nonlocal_floor_error_names_the_first_row(monkeypatch):
         assert want[0] is NumericalError and "below the rescaling floor" in want[1]
         assert want[1].endswith(")") and " at (0." in want[1]
         assert raised(lambda: nonlocal_hamiltonian_series(prob, x0, v0, cfg)) == want
+
+
+# --- the domain wall with a W potential ---------------------------------------------
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_auxiliary_with_w_stops_at_the_wall(integrator):
+    # W's gradient tests the box, so the sampler refuses the trial stages past
+    # z = 3; they take the box-clamped point and the guard truncates the run
+    prob = w_term_problem()
+    cfg = SimConfig(t_end=1.0, integrator=integrator)
+    traj, drift = auxiliary_trajectory(prob, (0.5, 0.5, 2.9), (0.0, 0.0, 3.0), cfg)
+    assert traj.exited
+    t_exit, x_exit = traj.exit_state
+    assert abs(x_exit[2] - 3.0) <= 1e-10
+    assert t_exit == pytest.approx(0.1 / 3.0, abs=1e-9)  # v_z = 3 stays constant
+    assert drift <= 1e-9

@@ -1072,3 +1072,39 @@ print(json.dumps({"codes": codes, "before": before, "wrapped": wrapped,
         out["before"])
     assert out["wrapped"] and out["restored"]
     assert {"integrate", "zero_work_trace_2d", "auxiliary_trajectory"} <= set(out["patched"])
+
+
+# --- a run that reaches the domain wall ---------------------------------------------
+
+W_TERM = {
+    "dimension": 3,
+    "force": ["-(2 + x)*y - 2*x", "-(2 + x)*x - 2*y", "-2*z"],
+    "potentials": {"U": "x*y", "V": "2 + x", "W": "x^2 + y^2 + z^2"},
+    "domain": [[-3, 3]] * 3,
+    "regions": {"aux": {"box": [[-1, 1]] * 3, "plan": {"type": "random", "count": 60, "seed": 5}}},
+}
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_auxiliary_with_w_truncates_at_the_wall(tmp_path, problem, integrator):
+    # the sampler's W gradient refused the trial stages past z = 3, which
+    # exited 3 with "point outside field domain"
+    code, report = run(tmp_path, "auxiliary", problem(W_TERM), "--region", "aux",
+                       "--x0", "0.5,0.5,2.9", "--v0", "0,0,3", "--t-end", "1",
+                       "--integrator", integrator)
+    assert code == cli.EXIT_OK
+    assert report["results"]["exited"] is True
+    with open(report["artifacts"]["trajectory"]) as f:
+        last = list(csv.DictReader(f))[-1]
+    assert abs(float(last["z"]) - 3.0) <= 1e-10
+
+
+def test_characteristic_leaving_the_domain_names_its_exit(tmp_path, problem, capsys):
+    code, report = run(tmp_path, "characteristics", problem(TRIPLE), "--x0", "1,1,1",
+                       "--s-max", "50")
+    assert code == cli.EXIT_NUMERICAL
+    assert report is None
+    err = capsys.readouterr().err
+    match = re.search(r"characteristic left the domain at s=2\.30259: \((\S+), (\S+), (\S+)\)", err)
+    assert match, err
+    assert 10.0 - 1e-10 <= float(match.group(1)) <= 10.0

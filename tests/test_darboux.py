@@ -328,6 +328,19 @@ def test_characteristic_domain_exit_reported():
         characteristic_deviation(F, V, (1.0, 1.0, 1.0), 4.0)  # x = e^4 > 10
 
 
+def test_characteristic_domain_exit_names_the_exit_point():
+    # curl F = (x, 0, -z), so x = e^s reaches the wall x = 10 at s = ln 10;
+    # the trial stages past it must not raise before the guard places the exit
+    F = triple_field()
+    V = ScalarFieldDef.from_source("y", 3, domain=DOM3)
+    with pytest.raises(OutOfDomainError, match=r"^characteristic left the domain at s=2\.30259: ") as err:
+        characteristic_deviation(F, V, (1.0, 1.0, 1.0), 50.0)
+    x, y, z = err.value.point
+    assert 10.0 - 1e-10 <= x <= 10.0
+    assert y == 1.0
+    assert z == pytest.approx(0.1, abs=1e-9)
+
+
 # --- batch consumers -------------------------------------------------------------
 
 from hypothesis import given, settings
