@@ -444,6 +444,17 @@ def curl_of_jacobian(J):
                      J[..., 1, 0] - J[..., 0, 1]], axis=-1)
 
 
+def _curl_3d(F, p):
+    """``curl`` of a 3D field at a point p of its box, as a list of floats:
+    the differences of ``curl_of_jacobian`` on the compiled Jacobian tuple,
+    whose component i holds its value and partials at 4i, ..., 4i + 3. A
+    field with no compiled Jacobian takes ``curl``, with its errors."""
+    if not isinstance(F, VectorFieldDef):
+        return curl(F, p)
+    t = F._jacobian_at(p, F.constants)
+    return [t[10] - t[7], t[3] - t[9], t[5] - t[2]]
+
+
 def curl(F, p, mode="analytic"):
     """Curl at a point: scalar dFy/dx - dFx/dy in 2D, the usual vector in 3D."""
     return curl_of_jacobian(F.jacobian(p, mode))

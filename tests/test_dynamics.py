@@ -109,6 +109,35 @@ def test_rk4_residual_shrinks_16x_on_halving():
     assert r1 / r2 == pytest.approx(16.0, rel=0.3)
 
 
+# Berry and Shukla's fixed-field invariant: F = (-x^2, -2xy) = -(dU/dy, dU/dx)
+# with U = x^2 y has curl F = -2y, yet m x'' = F conserves H = m v_x v_y + U
+BERRY_SHUKLA = dict(x0=(0.3, 0.5), v0=(0.2, -0.1))
+
+
+def berry_shukla_drift(cfg):
+    F = VectorFieldDef.from_source(["-x^2", "-2*x*y"], 2, domain=Box((-5, -5), (5, 5)))
+    traj = integrate(F, BERRY_SHUKLA["x0"], BERRY_SHUKLA["v0"], cfg)
+    assert not traj.exited and traj.t[-1] == cfg.t_end
+    H = cfg.mass * traj.v[:, 0] * traj.v[:, 1] + traj.x[:, 0] ** 2 * traj.x[:, 1]
+    return float(np.max(np.abs(H - H[0])))
+
+
+def test_berry_shukla_invariant_drift_falls_16x_per_halving_under_rk4():
+    # measured 4.0e-11, 2.5e-12, 1.5e-13: ratios 16.3 and 16.1; the bounds
+    # take 2x on the coarsest drift and 12.5% on each ratio
+    drifts = [berry_shukla_drift(SimConfig(integrator="rk4", h=h, t_end=2.0))
+              for h in (0.04, 0.02, 0.01)]
+    assert drifts[0] <= 8e-11
+    for coarse, fine in zip(drifts, drifts[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_berry_shukla_invariant_holds_to_the_dopri45_tolerance(tol):
+    # measured 1.0e-8, 1.6e-9, 1.5e-11: at most 0.16 of the tolerance
+    assert berry_shukla_drift(SimConfig(atol=tol, rtol=tol, t_end=2.0)) <= tol
+
+
 def test_time_reversal():
     cfg = SimConfig(t_end=1.0, atol=1e-10, rtol=1e-10)
     fwd = integrate(berry_field(), (1, 1), (0.1, -0.1), cfg)
