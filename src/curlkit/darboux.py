@@ -17,12 +17,6 @@ The module also verifies candidate potential sets against a field, checks
 the first-order compatibility PDE grad(V) x F - V curl F = 0, applies
 gauge transformations (U, V) -> (f(U), V / f'(U)), and performs the
 gauge-fixed conservative/non-conservative split in 3D.
-
-``characteristic_deviation`` traces the lines of curl F on Python floats:
-inside the box its right-hand side takes the curl from F's compiled
-Jacobian tuple (``fieldkit._curl_3d``) as a list, so the dopri45 stages
-stay on floats (see ``_ode``); a trial stage past the wall takes
-``fieldkit.curl`` at the box-clamped point.
 """
 
 from __future__ import annotations
@@ -332,9 +326,9 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     field domain before s_max.
 
     The right-hand side returns the curl as a list of floats
-    (``fieldkit._curl_3d``), bit for bit the one of ``fieldkit.curl``; a
-    trial stage past the wall takes ``fieldkit.curl`` at the box-clamped
-    point.
+    (``fieldkit._curl_3d``), bit for bit the one of ``fieldkit.curl``, so
+    the dopri45 stages stay on floats; a trial stage past the wall takes it
+    at the box-clamped point.
     """
     if F.dimension != 3:
         raise DimensionMismatchError("characteristics are traced for 3D fields")
@@ -349,11 +343,10 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     deviation = 0.0
 
     def rhs(s, x):
-        if F.domain.contains(x):
-            return fieldkit._curl_3d(F, x)
-        # a trial stage past the wall: take the curl at the box-clamped
-        # point, as ``dynamics`` does, and let the guard place the exit
-        return fieldkit.curl(F, np.clip(x, F.domain.lo, F.domain.hi))
+        # a trial stage past the wall takes the curl at the box-clamped
+        # point, as ``dynamics`` does, and the guard places the exit
+        return fieldkit._curl_3d(F, x if F.domain.contains(x)
+                                 else np.clip(x, F.domain.lo, F.domain.hi))
 
     def visit(block):
         nonlocal deviation

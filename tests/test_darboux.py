@@ -481,12 +481,12 @@ def test_verify_residual_is_gauge_invariant(template, a, b, k):
     assert after.sample_count == base.sample_count
 
 
-def two_potential_field(U, V):
+def two_potential_field(u_src, v_src):
     """F = -V grad U, from the derivative trees of U."""
-    comps = [exprlang.SyntaxTree(
-        exprlang.Neg((0, 0), exprlang._mul(V.root, exprlang.derivative(U, var).root)),
-        U.variables, frozenset(), "") for var in U.variables]
-    return VectorFieldDef(3, comps, {}, DOM3)
+    U = exprlang.parse(u_src, 3)
+    return VectorFieldDef.from_source(
+        [f"-({v_src})*({exprlang.to_source(exprlang.derivative(U, v))})" for v in U.variables],
+        3, domain=DOM3)
 
 
 @REPEATABLE
@@ -503,7 +503,7 @@ def test_v_is_constant_along_the_curl_lines_of_minus_v_grad_u(u_template, v_temp
     # curl(-V grad U) = grad U x grad V, so V keeps its value along the lines
     # of curl F, and V + x does not where the line moves x
     u_src, v_src = (t.format(a=repr(a), b=repr(b), k=repr(k)) for t in (u_template, v_template))
-    F = two_potential_field(exprlang.parse(u_src, 3), exprlang.parse(v_src, 3))
+    F = two_potential_field(u_src, v_src)
     x0 = (1.0, 1.0, 1.0)
     assume(abs(fieldkit.curl(F, x0)[0]) >= 0.1)
     V = ScalarFieldDef.from_source(v_src, 3, domain=DOM3)
