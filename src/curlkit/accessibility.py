@@ -156,10 +156,14 @@ def reachability_report_2d(F, x0, targets, delta=None, arclength=None, steps=409
     verts = trace.vertices
     out = []
     for target in targets:
-        d = distance_to_polyline(target, verts)
+        target = tuple(float(c) for c in target)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = distance_to_polyline(target, verts)
+        if not math.isfinite(d):  # a target too far out for the squared distances
+            raise NumericalError(f"distance from target {target} to the trace is not finite")
         out.append(
             ReachabilityVerdict(
-                target=tuple(float(c) for c in target),
+                target=target,
                 distance=d,
                 reachable=d <= delta,
             )

@@ -349,9 +349,10 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
                                  else np.clip(x, F.domain.lo, F.domain.hi))
 
     def visit(block):
+        # the rows are states of guarded steps: V takes their floats without the box test
         nonlocal deviation
-        for x in block:
-            deviation = max(deviation, abs(V.value(x) - v0))
+        for x in block.tolist():
+            deviation = max(deviation, abs(V.value_unchecked(x) - v0))
 
     res = integrate_dopri45(
         rhs,

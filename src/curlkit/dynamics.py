@@ -89,6 +89,8 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None:
                 require_positive(name, value)
+        if not math.isfinite(1.0 / self.mass):  # x'' = F / m
+            raise ValueError(f"mass must have a finite reciprocal, got {self.mass!r}")
         if self.integrator not in ("dopri45", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         for name in ("h",) if self.integrator == "rk4" else ("atol", "rtol"):

@@ -14,6 +14,12 @@ one call for every fd stencil point. The batch forms apply the
 ``Box.contains`` rule to every row and fail as the pointwise loop would:
 rows before the first one outside the box come first, and a failed batch
 is redone point by point, as ``per_row`` does for a consumer's function.
+
+A region's sample points are built once per process: ``Region.samples``
+keeps the points of each (box, plan), the last ``SAMPLE_CACHE_SIZE`` of
+them, and returns the same read-only array for the same key. The key
+holds the exact bits of the box bounds, so a -0.0 bound never shares the
+points of a 0.0 one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from . import exprlang
 from .errors import EVAL_ERRORS, DimensionMismatchError, OutOfDomainError
 
 FD_STEP_FACTOR = 6.06e-6
+SAMPLE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,9 @@ class Region:
     ("random", count, seed) for a seeded quasi-random set: the Halton
     points of bases 2, 3, 5 from index 1, each axis shifted mod 1 by
     ``random.Random(seed)``. Both are deterministic regardless of
-    evaluation order.
+    evaluation order. ``samples`` builds the points once per (box, plan)
+    per process and returns them read-only; the last ``SAMPLE_CACHE_SIZE``
+    point sets are kept.
     """
 
     box: Box
@@ -118,16 +127,24 @@ class Region:
         return Region(box, ("random", int(count), int(seed)))
 
     def samples(self):
-        lo = np.asarray(self.box.lo)
-        hi = np.asarray(self.box.hi)
-        if self.plan[0] == "grid":
-            axes = [np.linspace(a, b, c) for a, b, c in zip(lo, hi, self.plan[1])]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=-1)
-        count, seed = self.plan[1], self.plan[2]
-        dim = self.box.dimension
+        return _sample_points(tuple(map(float.hex, self.box.lo)),
+                              tuple(map(float.hex, self.box.hi)), self.plan)
+
+
+@lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _sample_points(lo, hi, plan):
+    # a ValueError leaves nothing in the cache, so every call raises it
+    lo = np.array([float.fromhex(h) for h in lo])
+    hi = np.array([float.fromhex(h) for h in hi])
+    if plan[0] == "grid":
+        axes = [np.linspace(a, b, c) for a, b, c in zip(lo, hi, plan[1])]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    else:
+        count, seed = plan[1], plan[2]
         if seed < 0:  # Random(-n) would silently give the stream of n
             raise ValueError("expected non-negative integer")
+        dim = len(lo)
         rng = random.Random(seed)
         shift = [rng.random() for _ in range(dim)]
         pts = np.empty((count, dim))
@@ -135,7 +152,9 @@ class Region:
             base = _HALTON_BASES[j]
             col = _radical_inverse(np.arange(1, count + 1), base)
             pts[:, j] = (col + shift[j]) % 1.0
-        return lo + pts * (hi - lo)
+        pts = lo + pts * (hi - lo)
+    pts.setflags(write=False)  # shared by every caller of this key
+    return pts
 
 
 def _as_point(p, dimension):

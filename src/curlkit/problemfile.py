@@ -7,7 +7,8 @@ A problem is a JSON document with the exact top-level fields
     force       list of component expression strings, one per coordinate
     potentials  optional {"U": expr, "V": expr, "W": expr}, each optional
     domain      per-axis [lo, hi]
-    mass        positive number (optional, default 1)
+    mass        positive number with a finite reciprocal (optional,
+                default 1)
     paths       optional named paths: {"type": "polyline", "vertices":
                 [...], "closed": bool?} or {"type": "parametric",
                 "components": [expr-in-s, ...], "closed": bool?}
@@ -178,6 +179,9 @@ def load_problem(path):
     mass = doc.get("mass", 1.0)
     if not _is_finite_number(mass) or mass <= 0:
         diags.append(f"mass: must be a positive finite number, got {mass!r}")
+        mass = 1.0
+    elif not math.isfinite(1.0 / mass):  # the equations of motion divide by it
+        diags.append(f"mass: must have a finite reciprocal, got {mass!r}")
         mass = 1.0
 
     def parse_expr(source, where, variables=None):

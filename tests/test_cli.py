@@ -211,6 +211,34 @@ def test_a_tolerance_too_small_for_the_error_norm_is_a_numerical_failure(tmp_pat
     assert proc.stderr == "numerical failure: step size underflow at t=0.0\n"
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "dopri45"])
+def test_a_mass_with_no_finite_reciprocal_is_a_usage_error(tmp_path, problem, capsys,
+                                                           integrator):
+    # 1 / 1e-320 is inf: rk4 ran into the report's non-finite guard and dopri45
+    # into a NaN error estimate, each exit 3
+    code, report = run(tmp_path, "simulate", problem(HARMONIC), *SIM, "--t-end", "1",
+                       "--mass", "1e-320", "--integrator", integrator)
+    assert code == cli.EXIT_USAGE
+    assert report is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert capsys.readouterr().err == "error: mass must have a finite reciprocal, got 1e-320\n"
+
+
+def test_a_target_too_far_for_its_distance_is_a_numerical_failure(tmp_path, problem):
+    # the squared distance overflowed with two RuntimeWarnings, and the run
+    # ended in the report's non-finite guard; the target is named now
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curlkit.cli", "reach2d", problem(BERRY), "--x0", "1,1",
+         "--targets", "1e308,1e308", "--steps", "64", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="error::RuntimeWarning"))
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert proc.stderr == ("numerical failure: distance from target (1e+308, 1e+308) "
+                           "to the trace is not finite\n")
+
+
 def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys, monkeypatch):
     # strict JSON refuses the NaN residual, and no report file is left behind
     monkeypatch.setattr(dynamics, "work_energy_residual", lambda traj: float("nan"))

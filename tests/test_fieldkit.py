@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlkit import exprlang
+from curlkit import exprlang, fieldkit
 from curlkit.errors import DimensionMismatchError, EvalDomainError, OutOfDomainError
 from curlkit.fieldkit import (
     Box,
@@ -385,9 +385,72 @@ def test_random_plan_is_the_shifted_halton_set():
         assert np.array_equal(Region.random(box, count, seed).samples(), want)
 
 
-def test_random_plan_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        Region.random(box2(), 5, seed=-1).samples()
+# --- the per-process cache of sample points ----------------------------------------
+
+
+@pytest.fixture
+def cold_samples():
+    """An empty sample cache, so the first ``samples`` call builds its points."""
+    fieldkit._sample_points.cache_clear()
+
+
+def test_equal_regions_share_one_read_only_array(cold_samples):
+    for make in (lambda lo: Region.grid(Box((lo, 0), (1, 2)), (3, 5)),
+                 lambda lo: Region.random(Box((lo, 0, 0), (1, 2, 3)), 50, seed=7)):
+        first, again = make(0).samples(), make(0.0).samples()
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
+
+def test_a_signed_zero_bound_is_its_own_key(cold_samples):
+    # the boxes are equal, since -0.0 == 0.0, but the grid ends on the bound
+    neg, pos = (Region.grid(Box((-1.0, 0.0), (z, 1.0)), (2, 2)) for z in (-0.0, 0.0))
+    assert neg == pos
+    a, b = neg.samples(), pos.samples()
+    assert a is not b
+    assert np.signbit(a[-1, 0]) and not np.signbit(b[-1, 0])
+    assert a.tobytes() != b.tobytes() and np.array_equal(a, b)
+
+
+def test_the_sample_cache_stays_at_its_bound(cold_samples):
+    size = fieldkit.SAMPLE_CACHE_SIZE
+    first = Region.random(box2(), 10, seed=0).samples()
+    for seed in range(1, size + 1):
+        Region.random(box2(), 10, seed=seed).samples()
+    info = fieldkit._sample_points.cache_info()
+    assert info.maxsize == size and info.currsize == size
+    # the oldest key went, so its points are built again, to the same bits
+    again = Region.random(box2(), 10, seed=0).samples()
+    assert again is not first and again.tobytes() == first.tobytes()
+
+
+def test_random_plan_rejects_a_negative_seed(cold_samples):
+    # on every call: a refused plan leaves nothing in the cache
+    for _ in range(2):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            Region.random(box2(), 5, seed=-1).samples()
+    assert fieldkit._sample_points.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("region", [
+    Region.grid(Box((-1.5, 0.25), (2.0, 3.0)), (7, 4)),
+    Region.grid(Box((0.05,) * 3, (10.0,) * 3), (3, 4, 5)),
+    Region.random(Box((0.5, 0.5), (2.0, 2.0)), 1000, seed=3),
+    Region.random(Box((-3.0,) * 3, (3.0,) * 3), 333, seed=12),
+], ids=["grid-2d", "grid-3d", "random-2d", "random-3d"])
+def test_cached_points_are_the_cold_points_bit_for_bit(cold_samples, region):
+    cold = region.samples()
+    assert region.samples() is cold
+    fieldkit._sample_points.cache_clear()
+    rebuilt = region.samples()
+    assert rebuilt is not cold and rebuilt.tobytes() == cold.tobytes()
+    if region.plan[0] == "grid":  # the inclusive grid, in C order of the axes
+        axes = [np.linspace(a, b, c) for a, b, c in zip(region.box.lo, region.box.hi,
+                                                         region.plan[1])]
+        want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert rebuilt.tobytes() == want.tobytes()
 
 
 def test_classify_on_a_random_plan_does_not_import_numpy_random(tmp_path):

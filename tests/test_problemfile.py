@@ -80,6 +80,18 @@ def test_nan_mass_no_longer_reaches_simulate(tmp_path):
     assert cli.main(argv) == cli.EXIT_INPUT
 
 
+def test_a_mass_with_no_finite_reciprocal_is_an_input_error(tmp_path, capsys):
+    # 1 / 1e-320 is inf: the run ended in exit 3 with a message about its numbers
+    out = tmp_path / "report.json"
+    argv = ["simulate", write(tmp_path, '"mass": 1e-320'), "--x0", "1,0", "--v0", "0,1",
+            "--t-end", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "mass" in line] == [
+        "  - mass: must have a finite reciprocal, got 1e-320"]
+    assert not out.exists()
+
+
 def test_one_diagnostic_per_bad_field(tmp_path):
     fields = [text for text, _ in NON_FINITE[:8:2]]
     with pytest.raises(ProblemFileError) as err:
