@@ -39,10 +39,28 @@ at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
 ``dense(theta)`` are lists of floats that consumers only index, slice and
 iterate. Given a 1-D array of k thetas ``dense`` returns the k states as
 rows of a (k, n) array, each bit-identical to the scalar call. A dense
-callable holds everything of its own step, so it stays valid after the
+output holds everything of its own step, so it stays valid after the
 integrator has moved on.
 
-``sample_every(ds, visit)`` builds such a callback for the samples at
+A callback that evaluates many steps at once keeps
+``dense.parts(thetas)`` instead of the dense output: plain floats, rk4's
+two Hermite pieces (y0, ym, y1, f0, fm, f1) and half step in one list, or
+dopri45's five Horner coefficients of each element as a list of tuples.
+thetas are those the callback will ask for; rk4's parts evaluate the end
+slope f(t1, y1) exactly when the scalar calls at thetas would, so field
+evaluations and their errors come where they would. Parts of many steps, stacked as rows,
+go to the block evaluator ``_rk4_rows`` or ``_dopri_rows`` with one theta
+per row, on the whole step: the guard's truncated step hands the callback
+``dense.clipped(theta)``, whose theta 1 is the crossing, so a theta s on
+it is s * dense.scale there, as its scalar call takes it. The evaluators
+are the array twins of ``_hermite`` and the Horner form. They take the
+same operations element by element in the same order, so each row is the
+scalar call's bits (rk4's ym at theta 1/2), and they run under
+``np.errstate(all="ignore")``, so an overflowing state is inf or NaN
+without a warning, as on Python floats. The array call ``dense(thetas)``
+is the evaluator on one step's parts.
+
+``sample_every(ds, visit)`` builds a step callback for the samples at
 t = ds, 2*ds, ...: each accepted step evaluates the sample times it reaches
 with one dense call and hands ``visit`` their states as the rows of a
 (k, n) block, k >= 1, so sampling costs no extra derivative evaluations
@@ -53,6 +71,7 @@ step.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -109,37 +128,64 @@ class OdeResult:
     stats: IntegratorStats = field(default_factory=IntegratorStats)
 
 
-def _dopri_dense(y0, y1, k, h):
-    """Continuous extension over one accepted step.
+class _Dense:
+    """Continuous extension over one accepted step (see the module
+    docstring); a subclass gives the call, which takes an array of thetas
+    to ``block``, ``parts`` and the block evaluator ``rows``."""
 
-    Matches y0, y1 and the end slopes exactly; fourth-order accurate in
+    __slots__ = ("scale",)
+
+    def block(self, thetas):
+        parts = np.array([self.parts(thetas)])
+        return self.rows(parts, thetas if self.scale == 1.0 else thetas * self.scale)
+
+    def clipped(self, theta):
+        """This dense output with theta 1 at the step's theta ``theta``."""
+        out = copy.copy(self)
+        out.scale = self.scale * theta
+        return out
+
+
+def _dopri_rows(parts, theta):
+    """The states of dopri45 dense outputs: row i at theta[i] on the step of
+    parts row i (or of the one row of ``parts``), each the scalar call's
+    bits; inf or NaN where the Horner sums overflow, with no warning."""
+    r1, r2, r3, r4, r5 = parts.transpose(2, 0, 1)
+    theta = theta[:, None]
+    with np.errstate(all="ignore"):
+        th1 = 1.0 - theta
+        return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+
+
+class _DopriDense(_Dense):
+    """Matches y0, y1 and the end slopes exactly; fourth-order accurate in
     the interior. Each element is a quartic in theta, kept as its five
-    Horner coefficients; a scalar theta gives a list of floats, and an
-    array of thetas runs the same expression on arrays of the
-    coefficients, built on the first such call.
-    """
-    d1, _, d3, d4, d5, d6, d7 = _D
-    coeffs = []
-    for a, b, p1, p3, p4, p5, p6, p7 in zip(y0, y1, k[0], *k[2:]):
-        diff = b - a
-        bspl = h * p1 - diff
-        r5 = h * (d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7)
-        coeffs.append((a, diff, bspl, diff - h * p7 - bspl, r5))
-    rows = []
+    Horner coefficients; the parts are those tuples."""
 
-    def dense(theta):
+    __slots__ = ("coeffs",)
+    rows = staticmethod(_dopri_rows)
+
+    def __init__(self, y0, y1, k, h):
+        d1, _, d3, d4, d5, d6, d7 = _D
+        coeffs = []
+        for a, b, p1, p3, p4, p5, p6, p7 in zip(y0, y1, k[0], *k[2:]):
+            diff = b - a
+            bspl = h * p1 - diff
+            r5 = h * (d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7)
+            coeffs.append((a, diff, bspl, diff - h * p7 - bspl, r5))
+        self.coeffs = coeffs
+        self.scale = 1.0
+
+    def __call__(self, theta):
         if isinstance(theta, np.ndarray):
-            if not rows:
-                rows.extend(np.array(coeffs).T)
-            r1, r2, r3, r4, r5 = rows
-            theta = theta[:, None]
-            th1 = 1.0 - theta
-            return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+            return self.block(theta)
+        theta *= self.scale
         th1 = 1.0 - theta
         return [r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
-                for r1, r2, r3, r4, r5 in coeffs]
+                for r1, r2, r3, r4, r5 in self.coeffs]
 
-    return dense
+    def parts(self, thetas):
+        return self.coeffs
 
 
 def sample_every(ds, visit):
@@ -200,7 +246,7 @@ def _guard_step(t0, h, y0, y1, dense, inside, on_step):
     y_exit = dense(theta)
     t_exit = t0 + theta * h
     if on_step is not None and theta > 0.0:
-        on_step(t0, y0, t_exit, y_exit, lambda s: dense(s * theta))
+        on_step(t0, y0, t_exit, y_exit, dense.clipped(theta))
     return True, t_exit, y_exit
 
 
@@ -290,7 +336,7 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             continue
 
-        dense = _dopri_dense(y, y1, k, h)
+        dense = _DopriDense(y, y1, k, h)
         stats.n_steps += 1
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, h, y, y1, dense, inside, on_step)
@@ -318,14 +364,17 @@ def _rk4_step(f, t, y, h, k1):
     return [yi + c * (a1 + 2 * a2 + 2 * a3 + a4) for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
 
 
-def _hermite(y0, y1, f0, f1, h, theta):
-    # cubic Hermite basis on [0, 1] with slopes scaled by h, element by element
+def _hermite_basis(h, theta):
+    # cubic Hermite basis on [0, 1] with the slope terms scaled by h, on
+    # floats or arrays alike
     t2 = theta * theta
     t3 = t2 * theta
-    a = 2 * t3 - 3 * t2 + 1
-    b = (t3 - 2 * t2 + theta) * h
-    c = -2 * t3 + 3 * t2
-    d = (t3 - t2) * h
+    return 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + theta) * h, -2 * t3 + 3 * t2, (t3 - t2) * h
+
+
+def _hermite(y0, y1, f0, f1, h, theta):
+    # element by element
+    a, b, c, d = _hermite_basis(h, theta)
     return [a * p + b * q + c * r + d * s for p, q, r, s in zip(y0, f0, y1, f1)]
 
 
@@ -338,8 +387,8 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
 
     The dense output is a piecewise cubic Hermite over the two halves, so
     dense(0.5) is the half-step state itself. Its end slope f(t1, y1) is
-    evaluated once, by the first dense call past the midpoint or else as
-    the next step's k1, and serves both.
+    evaluated once, by the first dense or parts call past the midpoint or
+    else as the next step's k1, and serves both.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -369,7 +418,7 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         stats.n_fev += 7
         stats.n_steps += 1
         end_slope = _rk4_end_slope(f, t1, y1, stats)
-        dense = _rk4_dense(y, ym, y1, f0, fm, end_slope, step)
+        dense = _Rk4Dense(y, ym, y1, f0, fm, end_slope, step)
 
         if inside is not None:
             crossed, t_new, y_new = _guard_step(t, step, y, y1, dense, inside, on_step)
@@ -396,22 +445,47 @@ def _rk4_end_slope(f, t, y, stats):
     return slope
 
 
-def _rk4_dense(y0, ym, y1, f0, fm, end_slope, step):
+def _rk4_rows(parts, theta):
+    """The states of rk4 dense outputs: row i at theta[i] on the step of
+    parts row i (or of the one row of ``parts``), each the scalar call's
+    bits; inf or NaN where a Hermite overflows, with no warning."""
+    n = (parts.shape[1] - 1) // 6
+    y0, ym, y1, f0, fm, f1 = (parts[:, j * n : (j + 1) * n] for j in range(6))
+    theta = theta[:, None]
+    lower = theta < 0.5
+    with np.errstate(all="ignore"):
+        a, b, c, d = _hermite_basis(parts[:, -1:], np.where(lower, theta * 2.0,
+                                                            (theta - 0.5) * 2.0))
+        rows = (a * np.where(lower, y0, ym) + b * np.where(lower, f0, fm)
+                + c * np.where(lower, ym, y1) + d * np.where(lower, fm, f1))
+    return np.where(theta == 0.5, ym, rows)  # the Hermites' common knot
+
+
+class _Rk4Dense(_Dense):
     """Piecewise cubic Hermite over the two half-steps of one rk4 step."""
-    half = 0.5 * step
 
-    def at(theta):
-        if theta == 0.5:
-            return ym  # the Hermites' common knot
-        if theta < 0.5:
-            return _hermite(y0, ym, f0, fm, half, theta * 2.0)
-        return _hermite(ym, y1, fm, end_slope(), half, (theta - 0.5) * 2.0)
+    __slots__ = ("y0", "ym", "y1", "f0", "fm", "end_slope", "half")
+    rows = staticmethod(_rk4_rows)
 
-    def dense(theta):
+    def __init__(self, y0, ym, y1, f0, fm, end_slope, step):
+        self.y0, self.ym, self.y1, self.f0, self.fm = y0, ym, y1, f0, fm
+        self.end_slope = end_slope
+        self.half = 0.5 * step
+        self.scale = 1.0
+
+    def __call__(self, theta):
         if isinstance(theta, np.ndarray):
-            # one theta at a time: with the few thetas of a call this beats
-            # evaluating both pieces under masks
-            return np.array([at(th) for th in theta.tolist()]).reshape(-1, len(y0))
-        return at(theta)
+            return self.block(theta)
+        theta *= self.scale
+        if theta == 0.5:
+            return self.ym  # the Hermites' common knot
+        if theta < 0.5:
+            return _hermite(self.y0, self.ym, self.f0, self.fm, self.half, theta * 2.0)
+        return _hermite(self.ym, self.y1, self.fm, self.end_slope(), self.half,
+                        (theta - 0.5) * 2.0)
 
-    return dense
+    def parts(self, thetas):
+        # the end slope only when a theta needs it, as the scalar calls at
+        # ``thetas`` would; else fm holds its place
+        f1 = self.end_slope() if max(thetas, default=0.0) * self.scale > 0.5 else self.fm
+        return [*self.y0, *self.ym, *self.y1, *self.f0, *self.fm, *f1, self.half]

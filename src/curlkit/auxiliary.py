@@ -26,6 +26,7 @@ the rebuilt position had left the domain), so it was dropped.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,19 @@ def auxiliary_force(prob):
 
 
 def auxiliary_hamiltonian(x, p, U, mass):
-    """H = p . p / 2m + U(x)."""
+    """H = p . p / 2m + U(x). Where p . p overflows, the kinetic term is
+    taken as (s / m) s (q . q) / 2 with q = p / s and s = max |p_i|, so H is
+    finite whenever that term is."""
     p = np.asarray(p, dtype=float)
-    return float(np.dot(p, p) / (2.0 * mass) + U.value(x))
+    with np.errstate(over="ignore"):
+        pp = float(np.dot(p, p))
+    if math.isfinite(pp):
+        kinetic = pp / (2.0 * mass)
+    else:
+        s = float(np.max(np.abs(p)))
+        q = p / s
+        kinetic = s / mass * s * (float(np.dot(q, q)) / 2.0)
+    return float(kinetic + U.value(x))
 
 
 def auxiliary_trajectory(prob, x0, v0, cfg):

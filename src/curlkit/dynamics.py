@@ -16,22 +16,27 @@ as a second column next to F . v, and returned as ``form_work``; it costs
 one batch ``G.values`` per block and no further step. The auxiliary
 Hamiltonian of ``auxiliary`` accumulates its kinetic part this way.
 
-The quadrature is batched. Each step makes one dense call for the states
-at the nodes of its k intervals and at their inner ends, and appends its
-k end rows, times, widths and (3k, n) node states. After the step that
-brings the waiting intervals to ``QUAD_BLOCK`` or more, and at the end,
-they are integrated at once: one batch ``F.values`` (and ``G.values``),
-and one ``np.cumsum``, which adds an increment at a time. Errors are
-those of a per-node loop that evaluates F, then G, at each node: if
-anything in a block fails, the block is redone one node at a time with
-the pointwise fields on the stored states, and if the integrator raises,
-the waiting intervals are integrated first, so a node error from an
-earlier step is the one raised.
+The quadrature is batched, and so is the evaluation of its states. The
+step callback makes no dense call and no NumPy call. It appends, as plain
+floats, its k intervals' times and widths, its end state, the thetas of
+its 3k nodes and k - 1 inner ends, and its dense output's ``parts`` (see
+``_ode``). After the step that brings the waiting intervals to
+``QUAD_BLOCK`` or more, and at the end, they are evaluated and integrated
+at once: one call of the integrator's block evaluator for the states at
+every waiting node and inner end, each the scalar dense call's bits; one
+batch ``F.values`` (and ``G.values``); and one ``np.cumsum``, which adds
+an increment at a time. Errors are those of a per-node loop that
+evaluates F, then G, at each node. rk4's ``parts`` takes a step's end
+slope inside its callback, where a dense call at the step's nodes would.
+If anything in a block fails, the block is redone one node at a time with
+the pointwise fields on the evaluated states, and if the integrator
+raises, the waiting intervals are integrated first, so a node error from
+an earlier step is the one raised.
 
 The right-hand side, run per stage, stays on Python floats with either
-integrator: the force's ``value_unchecked`` tuple and the integrator's list
-state (see ``_ode``). States become arrays at the step callback's one dense
-call.
+integrator: the force's ``value_unchecked`` tuple, bound once per
+``integrate`` call, and the integrator's list state (see ``_ode``). States
+become arrays in the block evaluator.
 
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
@@ -57,12 +62,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._ode import _MAX_STEPS, IntegratorStats, integrate_dopri45, integrate_rk4
+from ._ode import (_MAX_STEPS, IntegratorStats, _dopri_rows, _rk4_rows, integrate_dopri45,
+                   integrate_rk4)
 from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
                      OutOfDomainError, require_positive)
 
-# waiting recorded intervals are integrated after the step that brings them to
-# this many or more; with that step's, this bounds the waiting node states
+# waiting recorded intervals are evaluated and integrated after the step that
+# brings them to this many or more; with that step's, this bounds the data kept
 QUAD_BLOCK = 128
 
 # the 3-node Gauss-Legendre rule on [0, 1]: nodes and weights
@@ -135,30 +141,33 @@ def integrate(F, x0, v0, cfg, form=None):
     m = cfg.mass
     fields = (F,) if form is None else (F, form)
 
-    def pointwise(field):
-        def value(x):
-            # trial stages probe past the wall before the guard truncates
-            # the step; evaluate the smooth field there, and only if it
-            # fails (see the module docstring) fall back to the box-clamped
-            # point
-            try:
-                return field.value_unchecked(x)
-            except (EvalDomainError, OutOfDomainError):
-                return field.value(np.clip(x, field.domain.lo, field.domain.hi)).tolist()
+    def clamped(field, x):
+        # trial stages probe past the wall before the guard truncates the
+        # step; they take the smooth field there, and only where it fails
+        # (see the module docstring) the box-clamped point
+        return field.value(np.clip(x, field.domain.lo, field.domain.hi)).tolist()
 
-        return value
-
-    samplers = [pointwise(field) for field in fields]
-    force = samplers[0]
+    force = F.value_unchecked  # bound once: the right-hand side runs per stage
 
     def rhs(t, y):
-        return [*y[dim:], *[c / m for c in force(y[:dim])]]
+        x = y[:dim]
+        try:
+            f = force(x)
+        except (EvalDomainError, OutOfDomainError):
+            f = clamped(F, x)
+        return [*y[dim:], *[c / m for c in f]]
+
+    def power(field, y):
+        try:
+            f = field.value_unchecked(y[:dim])
+        except (EvalDomainError, OutOfDomainError):
+            f = clamped(field, y[:dim])
+        return float(np.dot(f, y[dim:]))
 
     def node_powers(states):
         # node by node, each field in turn, in the order of a per-node loop;
         # one contiguous row per field, so the Gauss sums round as on a batch
-        rows = [[float(np.dot(sample(y[:dim]), y[dim:])) for sample in samplers] for y in states]
-        return np.array(rows).T.copy()
+        return np.array([[power(field, y) for field in fields] for y in states]).T.copy()
 
     def batch_powers(states):
         X, V = states[:, :dim], states[:, dim:, None]
@@ -167,17 +176,31 @@ def integrate(F, x0, v0, cfg, form=None):
 
     y0 = np.concatenate((x0, v0))
     ts = [0.0]
-    rows = [y0[None]]  # a (k, 2 dim) block of (x, v) rows per step
+    rows = [y0[None]]  # (x, v) rows, a block per flush
     sums = [[np.zeros(1)] for _ in fields]  # cumulative work, then form work
-    widths, nodes = [], []  # of the waiting intervals: widths, (3k, n) node states per step
-    grids = {}  # piece count -> its thetas, node thetas and dense-call thetas
+    # the waiting intervals' widths; per waiting step its dense output's
+    # parts, piece count and end state; the thetas of their nodes and inner ends
+    widths, parts, counts, ends, node_thetas, end_thetas = [], [], [], [], [], []
+    waiting = (widths, parts, counts, ends, node_thetas, end_thetas)
+    block_rows = _rk4_rows if cfg.integrator == "rk4" else _dopri_rows
+    grids = {}  # piece count -> its thetas, node and inner-end thetas, and both
 
     def flush():
         if not widths:
             return
-        width, states = np.array(widths), np.concatenate(nodes)
-        widths.clear()  # a block that raises is not integrated again
-        nodes.clear()
+        width, pieces = np.array(widths), np.array(counts)
+        is_end = np.zeros(len(width), bool)  # the last interval of each step
+        is_end[np.cumsum(pieces) - 1] = True
+        step = np.cumsum(is_end) - is_end  # the step of each interval
+        owner = np.concatenate((np.repeat(step, 3), step[~is_end]))
+        states = block_rows(np.array(parts)[owner], np.array(node_thetas + end_thetas))
+        block = np.empty((len(width), 2 * dim))  # the state at each interval's end
+        block[is_end] = ends
+        block[~is_end] = states[3 * len(width) :]
+        rows.append(block)
+        for waiting_list in waiting:
+            waiting_list.clear()  # a block that raises is not integrated again
+        states = states[: 3 * len(width)]
         try:
             powers = batch_powers(states)
         except EVAL_ERRORS:
@@ -199,7 +222,7 @@ def integrate(F, x0, v0, cfg, form=None):
     def grid(pieces):
         theta = [j / pieces for j in range(pieces + 1)]
         node = [a + g * (b - a) for a, b in zip(theta, theta[1:]) for g in _GAUSS_NODES]
-        return theta, node, np.array(node + theta[1:-1])
+        return theta, node, theta[1:-1], node + theta[1:-1]
 
     def on_step(t0, y0, t1, y1, dense):
         span = t1 - t0
@@ -217,9 +240,10 @@ def integrate(F, x0, v0, cfg, form=None):
         pieces = int(pieces)
         if pieces not in grids:
             grids[pieces] = grid(pieces)
-        theta, node, thetas = grids[pieces]
+        theta, node, inner, thetas = grids[pieces]
         try:
-            states = dense(thetas)
+            # takes rk4's end slope if a theta of the step needs it
+            parts.append(dense.parts(thetas))
         except EVAL_ERRORS:
             # only the rk4 end slope can fail here: meet this step's points
             # as a per-node loop does, each piece's inner end before its
@@ -230,15 +254,21 @@ def integrate(F, x0, v0, cfg, form=None):
                     dense(theta[i + 1])
                 node_powers(map(dense, node[3 * i : 3 * i + 3]))
             raise
+        if dense.scale != 1.0:
+            # the guard's clipped step: its thetas on the whole step
+            node, inner = [th * dense.scale for th in node], [th * dense.scale for th in inner]
+        counts.append(pieces)
+        ends.append(y1)
+        node_thetas.extend(node)
+        end_thetas.extend(inner)
         t = [t0 + span * j / pieces for j in range(pieces + 1)]
         ts.extend(t[1:])
         widths.extend([b - a for a, b in zip(t, t[1:])])
-        nodes.append(states[: 3 * pieces])
-        rows.append(np.concatenate((states[3 * pieces :], [y1])))
         if len(widths) >= QUAD_BLOCK:
             flush()
 
-    inside = lambda y: F.domain.contains(y[:dim])
+    # the guard's test: Box.contains reads the first dim elements of a state
+    inside = F.domain.contains
     try:
         if cfg.integrator == "dopri45":
             res = integrate_dopri45(

@@ -434,6 +434,22 @@ _POW_CHECKS = (
     _FINITE_ARG,
     (None, None, "isfinite({1})"),
 )
+
+
+def _pow_checks(exponent):
+    """``_POW_CHECKS`` less those that a finite literal exponent, negated or
+    not, cannot fail: zero to a power below 0, the non-finite exponent, and
+    the non-integer one for an integer."""
+    sign = 1.0
+    if isinstance(exponent, Neg):
+        sign, exponent = -1.0, exponent.operand
+    if not (isinstance(exponent, Num) and math.isfinite(exponent.value)):
+        return _POW_CHECKS
+    e = sign * float(exponent.value)
+    zero, _, fraction, *rest = _POW_CHECKS
+    return ((zero,) if e < 0.0 else ()) + (() if e.is_integer() else (fraction,)) + tuple(rest)
+
+
 # operator or function -> (checks, operation, whether the result must be finite)
 _RULES = {
     **{op: ((), f"{{0}} {op} {{1}}", True) for op in "+-*"},
@@ -515,11 +531,13 @@ class _Emitter:
             raise TypeError(f"unknown node {node!r}")
         operands = [self.expr(a) for a in args]
         checks, operation, finite = _RULES[rule]
+        if rule == "pow":
+            checks = _pow_checks(args[1])
         for fail, message, ok in checks:
             self.check(fail and fail.format(*operands), message and message.format(*operands),
                        ok and ok.format(*operands), span)
         out = self.assign(operation.format(*operands))
-        if checks is _POW_CHECKS and not self.numpy:  # math.pow raises on overflow
+        if rule == "pow" and not self.numpy:  # math.pow raises on overflow
             self.lines[-1:] = ["try:", f" {self.lines[-1]}", "except OverflowError:",
                                f" raise E('overflow in power', {span}) from None"]
         if finite:

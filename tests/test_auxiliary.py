@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ def test_hamiltonian_values():
     U = ScalarFieldDef.from_source("-(1/x + 1/y)", 2, domain=DOM)
     assert auxiliary_hamiltonian((1, 1), (0, 0), U, 1.0) == -2.0
     assert auxiliary_hamiltonian((1, 1), (0, 0), U, 7.0) == -2.0  # p = 0: H = U
+
+
+def test_hamiltonian_is_finite_where_only_p_dot_p_overflows():
+    # p = m v0 with m = 1e300 and v0 = (0.1, -0.1): p . p = 2e598 overflowed
+    # with a RuntimeWarning, though the kinetic term m |v0|^2 / 2 is 1e298
+    U0 = ScalarFieldDef.from_source("0", 2, domain=Box((-2, -2), (2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = auxiliary_hamiltonian((0, 0), 1e300 * np.array([0.1, -0.1]), U0, 1e300)
+    assert h == pytest.approx(1e298, rel=1e-15)
+    # a finite p . p keeps its bits
+    p = np.array([3e150, -4e150])
+    assert auxiliary_hamiltonian((0, 0), p, U0, 2.0) == float(np.dot(p, p) / 4.0)
 
 
 def test_auxiliary_trajectory_conserves_h():

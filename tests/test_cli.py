@@ -239,6 +239,21 @@ def test_a_target_too_far_for_its_distance_is_a_numerical_failure(tmp_path, prob
                            "to the trace is not finite\n")
 
 
+@pytest.mark.parametrize("command", ["auxiliary", "nonlocal-h"])
+def test_a_large_mass_gives_a_finite_h0(tmp_path, problem, command):
+    # p = m v0 gives p . p = 2e598, though H0 is about m |v0|^2 / 2 = 1e298:
+    # auxiliary overflowed in the dot, with a RuntimeWarning (a traceback
+    # under error::RuntimeWarning), into the report's non-finite guard
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curlkit.cli", command, problem(BERRY_DECLARED), *AUX,
+         "--region", "box", "--mass", "1e300", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="error::RuntimeWarning"))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert json.loads(out.read_text())["results"]["H0"] == pytest.approx(1e298, rel=1e-12)
+
+
 def test_exit_numerical_for_non_finite_report(tmp_path, problem, capsys, monkeypatch):
     # strict JSON refuses the NaN residual, and no report file is left behind
     monkeypatch.setattr(dynamics, "work_energy_residual", lambda traj: float("nan"))

@@ -697,16 +697,24 @@ def test_quadrature_evaluates_three_rows_per_recorded_interval(options):
 
 
 def test_rk4_midpoint_is_the_stored_half_step_state(monkeypatch):
-    # the guard's dense(0.5) and the middle Gauss node both take it, so a
-    # step inside the box evaluates only the two outer nodes' Hermites
-    calls = []
-    hermite = _ode._hermite
+    # the guard's dense(0.5) takes it without a Hermite, and so does the
+    # middle Gauss node: the block evaluator gets each step's three nodes
+    # once, and its row at the middle one is the step's ym, bit for bit
+    hermites, blocks = [], []
+    hermite, rows = _ode._hermite, dynamics._rk4_rows
 
-    def counted(*args):
-        calls.append(args[-1])
-        return hermite(*args)
+    def spy(parts, theta):
+        out = rows(parts, theta)
+        blocks.append((parts, theta, out))
+        return out
 
-    monkeypatch.setattr(_ode, "_hermite", counted)
+    monkeypatch.setattr(_ode, "_hermite", lambda *args: hermites.append(args) or hermite(*args))
+    monkeypatch.setattr(dynamics, "_rk4_rows", spy)
     traj = integrate(berry_field(), *BERRY_START, SimConfig(t_end=0.5, integrator="rk4", h=1e-2))
-    assert not traj.exited
-    assert len(calls) == 2 * traj.stats.n_steps
+    assert not traj.exited and hermites == []
+    parts, theta, out = (np.concatenate(block) for block in zip(*blocks))
+    nodes = [g for g, _ in GAUSS_RULE]
+    assert np.array_equal(theta, np.tile(nodes, traj.stats.n_steps))
+    # a step's parts are (y0, ym, y1, f0, fm, f1) of 4 elements each, then h/2
+    mid = theta == 0.5
+    assert np.array_equal(out[mid], parts[mid, 4:8])

@@ -1031,6 +1031,31 @@ def test_grad_at_matches_the_parent_walker_tree_by_tree(source, coords, c):
         assert _same_outcome(float(partial), _walk(d.root, coords, constants)), (source, coords)
 
 
+def _emitted(source):
+    emitter = exprlang._Emitter("math")
+    emitter.function((parse(source, 2).root,))
+    return emitter.lines
+
+
+def test_a_literal_exponent_drops_the_checks_it_cannot_fail():
+    assert _emitted("x^2") == [
+        "try:", " v0 = pow(x0, 2.0)", "except OverflowError:",
+        " raise E('overflow in power', (0, 3)) from None",
+        "if not isfinite(v0): raise E('non-finite result', (0, 3))",
+    ]
+    # a negative or a fractional one keeps the check that it can fail, with
+    # the parent walker's message and span
+    for source, coords, kept in (("x^-1", (0.0, 0.0), "zero raised to a negative power"),
+                                 ("(-x)^0.5", (1.0, 0.0),
+                                  "negative base with non-integer exponent")):
+        lines = "\n".join(_emitted(source))
+        assert kept in lines and "non-finite exponent" not in lines
+        tree = parse(source, 2)
+        got = _outcome(lambda: eval_at(tree, coords, {}))
+        assert isinstance(got, EvalDomainError) and str(got).startswith(kept)
+        assert _same_outcome(got, _walk(tree.root, coords, {}))
+
+
 def test_messages_print_python_floats_from_numpy_scalars():
     tree = parse("y + log(x)", 2)
     cols = [np.array([1.0, -1.0]), np.array([0.0, 0.0])]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,73 @@ def test_dense_accepts_theta_array(integrator):
         for theta, row in zip(thetas, rows):
             assert np.array_equal(row, dense(float(theta)))
         assert dense(np.array([])).shape == (0, 2)
+
+
+def dense_outputs(integrator):
+    """Every dense output of a run that ends on the guard's clipped step."""
+    kept = []
+    on_step = lambda t0, y0, t1, y1, dense: kept.append(dense)
+    inside = lambda y: y[0] > 0.3
+    y0 = np.array([1.0, 0.0])
+    if integrator == "dopri45":
+        res = integrate_dopri45(harmonic, 0.0, y0, 2.0, inside=inside, on_step=on_step)
+    else:
+        res = integrate_rk4(harmonic, 0.0, y0, 2.0, 0.1, inside=inside, on_step=on_step)
+    assert res.exited and kept[-1].scale < 1.0
+    return kept
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_block_rows_are_the_scalar_dense_states(integrator):
+    # one evaluator call for the thetas of every step, the clipped last one
+    # included, as a step callback may make later from the parts it kept
+    kept = dense_outputs(integrator)
+    thetas = [0.0, 0.5, 1.0, 0.1, 0.5 - math.sqrt(0.15), 0.75, 0.5 + math.sqrt(0.15)]
+    parts = np.array([dense.parts(thetas) for dense in kept])
+    owner = np.repeat(np.arange(len(kept)), len(thetas))
+    # theta s of the clipped step is s * scale on the whole step
+    whole = [theta * kept[step].scale for step, theta in zip(owner, thetas * len(kept))]
+    rows = type(kept[0]).rows(parts[owner], np.array(whole))
+    assert rows.shape == (len(owner), 2)
+    for row, step, theta in zip(rows, owner, thetas * len(kept)):
+        want = kept[step](theta)
+        assert row.tobytes() == np.array(want).tobytes()  # bit for bit
+        if integrator == "rk4" and theta * kept[step].scale == 0.5:
+            assert want is kept[step].ym  # the Hermites' common knot
+
+
+def overflowing_dense(integrator):
+    big, flip = [1e308, -1e308], [-1e308, 1e308]
+    if integrator == "dopri45":
+        return _ode._DopriDense(big, flip, [[1e300, -1e300]] * 7, 1.0)
+    return _ode._Rk4Dense(big, flip, big, big, flip, lambda: big, 400.0)
+
+
+@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
+def test_block_rows_overflow_as_python_floats_do(integrator):
+    # inf or NaN where the scalar call's floats give them, and no warning
+    dense = overflowing_dense(integrator)
+    thetas = np.array([0.1, 0.3, 0.5, 0.75, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = dense(thetas)
+    want = np.array([dense(theta) for theta in thetas.tolist()])
+    assert not np.isfinite(want).all()
+    assert np.array_equal(rows, want, equal_nan=True)
+
+
+def test_rk4_parts_take_the_end_slope_only_past_the_midpoint():
+    # as the scalar calls at the thetas would; on the clipped step a theta
+    # counts at its place on the whole step
+    calls = []
+    dense = _ode._Rk4Dense([0.0], [1.0], [2.0], [1.0], [1.0],
+                           lambda: calls.append(1) or [3.0], 1.0)
+    dense.parts([])
+    dense.parts([0.1, 0.5])
+    dense.clipped(0.5).parts([0.3, 1.0])
+    assert calls == []
+    parts = dense.parts([0.1, 0.75, 0.3])
+    assert calls == [1] and parts[5] == 3.0
 
 
 # --- the NumPy rk4 that the float rk4 replaced, kept as its reference ---------
