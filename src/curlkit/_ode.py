@@ -37,10 +37,8 @@ The step callback receives ``(t0, y0, t1, y1, dense)`` after every
 accepted step, where ``dense(theta)`` evaluates the continuous extension
 at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
 ``dense(theta)`` are lists of floats that consumers only index, slice and
-iterate. Given a 1-D array of k thetas ``dense`` returns the k states as
-rows of a (k, n) array, each bit-identical to the scalar call. A dense
-output holds everything of its own step, so it stays valid after the
-integrator has moved on.
+iterate. A dense output holds everything of its own step, so it stays
+valid after the integrator has moved on.
 
 A callback that evaluates many steps at once keeps
 ``dense.parts(thetas)`` instead of the dense output: plain floats, rk4's
@@ -48,25 +46,27 @@ two Hermite pieces (y0, ym, y1, f0, fm, f1) and half step in one list, or
 dopri45's five Horner coefficients of each element as a list of tuples.
 thetas are those the callback will ask for; rk4's parts evaluate the end
 slope f(t1, y1) exactly when the scalar calls at thetas would, so field
-evaluations and their errors come where they would. Parts of many steps, stacked as rows,
-go to the block evaluator ``_rk4_rows`` or ``_dopri_rows`` with one theta
-per row, on the whole step: the guard's truncated step hands the callback
-``dense.clipped(theta)``, whose theta 1 is the crossing, so a theta s on
-it is s * dense.scale there, as its scalar call takes it. The evaluators
-are the array twins of ``_hermite`` and the Horner form. They take the
-same operations element by element in the same order, so each row is the
-scalar call's bits (rk4's ym at theta 1/2), and they run under
-``np.errstate(all="ignore")``, so an overflowing state is inf or NaN
-without a warning, as on Python floats. The array call ``dense(thetas)``
-is the evaluator on one step's parts.
+evaluations and their errors come where they would. Parts of many steps,
+stacked as rows, go to the block evaluator ``dense.rows`` (``_rk4_rows``
+or ``_dopri_rows``) with one theta per row, on the whole step: the
+guard's truncated step hands the callback ``dense.clipped(theta)``, whose
+theta 1 is the crossing, so a theta s on it is s * dense.scale there, as
+its scalar call takes it. The evaluators are the array twins of
+``_hermite`` and the Horner form. They take the same operations element
+by element in the same order, so each row is the scalar call's bits
+(rk4's ym at theta 1/2), and they run under ``np.errstate(all="ignore")``,
+so an overflowing state is inf or NaN without a warning, as on Python
+floats. Parts and an evaluator are the one block path; the scalar call
+is the one scalar path.
 
-``sample_every(ds, visit)`` builds a step callback for the samples at
-t = ds, 2*ds, ...: each accepted step evaluates the sample times it reaches
-with one dense call and hands ``visit`` their states as the rows of a
-(k, n) block, k >= 1, so sampling costs no extra derivative evaluations
-and each row is the state the scalar call gives. Each consumer passes the
-callback to the integrator itself, wrapping it when it needs more per
-step.
+``sample_every(ds, count)`` returns a step callback and ``rows()`` for the
+samples at t = ds, 2*ds, ..., count*ds. A step that reaches a sample time
+keeps only its parts, t0, t1 and scale, as plain floats, and evaluates
+nothing and calls no NumPy; ``rows()`` evaluates the samples of the whole
+integration with one call of the block evaluator per 65,536 of them, so
+sampling costs no extra derivative evaluations and each row is the state
+the scalar call gives. Each consumer passes the callback to the
+integrator itself, wrapping it when it needs more per step.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ _MAX_FACTOR = 5.0
 _BOUNDARY_TOL = 1e-10
 # accepted plus rejected dopri45 steps, rk4 steps, and the rows dynamics records
 _MAX_STEPS = 10_000_000
+# samples per block evaluator call of ``sample_every``'s rows, which bounds
+# the gathered parts of a long trace
+_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -130,14 +133,10 @@ class OdeResult:
 
 class _Dense:
     """Continuous extension over one accepted step (see the module
-    docstring); a subclass gives the call, which takes an array of thetas
-    to ``block``, ``parts`` and the block evaluator ``rows``."""
+    docstring); a subclass gives the scalar call, ``parts`` and the block
+    evaluator ``rows``."""
 
     __slots__ = ("scale",)
-
-    def block(self, thetas):
-        parts = np.array([self.parts(thetas)])
-        return self.rows(parts, thetas if self.scale == 1.0 else thetas * self.scale)
 
     def clipped(self, theta):
         """This dense output with theta 1 at the step's theta ``theta``."""
@@ -177,8 +176,6 @@ class _DopriDense(_Dense):
         self.scale = 1.0
 
     def __call__(self, theta):
-        if isinstance(theta, np.ndarray):
-            return self.block(theta)
         theta *= self.scale
         th1 = 1.0 - theta
         return [r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
@@ -188,28 +185,52 @@ class _DopriDense(_Dense):
         return self.coeffs
 
 
-def sample_every(ds, visit):
-    """Step callback calling ``visit(block)`` with the states at t = ds, 2*ds, ...
+def sample_every(ds, count):
+    """(on_step, rows): a step callback taking the sample times t = ds,
+    2*ds, ..., count*ds, and ``rows()``, the states at the times taken so
+    far as the rows of a (k, n) array, k <= count.
 
     Each sample time is taken once, by the first accepted step whose end
-    reaches it (within 1e-15). A step evaluates its sample times with one
-    dense call and passes the states, in time order, as the rows of a
-    (k, n) array with k >= 1; a step that reaches no sample time does not
-    call ``visit``.
+    reaches it (within 1e-15). A step that takes one keeps its dense
+    output's parts, t0, t1 and scale; ``rows`` evaluates all samples with
+    the block evaluator, each row the scalar call at the sample's theta.
     """
-    next_t = ds
+    parts, spans = [], []  # per step that takes a sample: its parts, and (t0, t1, scale)
+    next_t, taken, evaluate = ds, 0, None
 
     def on_step(t0, y0, t1, y1, dense):
-        nonlocal next_t
-        thetas = []
-        while next_t <= t1 + 1e-15:
-            theta = (next_t - t0) / (t1 - t0) if t1 > t0 else 1.0
-            thetas.append(min(max(theta, 0.0), 1.0))
+        nonlocal next_t, taken, evaluate
+        end = t1 + 1e-15
+        if taken == count or next_t > end:
+            return
+        while taken < count and next_t <= end:
+            last = next_t
             next_t += ds
-        if thetas:
-            visit(dense(np.array(thetas)))
+            taken += 1
+        # rk4's parts take the end slope when the step's last theta is past 1/2
+        theta = (last - t0) / (t1 - t0) if t1 > t0 else 1.0
+        parts.append(dense.parts((min(max(theta, 0.0), 1.0),)))
+        spans.append((t0, t1, dense.scale))
+        evaluate = dense.rows
 
-    return on_step
+    def rows():
+        if not taken:
+            return np.empty((0, 0))
+        t0, t1, scale = np.array(spans).T
+        ends, stacked = t1 + 1e-15, np.array(parts)
+        times = np.cumsum(np.full(taken, ds))  # left to right: the bits of next_t
+        blocks = []
+        for lo in range(0, taken, _SAMPLE_BLOCK):
+            t = times[lo : lo + _SAMPLE_BLOCK]
+            owner = np.searchsorted(ends, t)  # the first step whose end reaches t
+            a, b = t0[owner], t1[owner]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = np.where(b > a, (t - a) / (b - a), 1.0)
+            theta = np.minimum(np.maximum(theta, 0.0), 1.0) * scale[owner]
+            blocks.append(evaluate(stacked[owner], theta))
+        return np.concatenate(blocks)
+
+    return on_step, rows
 
 
 def _locate_boundary(dense, inside, theta_lo, theta_hi):
@@ -474,8 +495,6 @@ class _Rk4Dense(_Dense):
         self.scale = 1.0
 
     def __call__(self, theta):
-        if isinstance(theta, np.ndarray):
-            return self.block(theta)
         theta *= self.scale
         if theta == 0.5:
             return self.ym  # the Hermites' common knot

@@ -90,7 +90,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
     require_positive("arclength", arclength)
     if not 1 <= steps <= _ode._MAX_STEPS:
-        # sample_every makes a theta per sample: refuse more samples than the step cap
+        # sample_every holds a time per sample: refuse more samples than the step cap
         raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
@@ -102,7 +102,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
             a, b = _unit_perp_2d(F, x, floor)
             return sign * a, sign * b
 
-        blocks = []
+        sample, rows = sample_every(arclength / steps, steps)
         res = integrate_dopri45(
             rhs,
             0.0,
@@ -111,15 +111,16 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
             atol=FLOW_TOL,
             rtol=FLOW_TOL,
             inside=F.domain.contains,
-            on_step=sample_every(arclength / steps, blocks.append),
+            on_step=sample,
         )
         if res.exited and not truncate_on_exit:
             raise OutOfDomainError(
                 f"zero-work curve left the domain after arclength {res.t:.6g}", res.y
             )
-        if not blocks or np.linalg.norm(blocks[-1][-1] - res.y) > 1e-15:
-            blocks.append(res.y[None])
-        return np.concatenate(blocks)
+        points = rows()  # (0, 0) when the trace took no sample
+        if not len(points) or np.linalg.norm(points[-1] - res.y) > 1e-15:
+            points = np.concatenate((points.reshape(-1, 2), res.y[None]))
+        return points
 
     backward = trace(-1.0)
     forward = trace(+1.0)
@@ -257,8 +258,7 @@ def bracket_maneuver_3d(F, x0, eps):
             return f0 * d0 + f1 * d1 + f2 * d2
 
         leg_work = 0.0
-        leg_pts = []
-        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.extend)
+        sample, rows = sample_every(eps / SAMPLES_PER_LEG, SAMPLES_PER_LEG)
 
         def on_step(s0, qa, s1, qb, dense):
             nonlocal leg_work
@@ -279,8 +279,8 @@ def bracket_maneuver_3d(F, x0, eps):
             raise OutOfDomainError("maneuver left the domain", res.y)
         x = res.y
         work_total += leg_work
-        leg_pts.append(x.copy())
-        path_pts.extend(leg_pts)
+        path_pts.extend(rows())
+        path_pts.append(x.copy())
 
     displacement = x - x0
     return ManeuverResult(

@@ -334,7 +334,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         raise DimensionMismatchError("characteristics are traced for 3D fields")
     require_positive("s_max", s_max)
     if not 1 <= steps <= _ode._MAX_STEPS:
-        # sample_every makes a theta per sample: refuse more samples than the step cap
+        # sample_every holds a time per sample: refuse more samples than the step cap
         raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):
@@ -354,16 +354,23 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         for x in block.tolist():
             deviation = max(deviation, abs(V.value_unchecked(x) - v0))
 
-    res = integrate_dopri45(
-        rhs,
-        0.0,
-        x0,
-        s_max,
-        atol=CHARACTERISTIC_TOL,
-        rtol=CHARACTERISTIC_TOL,
-        inside=F.domain.contains,
-        on_step=sample_every(s_max / steps, visit),
-    )
+    sample, rows = sample_every(s_max / steps, steps)
+    try:
+        res = integrate_dopri45(
+            rhs,
+            0.0,
+            x0,
+            s_max,
+            atol=CHARACTERISTIC_TOL,
+            rtol=CHARACTERISTIC_TOL,
+            inside=F.domain.contains,
+            on_step=sample,
+        )
+    except Exception:
+        # V at each sample before the failing step, so V's error comes first
+        visit(rows())
+        raise
+    visit(rows())
     if res.exited:
         raise OutOfDomainError(
             f"characteristic left the domain at s={res.t:.6g}", res.y

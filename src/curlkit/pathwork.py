@@ -165,9 +165,11 @@ def line_work(F, path):
 
         def power(m):
             """F(c(s)) . c'(s) at the nodes m (indices into this chunk), in
-            the pointwise order: the point, the field, then the tangent."""
+            the pointwise order: the point, the field, then the tangent (a
+            polyline's, its edge, is gathered with the point and cannot fail)."""
             if path.is_polyline:
-                P = verts[e[m]] + u[m, None] * edges[e[m]]
+                V = edges.take(e[m], axis=0)  # the tangent too
+                P = verts.take(e[m], axis=0) + u[m, None] * V
             else:
                 P = exprlang.eval_many(path.trees, (s[m],), path.constants).T
             try:
@@ -177,8 +179,8 @@ def line_work(F, path):
                     raise
                 raise OutOfDomainError(
                     f"path leaves the field domain at s={s[m[0]]:.6g}", P[0]) from None
-            V = edges[e[m]] if path.is_polyline else exprlang.eval_many(
-                rates, (s[m],), path.constants).T
+            if not path.is_polyline:
+                V = exprlang.eval_many(rates, (s[m],), path.constants).T
             return np.einsum("ij,ij->i", f, V)
 
         dot = fieldkit.per_row(np.arange(len(n)), power)

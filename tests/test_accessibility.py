@@ -69,6 +69,13 @@ def test_trace_covers_both_directions():
     assert angles.min() < -0.29 and angles.max() > 0.29
 
 
+def test_trace_records_steps_points_per_direction():
+    # a spacing of 1e-16, below the 1e-15 by which a step end reaches a
+    # sample time, took 10 points past the arclength in each direction
+    trace = zero_work_trace_2d(berry_field(), (1.0, 1.0), 1e-12, steps=10000)
+    assert len(trace.vertices) == 2 * 10000 + 1
+
+
 def test_trace_equilibrium_rejected():
     F = VectorFieldDef.from_source(["2*x", "2*y"], 2, domain=Box((-2, -2), (2, 2)))
     with pytest.raises(NumericalError):
@@ -313,8 +320,7 @@ def np_bracket_maneuver_3d(F, x0, eps, integrate=integrate_dopri45):
             return _sign * leg_field(q, _name)
 
         leg_work = 0.0
-        leg_pts = []
-        sample = sample_every(eps / SAMPLES_PER_LEG, leg_pts.extend)
+        sample, rows = sample_every(eps / SAMPLES_PER_LEG, SAMPLES_PER_LEG)
 
         def on_step(s0, qa, s1, qb, dense, _name=name, _sign=sign):
             nonlocal leg_work
@@ -329,8 +335,8 @@ def np_bracket_maneuver_3d(F, x0, eps, integrate=integrate_dopri45):
                         inside=F.domain.contains, on_step=on_step)
         x = res.y
         work_total += leg_work
-        leg_pts.append(x.copy())
-        path_pts.extend(leg_pts)
+        path_pts.extend(rows())
+        path_pts.append(x.copy())
 
     displacement = x - x0
     return ManeuverResult(endpoint=x, net_displacement=displacement,

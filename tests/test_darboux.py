@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curlkit import _ode, exprlang, fieldkit
-from curlkit._ode import integrate_dopri45, sample_every
+from curlkit._ode import integrate_dopri45
 from curlkit.darboux import (
     CHARACTERISTIC_TOL,
     PotentialSet,
@@ -346,7 +346,8 @@ def test_characteristic_domain_exit_names_the_exit_point():
 
 # --- the float curl lines against the NumPy ones ------------------------------------
 # (characteristic_deviation as it was, with an np_ prefix: its right-hand side
-# takes fieldkit.curl at every stage and returns an ndarray)
+# takes fieldkit.curl at every stage and returns an ndarray, and each step
+# takes V at its samples, one scalar dense call each)
 
 def np_characteristic_deviation(F, V, x0, s_max, steps=200):
     if F.dimension != 3:
@@ -366,10 +367,19 @@ def np_characteristic_deviation(F, V, x0, s_max, steps=200):
         except OutOfDomainError:
             return fieldkit.curl(F, np.clip(x, F.domain.lo, F.domain.hi))
 
-    def visit(block):
+    def visit(x):
         nonlocal deviation
-        for x in block:
-            deviation = max(deviation, abs(V.value(x) - v0))
+        deviation = max(deviation, abs(V.value(x) - v0))
+
+    ds, next_s, taken = s_max / steps, s_max / steps, 0
+
+    def on_step(s0, xa, s1, xb, dense):
+        nonlocal next_s, taken
+        while taken < steps and next_s <= s1 + 1e-15:
+            theta = (next_s - s0) / (s1 - s0) if s1 > s0 else 1.0
+            visit(np.array(dense(min(max(theta, 0.0), 1.0))))
+            next_s += ds
+            taken += 1
 
     res = integrate_dopri45(
         rhs,
@@ -379,13 +389,13 @@ def np_characteristic_deviation(F, V, x0, s_max, steps=200):
         atol=CHARACTERISTIC_TOL,
         rtol=CHARACTERISTIC_TOL,
         inside=F.domain.contains,
-        on_step=sample_every(s_max / steps, visit),
+        on_step=on_step,
     )
     if res.exited:
         raise OutOfDomainError(
             f"characteristic left the domain at s={res.t:.6g}", res.y
         )
-    visit(res.y[None])
+    visit(res.y)
     return float(deviation)
 
 
@@ -442,6 +452,34 @@ def test_characteristic_expression_error_is_the_numpy_one():
         characteristic_deviation(F, V, (1.0, 1.0, 1.0), 2.0)
     assert str(got.value) == str(want.value)
     assert "log of non-positive value" in str(got.value)
+
+
+def test_characteristic_v_error_comes_before_a_later_step_s():
+    # V = sqrt(2 - x) fails at the first sample past x = 2 (s = ln 2), and
+    # the stage at x = 3 (s = ln 3) later fails in F's Jacobian: V's error
+    # is raised, as it is by the NumPy characteristic's per-step samples
+    sources = ["-(y*z) - log(3 - x)", "-(2*x*z)", "-(x*y)"]
+    F = VectorFieldDef.from_source(sources, 3, domain=DOM3)
+    V = ScalarFieldDef.from_source("sqrt(2 - x)", 3, domain=DOM3)
+    with pytest.raises(EvalDomainError) as want:
+        np_characteristic_deviation(F, V, (1.0, 1.0, 1.0), 2.0)
+    with pytest.raises(EvalDomainError) as got:
+        characteristic_deviation(F, V, (1.0, 1.0, 1.0), 2.0)
+    assert str(got.value) == str(want.value)
+    assert "sqrt of negative value" in str(got.value)
+
+
+def test_characteristic_takes_at_most_steps_samples(monkeypatch):
+    # a spacing of 1e-16, below the 1e-15 by which a step end reaches a
+    # sample time, took 10 samples past s_max
+    F = triple_field()
+    V = ScalarFieldDef.from_source("y", 3, domain=DOM3)
+    visited = []
+    value = ScalarFieldDef.value_unchecked
+    monkeypatch.setattr(ScalarFieldDef, "value_unchecked",
+                        lambda self, x: visited.append(x) or value(self, x))
+    characteristic_deviation(F, V, (1.0, 1.0, 1.0), 1e-12, steps=10000)
+    assert len(visited) == 10000 + 1  # the samples and the end
 
 
 def test_characteristic_of_a_sampled_force_fails_as_the_numpy_one():

@@ -194,8 +194,8 @@ def test_dopri_nan_error_estimate_raises():
 
 def test_sample_every_hits_each_sample_time_once():
     ds = 0.0137
-    blocks, step_ends = [], []
-    sample = sample_every(ds, blocks.append)
+    step_ends = []
+    sample, rows = sample_every(ds, 100)
 
     def on_step(t0, y0, t1, y1, dense):
         step_ends.append(t1)
@@ -203,65 +203,90 @@ def test_sample_every_hits_each_sample_time_once():
 
     integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0,
                       atol=1e-10, rtol=1e-10, on_step=on_step)
-    samples = np.concatenate(blocks)
+    samples = rows()
+    # fewer times than the count reach the end of the span
+    assert len(samples) == int(1.0 / ds) < 100
     # many steps, each holding several samples or none
-    assert len(step_ends) > 5
-    assert len(blocks) < len(samples)
-    assert len(samples) == int(1.0 / ds)
+    held = np.bincount(np.searchsorted(step_ends, ds * np.arange(1, len(samples) + 1)))
+    assert len(step_ends) > 5 and held.max() > 1 and (held == 0).any()
     # a dropped or repeated sample would shift every later one off its time
     for k, y in enumerate(samples, start=1):
         t = k * ds
         assert y == pytest.approx([math.cos(t), -math.sin(t)], abs=1e-9)
 
 
+def test_sample_every_takes_at_most_its_count():
+    # a spacing below the 1e-15 reach of a step end would take times past
+    # the span's end; the count stops the sampler at the last time asked for
+    for ds, count, taken in ((1e-16, 10000, 10000), (0.0137, 10, 10), (0.0137, 0, 0)):
+        sample, rows = sample_every(ds, count)
+        integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), ds * count if count else 1.0,
+                          on_step=sample)
+        assert rows().shape == ((taken, 2) if taken else (0, 0))
+
+
 @pytest.mark.parametrize("integrator", ["dopri45", "rk4", "clipped"])
-def test_sample_every_block_rows_are_the_scalar_dense_states(integrator):
-    # one dense call per step that reaches a sample; each row of its block is
-    # the scalar call at the same theta, bit for bit. "clipped" ends on the
-    # guard's truncated step, whose dense output is the clipped one.
-    calls, blocks, ends = [], [], []
-    sample = sample_every(0.0137, blocks.append)
+def test_sample_every_block_rows_are_the_scalar_dense_states(monkeypatch, integrator):
+    # no dense call and one parts call per step that takes a sample; each row
+    # is the scalar call of the per-sample reference, bit for bit, with the
+    # same field evaluations, also when the rows take several evaluator
+    # calls. "clipped" ends on the guard's truncated step, whose dense
+    # output is the clipped one.
+    monkeypatch.setattr(_ode, "_SAMPLE_BLOCK", 7)
 
-    def on_step(t0, y0, t1, y1, dense):
-        def spy(theta):
-            calls.append((t1, dense, theta))
-            return dense(theta)
+    class Spy:
+        """A dense output that refuses the scalar call and logs ``parts``."""
 
-        ends.append(t1)
-        sample(t0, y0, t1, y1, spy)
+        def __init__(self, dense, t1):
+            self.dense, self.t1 = dense, t1
+            self.scale, self.rows = dense.scale, dense.rows
 
-    y0 = np.array([1.0, 0.0])
-    if integrator == "rk4":
-        res = integrate_rk4(harmonic, 0.0, y0, 1.0, 0.05, on_step=on_step)
-    else:
-        inside = (lambda y: y[0] > 0.8) if integrator == "clipped" else None
-        res = integrate_dopri45(harmonic, 0.0, y0, 1.0, atol=1e-10, rtol=1e-10,
-                                inside=inside, on_step=on_step)
-    assert res.exited is (integrator == "clipped")
+        def __call__(self, theta):
+            raise AssertionError("the sampler made a dense call")
+
+        def parts(self, thetas):
+            takers.append(self.t1)
+            return self.dense.parts(thetas)
+
+    def run(sampler, spy):
+        sample, rows = sampler(0.0137, 100)
+        on_step = lambda t0, y0, t1, y1, dense: sample(t0, y0, t1, y1, spy(dense, t1))
+        y0 = np.array([1.0, 0.0])
+        if integrator == "rk4":
+            res = integrate_rk4(harmonic, 0.0, y0, 1.0, 0.05, on_step=on_step)
+        else:
+            inside = (lambda y: y[0] > 0.8) if integrator == "clipped" else None
+            res = integrate_dopri45(harmonic, 0.0, y0, 1.0, atol=1e-10, rtol=1e-10,
+                                    inside=inside, on_step=on_step)
+        return res, rows()
+
+    takers = []
+    res, got = run(sample_every, Spy)
+    ref, want = run(per_sample_every, lambda dense, t1: dense)
+    assert res.exited is ref.exited is (integrator == "clipped")
+    assert res.stats == ref.stats  # rk4's end slopes where the scalar calls take them
     # the last step, the truncated one when clipped, holds samples
-    assert calls[-1][0] == ends[-1] == res.t
-    assert len(calls) == len(blocks) > 5
-    assert len({t1 for t1, _, _ in calls}) == len(calls)
-    for (_, dense, thetas), block in zip(calls, blocks):
-        assert isinstance(thetas, np.ndarray)
-        assert len(block) == len(thetas) >= 1
-        for theta, row in zip(thetas.tolist(), block):
-            assert np.array_equal(row, dense(theta))
+    assert takers[-1] == res.t
+    assert len(set(takers)) == len(takers) > 5
+    assert len(got) == len(want) > len(takers)
+    assert got.tobytes() == want.tobytes()
 
 
-def per_sample_every(ds, visit):
+def per_sample_every(ds, count):
     """The sampler as it was before blocks, kept as the reference: one
-    scalar dense call per sample time, handed over as a block of one row."""
+    scalar dense call per sample time, at most ``count`` of them, each kept
+    as a row until ``rows``."""
+    samples = []
     next_t = ds
 
     def on_step(t0, y0, t1, y1, dense):
         nonlocal next_t
-        while next_t <= t1 + 1e-15:
+        while len(samples) < count and next_t <= t1 + 1e-15:
             theta = (next_t - t0) / (t1 - t0) if t1 > t0 else 1.0
-            visit(np.asarray(dense(min(max(theta, 0.0), 1.0)))[None])
+            samples.append(dense(min(max(theta, 0.0), 1.0)))
             next_t += ds
 
-    return on_step
+    return on_step, lambda: np.array(samples, dtype=float) if samples else np.empty((0, 0))
 
 
 def _trace_vertices(**kw):
@@ -289,11 +314,13 @@ def _maneuver():
 @pytest.mark.parametrize("module,consumer", [
     # the sample times sum exactly, so the last one is the end of the trace
     (accessibility, lambda: _trace_vertices(arclength=0.5, steps=256)),
-    # leaves the domain: the last block comes from the guard's clipped step
+    # a spacing below the reach of a step end: the count stops the samples
+    (accessibility, lambda: _trace_vertices(arclength=1e-12, steps=10000)),
+    # leaves the domain: the last samples come from the guard's clipped step
     (accessibility, lambda: _trace_vertices(arclength=20.0, steps=300, truncate_on_exit=True)),
     (darboux, _deviation),
     (accessibility, _maneuver),
-], ids=["trace2d", "trace2d-exit", "characteristics", "maneuver3d"])
+], ids=["trace2d", "trace2d-tiny", "trace2d-exit", "characteristics", "maneuver3d"])
 def test_block_sampling_consumers_match_the_per_sample_reference(monkeypatch, module,
                                                                   consumer):
     blocked = consumer()
@@ -379,21 +406,28 @@ def test_rk4_reuses_the_end_slope_as_next_k1():
     assert res.stats.n_fev == 8 * 10 + 1
 
 
+def block(dense, thetas):
+    """The states of one step's dense output at ``thetas`` as the rows of an
+    array: its parts through the block evaluator, each theta on the whole step."""
+    parts = np.array([dense.parts(thetas)])
+    return dense.rows(parts, np.array(thetas, dtype=float) * dense.scale)
+
+
 @pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
-def test_dense_accepts_theta_array(integrator):
+def test_rows_of_one_step_s_parts_are_its_scalar_states(integrator):
     records = []
     on_step = lambda t0, y0, t1, y1, dense: records.append(dense)
     if integrator == "dopri45":
         integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, on_step=on_step)
     else:
         integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1.0, 0.1, on_step=on_step)
-    thetas = np.array([0.0, 0.1, 0.5, 0.6, 0.75, 1.0])
+    thetas = [0.0, 0.1, 0.5, 0.6, 0.75, 1.0]
     for dense in records:
-        rows = dense(thetas)
+        rows = block(dense, thetas)
         assert rows.shape == (len(thetas), 2)
         for theta, row in zip(thetas, rows):
-            assert np.array_equal(row, dense(float(theta)))
-        assert dense(np.array([])).shape == (0, 2)
+            assert np.array_equal(row, dense(theta))
+        assert block(dense, []).shape == (0, 2)
 
 
 def dense_outputs(integrator):
@@ -440,11 +474,11 @@ def overflowing_dense(integrator):
 def test_block_rows_overflow_as_python_floats_do(integrator):
     # inf or NaN where the scalar call's floats give them, and no warning
     dense = overflowing_dense(integrator)
-    thetas = np.array([0.1, 0.3, 0.5, 0.75, 0.9])
+    thetas = [0.1, 0.3, 0.5, 0.75, 0.9]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = dense(thetas)
-    want = np.array([dense(theta) for theta in thetas.tolist()])
+        rows = block(dense, thetas)
+    want = np.array([dense(theta) for theta in thetas])
     assert not np.isfinite(want).all()
     assert np.array_equal(rows, want, equal_nan=True)
 
@@ -625,10 +659,16 @@ def systems(draw):
     return f, y0
 
 
-def run_logged(driver, f, wrap, y0, t_end, h, inside, extra_theta):
+def array_call(dense, thetas):
+    # a NumPy reference's dense output takes the array of thetas itself
+    return dense(np.array(thetas))
+
+
+def run_logged(driver, f, wrap, y0, t_end, h, inside, extra_theta, rows):
     """Run ``driver`` with a right-hand side that logs its arguments and a
-    callback that logs its states and its dense output at scalar and array
-    thetas; ``wrap`` turns the system's list into the driver's slope type."""
+    callback that logs its states and its dense output at scalar thetas and
+    as ``rows(dense, thetas)``; ``wrap`` turns the system's list into the
+    driver's slope type."""
     calls, steps = [], []
 
     def rhs(t, y):
@@ -637,8 +677,8 @@ def run_logged(driver, f, wrap, y0, t_end, h, inside, extra_theta):
 
     def on_step(t0, ya, t1, yb, dense):
         thetas = THETAS + [extra_theta]
-        steps.append((t0, ya, t1, yb, [dense(th) for th in thetas], dense(np.array(thetas)),
-                      dense(np.array([]))))
+        steps.append((t0, ya, t1, yb, [dense(th) for th in thetas], rows(dense, thetas),
+                      rows(dense, [])))
 
     res = driver(rhs, 0.0, np.array(y0), t_end, h, inside=inside, on_step=on_step)
     return res, calls, steps
@@ -660,9 +700,10 @@ def test_float_rk4_is_the_numpy_rk4_bit_for_bit(system, h, t_end, extra_theta, g
         wall = y0[k] + frac * (peak - y0[k])
         inside = lambda y: y[k] <= wall
 
-    res, calls, steps = run_logged(integrate_rk4, f, lambda v: v, y0, t_end, h, inside, extra_theta)
+    res, calls, steps = run_logged(integrate_rk4, f, lambda v: v, y0, t_end, h, inside, extra_theta,
+                                   block)
     ref, ref_calls, ref_steps = run_logged(np_integrate_rk4, f, np.array, y0, t_end, h, inside,
-                                           extra_theta)
+                                           extra_theta, array_call)
     assert isinstance(res.y, np.ndarray)
     assert res.t == ref.t and same(res.y, ref.y) and res.exited == ref.exited
     assert res.stats == ref.stats
@@ -800,11 +841,11 @@ DOPRI_CASES = {
 DOPRI_ROUND_OFF = 1e-8
 
 
-def run_dopri_logged(driver, f, y0, t_end, tol, inside):
+def run_dopri_logged(driver, f, y0, t_end, tol, inside, rows):
     steps = []
 
     def on_step(t0, ya, t1, yb, dense):
-        steps.append((t0, t1, np.array(yb, dtype=float), dense(np.array(THETAS))))
+        steps.append((t0, t1, np.array(yb, dtype=float), rows(dense, THETAS)))
 
     res = driver(f, 0.0, np.array(y0), t_end, atol=tol, rtol=tol, inside=inside, on_step=on_step)
     return res, steps
@@ -813,8 +854,8 @@ def run_dopri_logged(driver, f, y0, t_end, tol, inside):
 @pytest.mark.parametrize("case", list(DOPRI_CASES))
 def test_float_dopri45_is_the_numpy_dopri45_to_round_off(case):
     f, y0, t_end, tol, inside = DOPRI_CASES[case]
-    res, steps = run_dopri_logged(integrate_dopri45, f, y0, t_end, tol, inside)
-    ref, ref_steps = run_dopri_logged(np_integrate_dopri45, f, y0, t_end, tol, inside)
+    res, steps = run_dopri_logged(integrate_dopri45, f, y0, t_end, tol, inside, block)
+    ref, ref_steps = run_dopri_logged(np_integrate_dopri45, f, y0, t_end, tol, inside, array_call)
     assert isinstance(res.y, np.ndarray)
     # the same accepted and rejected steps and right-hand sides
     assert res.stats == ref.stats
