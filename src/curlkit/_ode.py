@@ -40,33 +40,22 @@ at t0 + theta*(t1-t0) for theta in [0, 1]. ``y0``, ``y1`` and
 iterate. A dense output holds everything of its own step, so it stays
 valid after the integrator has moved on.
 
-A callback that evaluates many steps at once keeps
-``dense.parts(thetas)`` instead of the dense output: plain floats, rk4's
-two Hermite pieces (y0, ym, y1, f0, fm, f1) and half step in one list, or
-dopri45's five Horner coefficients of each element as a list of tuples.
-thetas are those the callback will ask for; rk4's parts evaluate the end
-slope f(t1, y1) exactly when the scalar calls at thetas would, so field
-evaluations and their errors come where they would. Parts of many steps,
-stacked as rows, go to the block evaluator ``dense.rows`` (``_rk4_rows``
-or ``_dopri_rows``) with one theta per row, on the whole step: the
-guard's truncated step hands the callback ``dense.clipped(theta)``, whose
-theta 1 is the crossing, so a theta s on it is s * dense.scale there, as
-its scalar call takes it. The evaluators are the array twins of
-``_hermite`` and the Horner form. They take the same operations element
-by element in the same order, so each row is the scalar call's bits
-(rk4's ym at theta 1/2), and they run under ``np.errstate(all="ignore")``,
-so an overflowing state is inf or NaN without a warning, as on Python
-floats. Parts and an evaluator are the one block path; the scalar call
-is the one scalar path.
-
-``sample_every(ds, count)`` returns a step callback and ``rows()`` for the
-samples at t = ds, 2*ds, ..., count*ds. A step that reaches a sample time
-keeps only its parts, t0, t1 and scale, as plain floats, and evaluates
-nothing and calls no NumPy; ``rows()`` evaluates the samples of the whole
-integration with one call of the block evaluator per 65,536 of them, so
-sampling costs no extra derivative evaluations and each row is the state
-the scalar call gives. Each consumer passes the callback to the
-integrator itself, wrapping it when it needs more per step.
+A callback that evaluates many states at once hands each step to a
+``Record``: ``take(dense, thetas)`` keeps, as plain floats and with no
+NumPy call, ``dense.parts(thetas)`` (rk4's Hermite pieces y0, ym, y1, f0,
+fm, f1 and half step, or dopri45's five Horner coefficients per element)
+and the thetas on the whole step, s * dense.scale for a theta s of the
+guard's truncated step ``dense.clipped(theta)``, whose theta 1 is the
+crossing. rk4's parts evaluate the end slope f(t1, y1) exactly when the
+scalar calls at thetas would, so field evaluations and their errors come
+where they would. Once ``_BLOCK_ROWS`` states wait, ``take`` returns True,
+and ``rows()`` evaluates them in the order taken with one call of
+``dense.rows`` (``_rk4_rows`` or ``_dopri_rows``), the array twin of the
+scalar call: the same operations element by element in the same order,
+so each row is the scalar call's bits (rk4's ym at theta 1/2), under
+``np.errstate(all="ignore")``, so an overflowing state is inf or NaN
+without a warning, as on Python floats. ``sample_every`` and the work
+quadrature of ``dynamics`` are the record's consumers.
 """
 
 from __future__ import annotations
@@ -111,9 +100,9 @@ _MAX_FACTOR = 5.0
 _BOUNDARY_TOL = 1e-10
 # accepted plus rejected dopri45 steps, rk4 steps, and the rows dynamics records
 _MAX_STEPS = 10_000_000
-# samples per block evaluator call of ``sample_every``'s rows, which bounds
-# the gathered parts of a long trace
-_SAMPLE_BLOCK = 1 << 16
+# the states a Record takes before ``take`` asks for their evaluation; with
+# the step that brings it there, this bounds the parts a consumer keeps
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -185,50 +174,68 @@ class _DopriDense(_Dense):
         return self.coeffs
 
 
+class Record:
+    """The states of many steps' dense outputs, taken a step at a time and
+    evaluated a block at a time (see the module docstring)."""
+
+    __slots__ = ("parts", "thetas", "counts", "evaluate")
+
+    def __init__(self):
+        self.parts, self.thetas, self.counts, self.evaluate = [], [], [], None
+
+    def __len__(self):
+        return len(self.thetas)
+
+    def take(self, dense, thetas):
+        """Keep the states of ``dense`` at ``thetas``; True once
+        ``_BLOCK_ROWS`` or more wait. Raises, keeping nothing, where rk4's
+        end slope fails."""
+        self.parts.append(dense.parts(thetas))
+        scale = dense.scale
+        self.thetas.extend(thetas if scale == 1.0 else [theta * scale for theta in thetas])
+        self.counts.append(len(thetas))
+        self.evaluate = dense.rows
+        return len(self.thetas) >= _BLOCK_ROWS
+
+    def rows(self):
+        """The waiting states in the order taken, as the rows of an array
+        ((0, 0) when none wait); the record is empty after."""
+        if not self.counts:
+            return np.empty((0, 0))
+        owner = np.repeat(np.arange(len(self.counts)), self.counts)
+        rows = self.evaluate(np.array(self.parts)[owner], np.array(self.thetas))
+        self.parts, self.thetas, self.counts = [], [], []
+        return rows
+
+
 def sample_every(ds, count):
     """(on_step, rows): a step callback taking the sample times t = ds,
     2*ds, ..., count*ds, and ``rows()``, the states at the times taken so
     far as the rows of a (k, n) array, k <= count.
 
     Each sample time is taken once, by the first accepted step whose end
-    reaches it (within 1e-15). A step that takes one keeps its dense
-    output's parts, t0, t1 and scale; ``rows`` evaluates all samples with
-    the block evaluator, each row the scalar call at the sample's theta.
+    reaches it (within 1e-15), at its theta on that step, through a
+    ``Record``; each row is the scalar call at the sample's theta.
     """
-    parts, spans = [], []  # per step that takes a sample: its parts, and (t0, t1, scale)
-    next_t, taken, evaluate = ds, 0, None
+    record, blocks = Record(), []
+    next_t, taken = ds, 0
 
     def on_step(t0, y0, t1, y1, dense):
-        nonlocal next_t, taken, evaluate
-        end = t1 + 1e-15
-        if taken == count or next_t > end:
-            return
-        while taken < count and next_t <= end:
-            last = next_t
-            next_t += ds
-            taken += 1
-        # rk4's parts take the end slope when the step's last theta is past 1/2
-        theta = (last - t0) / (t1 - t0) if t1 > t0 else 1.0
-        parts.append(dense.parts((min(max(theta, 0.0), 1.0),)))
-        spans.append((t0, t1, dense.scale))
-        evaluate = dense.rows
+        nonlocal next_t, taken
+        t, n, end, width, thetas = next_t, taken, t1 + 1e-15, t1 - t0, []
+        while n < count and t <= end:
+            # t is past t0; one past t1, within the 1e-15 reach, takes theta 1
+            thetas.append((t - t0) / width if t < t1 else 1.0)
+            t += ds
+            n += 1
+        next_t, taken = t, n
+        if thetas and record.take(dense, thetas):
+            blocks.append(record.rows())
 
     def rows():
-        if not taken:
-            return np.empty((0, 0))
-        t0, t1, scale = np.array(spans).T
-        ends, stacked = t1 + 1e-15, np.array(parts)
-        times = np.cumsum(np.full(taken, ds))  # left to right: the bits of next_t
-        blocks = []
-        for lo in range(0, taken, _SAMPLE_BLOCK):
-            t = times[lo : lo + _SAMPLE_BLOCK]
-            owner = np.searchsorted(ends, t)  # the first step whose end reaches t
-            a, b = t0[owner], t1[owner]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.where(b > a, (t - a) / (b - a), 1.0)
-            theta = np.minimum(np.maximum(theta, 0.0), 1.0) * scale[owner]
-            blocks.append(evaluate(stacked[owner], theta))
-        return np.concatenate(blocks)
+        if len(record):
+            blocks.append(record.rows())
+        return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
     return on_step, rows
 
@@ -339,7 +346,8 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
 
     while t < t_end:
         h = min(h, t_end - t, h_max)
-        if h < 1e-14 * max(1.0, abs(t)):
+        # relative to a span below 1, so that a tiny span can start
+        if h < 1e-14 * max(min(1.0, span), abs(t)):
             raise NumericalError(f"step size underflow at t={t!r}")
         if stats.n_steps + stats.n_rejected > _MAX_STEPS:
             raise NumericalError("step count exceeded")
@@ -422,7 +430,8 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     y = np.asarray(y0, dtype=float).tolist()
     t = t0 = float(t0)
     end_slope = _rk4_end_slope(f, t, y, stats)
-    tol = 1e-12 * max(1.0, abs(t_end))
+    # a step ending this close to t_end ends on it; scaled to a span below 1
+    tol = 1e-12 * max(min(1.0, t_end - t0), abs(t_end))
     n = 0
 
     while t < t_end:

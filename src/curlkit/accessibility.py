@@ -90,7 +90,7 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
     require_positive("arclength", arclength)
     if not 1 <= steps <= _ode._MAX_STEPS:
-        # sample_every holds a time per sample: refuse more samples than the step cap
+        # sample_every keeps a state row per sample: refuse more samples than the step cap
         raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):

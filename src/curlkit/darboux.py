@@ -334,7 +334,7 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
         raise DimensionMismatchError("characteristics are traced for 3D fields")
     require_positive("s_max", s_max)
     if not 1 <= steps <= _ode._MAX_STEPS:
-        # sample_every holds a time per sample: refuse more samples than the step cap
+        # sample_every keeps a state row per sample: refuse more samples than the step cap
         raise ValueError(f"steps must be >= 1 and at most {_ode._MAX_STEPS}, got {steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if not F.domain.contains(x0):

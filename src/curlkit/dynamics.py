@@ -17,21 +17,24 @@ one batch ``G.values`` per block and no further step. The auxiliary
 Hamiltonian of ``auxiliary`` accumulates its kinetic part this way.
 
 The quadrature is batched, and so is the evaluation of its states. The
-step callback makes no dense call and no NumPy call. It appends, as plain
-floats, its k intervals' times and widths, its end state, the thetas of
-its 3k nodes and k - 1 inner ends, and its dense output's ``parts`` (see
-``_ode``). After the step that brings the waiting intervals to
-``QUAD_BLOCK`` or more, and at the end, they are evaluated and integrated
-at once: one call of the integrator's block evaluator for the states at
-every waiting node and inner end, each the scalar dense call's bits; one
-batch ``F.values`` (and ``G.values``); and one ``np.cumsum``, which adds
-an increment at a time. Errors are those of a per-node loop that
-evaluates F, then G, at each node. rk4's ``parts`` takes a step's end
-slope inside its callback, where a dense call at the step's nodes would.
-If anything in a block fails, the block is redone one node at a time with
-the pointwise fields on the evaluated states, and if the integrator
-raises, the waiting intervals are integrated first, so a node error from
-an earlier step is the one raised.
+step callback makes no dense call and no NumPy call. It keeps, as plain
+floats, its k intervals' times and widths and its end state, and hands
+its dense output to an ``_ode.Record`` with each interval's three node
+thetas and then its end theta (see ``_ode``). Once the record holds
+``_ode._BLOCK_ROWS`` states (128 intervals), and at the end, the waiting
+intervals are evaluated and integrated at once: one ``Record.rows`` for
+the states at every waiting node and interval end, each the scalar dense
+call's bits, of which each step's last end gives way to the step's exact
+end state; one batch ``F.values`` (and ``G.values``); and one
+``np.cumsum``, which adds an increment at a time. Errors are those of a
+per-node loop that evaluates F, then G, at each node. rk4's end slope is
+taken inside the callback, where a dense call at the step's nodes would
+take it: the last node is past theta 1/2, and the guard has taken it for
+a clipped step whose end theta alone is past 1/2. If anything in a block
+fails, the block is redone one node at a time with the pointwise fields
+on the evaluated states, and if the integrator raises, the waiting
+intervals are integrated first, so a node error from an earlier step is
+the one raised.
 
 The right-hand side, run per stage, stays on Python floats with either
 integrator: the force's ``value_unchecked`` tuple, bound once per
@@ -62,14 +65,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._ode import (_MAX_STEPS, IntegratorStats, _dopri_rows, _rk4_rows, integrate_dopri45,
-                   integrate_rk4)
+from ._ode import _MAX_STEPS, IntegratorStats, Record, integrate_dopri45, integrate_rk4
 from .errors import (EVAL_ERRORS, DimensionMismatchError, EvalDomainError, NumericalError,
                      OutOfDomainError, require_positive)
-
-# waiting recorded intervals are evaluated and integrated after the step that
-# brings them to this many or more; with that step's, this bounds the data kept
-QUAD_BLOCK = 128
 
 # the 3-node Gauss-Legendre rule on [0, 1]: nodes and weights
 _GAUSS_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
@@ -178,29 +176,24 @@ def integrate(F, x0, v0, cfg, form=None):
     ts = [0.0]
     rows = [y0[None]]  # (x, v) rows, a block per flush
     sums = [[np.zeros(1)] for _ in fields]  # cumulative work, then form work
-    # the waiting intervals' widths; per waiting step its dense output's
-    # parts, piece count and end state; the thetas of their nodes and inner ends
-    widths, parts, counts, ends, node_thetas, end_thetas = [], [], [], [], [], []
-    waiting = (widths, parts, counts, ends, node_thetas, end_thetas)
-    block_rows = _rk4_rows if cfg.integrator == "rk4" else _dopri_rows
-    grids = {}  # piece count -> its thetas, node and inner-end thetas, and both
+    # the waiting intervals' widths; per waiting step the index of its last
+    # interval and its end state; their node and end states wait in ``record``
+    widths, lasts, ends = [], [], []
+    record = Record()
+    grids = {}  # piece count -> the thetas recorded on a step
 
     def flush():
         if not widths:
             return
-        width, pieces = np.array(widths), np.array(counts)
-        is_end = np.zeros(len(width), bool)  # the last interval of each step
-        is_end[np.cumsum(pieces) - 1] = True
-        step = np.cumsum(is_end) - is_end  # the step of each interval
-        owner = np.concatenate((np.repeat(step, 3), step[~is_end]))
-        states = block_rows(np.array(parts)[owner], np.array(node_thetas + end_thetas))
-        block = np.empty((len(width), 2 * dim))  # the state at each interval's end
-        block[is_end] = ends
-        block[~is_end] = states[3 * len(width) :]
+        # per interval its three nodes, then its end
+        states = record.rows().reshape(len(widths), 4, 2 * dim)
+        block = states[:, 3].copy()  # the state at each interval's end
+        block[lasts] = ends
         rows.append(block)
-        for waiting_list in waiting:
-            waiting_list.clear()  # a block that raises is not integrated again
-        states = states[: 3 * len(width)]
+        width = np.array(widths)
+        for waiting in (widths, lasts, ends):
+            waiting.clear()  # a block that raises is not integrated again
+        states = states[:, :3].reshape(-1, 2 * dim)
         try:
             powers = batch_powers(states)
         except EVAL_ERRORS:
@@ -220,9 +213,11 @@ def integrate(F, x0, v0, cfg, form=None):
             column.append(np.cumsum(np.concatenate((column[-1][-1:], increments)))[1:])
 
     def grid(pieces):
+        # per interval its three nodes, then its end
         theta = [j / pieces for j in range(pieces + 1)]
-        node = [a + g * (b - a) for a, b in zip(theta, theta[1:]) for g in _GAUSS_NODES]
-        return theta, node, theta[1:-1], node + theta[1:-1]
+        g1, g2, g3 = _GAUSS_NODES
+        return [th for a, b in zip(theta, theta[1:])
+                for th in (a + g1 * (b - a), a + g2 * (b - a), a + g3 * (b - a), b)]
 
     def on_step(t0, y0, t1, y1, dense):
         span = t1 - t0
@@ -240,10 +235,10 @@ def integrate(F, x0, v0, cfg, form=None):
         pieces = int(pieces)
         if pieces not in grids:
             grids[pieces] = grid(pieces)
-        theta, node, inner, thetas = grids[pieces]
+        thetas = grids[pieces]
         try:
             # takes rk4's end slope if a theta of the step needs it
-            parts.append(dense.parts(thetas))
+            full = record.take(dense, thetas)
         except EVAL_ERRORS:
             # only the rk4 end slope can fail here: meet this step's points
             # as a per-node loop does, each piece's inner end before its
@@ -251,20 +246,15 @@ def integrate(F, x0, v0, cfg, form=None):
             # out, the waiting intervals are integrated first)
             for i in range(pieces):
                 if i + 1 < pieces:
-                    dense(theta[i + 1])
-                node_powers(map(dense, node[3 * i : 3 * i + 3]))
+                    dense(thetas[4 * i + 3])
+                node_powers(map(dense, thetas[4 * i : 4 * i + 3]))
             raise
-        if dense.scale != 1.0:
-            # the guard's clipped step: its thetas on the whole step
-            node, inner = [th * dense.scale for th in node], [th * dense.scale for th in inner]
-        counts.append(pieces)
-        ends.append(y1)
-        node_thetas.extend(node)
-        end_thetas.extend(inner)
         t = [t0 + span * j / pieces for j in range(pieces + 1)]
         ts.extend(t[1:])
         widths.extend([b - a for a, b in zip(t, t[1:])])
-        if len(widths) >= QUAD_BLOCK:
+        lasts.append(len(widths) - 1)
+        ends.append(y1)
+        if full:
             flush()
 
     # the guard's test: Box.contains reads the first dim elements of a state

@@ -284,6 +284,28 @@ def test_exit_numerical_for_more_recorded_rows_than_the_cap(tmp_path, problem, c
     assert "recorded rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace2d", BERRY, "--x0", "1,1", "--arclength", "1e-13", "--steps", "10"),
+    ("characteristics", TRIPLE, "--x0", "1,1,1", "--s-max", "1e-13"),
+    ("maneuver3d", TRIPLE, "--x0", "1,1,1", "--eps", "1e-13"),
+    ("simulate", BERRY, "--x0", "1,1", "--v0", "0.1,-0.1", "--t-end", "1e-13"),
+    ("simulate", BERRY, "--x0", "1,1", "--v0", "0.1,-0.1", "--t-end", "1e-13",
+     "--integrator", "rk4", "--h", "1e-14"),
+], ids=["trace2d", "characteristics", "maneuver3d", "simulate-dopri45", "simulate-rk4"])
+def test_a_span_of_1e_13_is_integrated(tmp_path, problem, argv):
+    # dopri45's underflow floor and rk4's end snap scale with a span below
+    # 1; as absolute floors, the first refused dopri45's first step (exit
+    # 3) and the second snapped rk4's first step of 1e-14 to t_end
+    command, doc, *rest = argv
+    code, report = run(tmp_path, command, problem(doc), *rest)
+    assert code == cli.EXIT_OK
+    results = report["results"]
+    if command == "trace2d":
+        assert results["points"] == 2 * 10 + 1
+    if "rk4" in rest:
+        assert results["stats"]["steps"] == 10 and results["t_final"] == 1e-13
+
+
 def test_exit_assertion(tmp_path, problem):
     code, report = run(tmp_path, "classify", problem(BERRY), "--samples", "20",
                        "--assert-class", "conservative")

@@ -9,7 +9,7 @@ from curlkit import _ode, auxiliary, dynamics
 from curlkit._ode import integrate_dopri45, integrate_rk4
 from curlkit.auxiliary import AuxiliaryProblem, auxiliary_force, auxiliary_trajectory
 from curlkit.darboux import PotentialSet
-from curlkit.dynamics import QUAD_BLOCK, SimConfig, integrate, work_energy_residual
+from curlkit.dynamics import SimConfig, integrate, work_energy_residual
 from curlkit.errors import EvalDomainError, NumericalError, OutOfDomainError
 from curlkit.fieldkit import Box, CallableVectorField, Region, ScalarFieldDef, VectorFieldDef
 
@@ -389,10 +389,11 @@ def test_batched_work_matches_pointwise_dopri45(F, x0, v0):
 @REPEATABLE
 @given(F=linear_curl_fields(WIDE), x0=POINT, v0=POINT)
 def test_batched_work_matches_pointwise_record_dt(F, x0, v0):
-    # 250 recorded intervals: more than one block of QUAD_BLOCK
+    # 250 recorded intervals of 4 recorded states each (3 nodes and the
+    # end): more than one block of _BLOCK_ROWS
     cfg = SimConfig(t_end=1.0, record_dt=0.004)
     traj = assert_matches_reference(F, x0, v0, cfg)
-    assert len(traj) - 1 > QUAD_BLOCK
+    assert 4 * (len(traj) - 1) > _ode._BLOCK_ROWS
 
 
 @REPEATABLE
@@ -435,7 +436,7 @@ def test_steps_that_straddle_a_block_are_recorded_as_one_loop(monkeypatch, optio
     # a step that takes the waiting intervals past the block, so the rows,
     # times and cumulative sums of several steps join across flushes; t_end
     # 2 runs into the wall, so the clipped last step is recorded too
-    monkeypatch.setattr(dynamics, "QUAD_BLOCK", 4)
+    monkeypatch.setattr(_ode, "_BLOCK_ROWS", 4 * 4)
     cfg = SimConfig(t_end=2.0, refine=3, **options)
     traj = assert_matches_reference(berry_field(), *BERRY_START, cfg)
     assert traj.exited
@@ -648,7 +649,7 @@ def end_slope_case():
                 and ordered[ordered.index(nodes[c[2]]) - 2] not in stages)
 
 
-@pytest.mark.parametrize("block", [QUAD_BLOCK, 4])
+@pytest.mark.parametrize("block", [_ode._BLOCK_ROWS // 4, 4])
 @pytest.mark.parametrize("back", [0, 3, 4])
 def test_error_order_when_the_end_slope_fails(monkeypatch, block, back):
     # the end slope case of the test above, with node k - back and every
@@ -656,7 +657,7 @@ def test_error_order_when_the_end_slope_fails(monkeypatch, block, back):
     # (3), which the step meets after its dense call raised, or the last node
     # of the step before (4), which may still wait then. A block of 4
     # intervals ends blocks inside the steps, which record 3 each
-    monkeypatch.setattr(dynamics, "QUAD_BLOCK", block)
+    monkeypatch.setattr(_ode, "_BLOCK_ROWS", 4 * block)  # 4 states per interval
     integrator, refine, k = end_slope_case()
     cfg, (x0, v0), ordered, stages, nodes = cut_step_points(integrator, refine)
     before = ordered[ordered.index(nodes[k]) - 1]
@@ -667,6 +668,39 @@ def test_error_order_when_the_end_slope_fails(monkeypatch, block, back):
     want = raised(lambda: reference_integrate(F, x0, v0, cfg))
     assert want == (NumericalError, "node fails" if back else "stage fails")
     assert raised(lambda: integrate(F, x0, v0, cfg)) == want
+
+
+def test_rk4_clipped_step_past_the_midpoint_evaluates_as_the_per_node_loop():
+    # the wall is crossed at 0.526 of the last step: of the thetas recorded
+    # there, only its end, theta 1, is past 1/2, where the rk4 end slope is
+    # needed. The guard took that slope when it bisected to the wall, so the
+    # run evaluates the field at the points of the per-node loop, counts
+    # the same evaluations, and fails where that loop fails
+    cfg = SimConfig(integrator="rk4", h=0.1, t_end=3.0)
+    x0, v0 = np.array([1.0, 0.0]), np.array([2.6, 0.0])
+    seen = []
+
+    def fn(p):
+        seen.append(tuple(float(c) for c in p))
+        return np.array([-p[1], p[0]])
+
+    F = CallableVectorField(fn, 2, Box((-5, -5), (5, 5)))
+    traj = integrate(F, x0, v0, cfg)
+    scale = (traj.t[-1] - traj.t[-2]) / cfg.h
+    assert traj.exited and max(g for g, _ in GAUSS_RULE) * scale <= 0.5 < scale
+    assert traj.stats.n_fev == 8 * traj.stats.n_steps + 1  # the last end slope included
+    got = sorted(seen)
+    seen.clear()
+    reference_integrate(F, x0, v0, cfg)
+    assert got == sorted(seen)
+    # the loop meets the last step's 7 stages, its end slope, then its 3 nodes
+    end_slope, last_node_before = seen[-4], seen[-12]
+    for bad, message in (({end_slope: "end slope fails"}, "end slope fails"),
+                         ({end_slope: "end slope fails", last_node_before: "node fails"},
+                          "node fails")):
+        want = raised(lambda: reference_integrate(failing_field(bad), x0, v0, cfg))
+        assert want == (NumericalError, message)
+        assert raised(lambda: integrate(failing_field(bad), x0, v0, cfg)) == want
 
 
 # --- the cost of the quadrature -------------------------------------------------
@@ -699,9 +733,10 @@ def test_quadrature_evaluates_three_rows_per_recorded_interval(options):
 def test_rk4_midpoint_is_the_stored_half_step_state(monkeypatch):
     # the guard's dense(0.5) takes it without a Hermite, and so does the
     # middle Gauss node: the block evaluator gets each step's three nodes
-    # once, and its row at the middle one is the step's ym, bit for bit
+    # and its end once, and its row at the middle one is the step's ym, bit
+    # for bit
     hermites, blocks = [], []
-    hermite, rows = _ode._hermite, dynamics._rk4_rows
+    hermite, rows = _ode._hermite, _ode._Rk4Dense.rows
 
     def spy(parts, theta):
         out = rows(parts, theta)
@@ -709,12 +744,16 @@ def test_rk4_midpoint_is_the_stored_half_step_state(monkeypatch):
         return out
 
     monkeypatch.setattr(_ode, "_hermite", lambda *args: hermites.append(args) or hermite(*args))
-    monkeypatch.setattr(dynamics, "_rk4_rows", spy)
+    monkeypatch.setattr(_ode._Rk4Dense, "rows", staticmethod(spy))
     traj = integrate(berry_field(), *BERRY_START, SimConfig(t_end=0.5, integrator="rk4", h=1e-2))
     assert not traj.exited and hermites == []
     parts, theta, out = (np.concatenate(block) for block in zip(*blocks))
     nodes = [g for g, _ in GAUSS_RULE]
-    assert np.array_equal(theta, np.tile(nodes, traj.stats.n_steps))
+    assert np.array_equal(theta, np.tile([*nodes, 1.0], traj.stats.n_steps))
     # a step's parts are (y0, ym, y1, f0, fm, f1) of 4 elements each, then h/2
     mid = theta == 0.5
     assert np.array_equal(out[mid], parts[mid, 4:8])
+    # the row at theta 1 is the step's y1, the end state the trajectory keeps
+    end = theta == 1.0
+    assert np.array_equal(out[end], parts[end, 8:12])
+    assert np.array_equal(out[end], np.hstack((traj.x, traj.v))[1:])

@@ -192,6 +192,25 @@ def test_dopri_nan_error_estimate_raises():
         integrate_dopri45(f, 0.0, np.array([0.0]), 1.0)
 
 
+@pytest.mark.parametrize("span", [1e-13, 1e-20])
+def test_dopri_integrates_a_tiny_span(span):
+    # the underflow floor scales with a span below 1; an absolute 1e-14
+    # refused the first step, span / 100, at t = 0
+    res = integrate_dopri45(harmonic, 0.0, np.array([1.0, 0.0]), span)
+    assert res.t == span and not res.exited and res.stats.n_steps >= 10
+    assert res.y == pytest.approx([math.cos(span), -math.sin(span)], abs=1e-15)
+
+
+def test_rk4_takes_each_step_of_a_tiny_span():
+    # the end snap scales with a span below 1; an absolute 1e-12 exceeded
+    # the whole span and took it in one step of t_end, ignoring h
+    ends = []
+    res = integrate_rk4(harmonic, 0.0, np.array([1.0, 0.0]), 1e-13, 1e-14,
+                        on_step=lambda ta, ya, tb, yb, dense: ends.append(tb))
+    assert res.stats.n_steps == len(ends) == 10
+    assert ends[:-1] == [n * 1e-14 for n in range(1, 10)] and ends[-1] == res.t == 1e-13
+
+
 def test_sample_every_hits_each_sample_time_once():
     ds = 0.0137
     step_ends = []
@@ -232,7 +251,7 @@ def test_sample_every_block_rows_are_the_scalar_dense_states(monkeypatch, integr
     # same field evaluations, also when the rows take several evaluator
     # calls. "clipped" ends on the guard's truncated step, whose dense
     # output is the clipped one.
-    monkeypatch.setattr(_ode, "_SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(_ode, "_BLOCK_ROWS", 7)
 
     class Spy:
         """A dense output that refuses the scalar call and logs ``parts``."""
@@ -430,37 +449,67 @@ def test_rows_of_one_step_s_parts_are_its_scalar_states(integrator):
         assert block(dense, []).shape == (0, 2)
 
 
-def dense_outputs(integrator):
-    """Every dense output of a run that ends on the guard's clipped step."""
-    kept = []
+# per run: rk4's step (None for dopri45) and the wall crossed at y[0] = wall.
+# "rk4-late-wall" crosses it at 0.53 of a step, where of the Gauss nodes and
+# theta 1 only theta 1 is past 1/2
+RUNS = {"dopri45": (None, 0.3), "rk4": (0.1, 0.3), "rk4-late-wall": (0.005, math.cos(1.25265))}
+GAUSS_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
+
+
+def dense_outputs(run):
+    """Every dense output of a run that ends on the guard's clipped step,
+    and the list of its right-hand side calls."""
+    kept, calls = [], []
     on_step = lambda t0, y0, t1, y1, dense: kept.append(dense)
-    inside = lambda y: y[0] > 0.3
+    f = lambda t, y: calls.append(t) or harmonic(t, y)
+    h, wall = RUNS[run]
+    inside = lambda y: y[0] > wall
     y0 = np.array([1.0, 0.0])
-    if integrator == "dopri45":
-        res = integrate_dopri45(harmonic, 0.0, y0, 2.0, inside=inside, on_step=on_step)
+    if h is None:
+        res = integrate_dopri45(f, 0.0, y0, 2.0, inside=inside, on_step=on_step)
     else:
-        res = integrate_rk4(harmonic, 0.0, y0, 2.0, 0.1, inside=inside, on_step=on_step)
-    assert res.exited and kept[-1].scale < 1.0
-    return kept
+        res = integrate_rk4(f, 0.0, y0, 2.0, h, inside=inside, on_step=on_step)
+    assert res.exited and kept[-1].scale < 1.0 and len(calls) == res.stats.n_fev
+    return kept, calls
 
 
-@pytest.mark.parametrize("integrator", ["dopri45", "rk4"])
-def test_block_rows_are_the_scalar_dense_states(integrator):
-    # one evaluator call for the thetas of every step, the clipped last one
-    # included, as a step callback may make later from the parts it kept
-    kept = dense_outputs(integrator)
-    thetas = [0.0, 0.5, 1.0, 0.1, 0.5 - math.sqrt(0.15), 0.75, 0.5 + math.sqrt(0.15)]
+@pytest.mark.parametrize("run", ["dopri45", "rk4", "rk4-late-wall"])
+def test_block_rows_are_the_scalar_dense_states(run):
+    # the thetas of every step, the clipped last one included, as a step
+    # callback may evaluate them later from the parts it kept: by one
+    # evaluator call, and by a Record, which takes them a step at a time,
+    # more than _BLOCK_ROWS in all, and evaluates them a block at a time
+    kept, calls = dense_outputs(run)
+    scale = kept[-1].scale
+    if run == "rk4-late-wall":
+        # the work quadrature's thetas; the guard took the end slope that
+        # theta 1 of the clipped step needs
+        thetas = [*GAUSS_NODES, 1.0]
+        assert max(GAUSS_NODES) * scale <= 0.5 < scale
+    else:
+        thetas = [0.0, 0.5, 1.0, 0.1, *GAUSS_NODES, 0.75, *(j / 64 for j in range(65))]
+    evaluated = len(calls)
     parts = np.array([dense.parts(thetas) for dense in kept])
     owner = np.repeat(np.arange(len(kept)), len(thetas))
     # theta s of the clipped step is s * scale on the whole step
     whole = [theta * kept[step].scale for step, theta in zip(owner, thetas * len(kept))]
-    rows = type(kept[0]).rows(parts[owner], np.array(whole))
-    assert rows.shape == (len(owner), 2)
-    for row, step, theta in zip(rows, owner, thetas * len(kept)):
-        want = kept[step](theta)
-        assert row.tobytes() == np.array(want).tobytes()  # bit for bit
-        if integrator == "rk4" and theta * kept[step].scale == 0.5:
-            assert want is kept[step].ym  # the Hermites' common knot
+    record, blocks, full = _ode.Record(), [], []
+    for dense in kept:
+        full.append(record.take(dense, thetas))
+        if full[-1]:
+            blocks.append(record.rows())
+    if len(record):
+        blocks.append(record.rows())
+    assert True in full and len(owner) > _ode._BLOCK_ROWS
+    assert len(record) == 0 and record.rows().shape == (0, 0)
+    assert len(calls) == evaluated  # no right-hand side call
+    for rows in (type(kept[0]).rows(parts[owner], np.array(whole)), np.concatenate(blocks)):
+        assert rows.shape == (len(owner), 2)
+        for row, step, theta in zip(rows, owner, thetas * len(kept)):
+            want = kept[step](theta)
+            assert row.tobytes() == np.array(want).tobytes()  # bit for bit
+            if run != "dopri45" and theta * kept[step].scale == 0.5:
+                assert want is kept[step].ym  # the Hermites' common knot
 
 
 def overflowing_dense(integrator):
