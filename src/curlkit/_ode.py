@@ -20,13 +20,18 @@ Two integrators are provided for first-order systems y' = f(t, y):
 
 Both drivers keep the state as a list of Python floats, and their
 stages, dopri45's error norm and both dense outputs go element by element.
-rk4 takes each scalar coefficient first (``(0.5*h)*k``), so every number is
-the one of the array expressions it replaced. dopri45 sums its stages left
-to right over the tableau's nonzero weights, which rounds unlike the matrix
-products it replaced. Its error estimate cancels down to the tolerance, so
-that round-off reaches the step sizes (up to about 1e-7 relative), and the
-step ends and states move by about 1e-9. Both take any sequence of floats
-from f, and both return ``OdeResult.y`` as an ndarray.
+rk4's stage arithmetic is straight-line code for the state's length n:
+``_rk4_stepper(n)`` writes ``_RK4_TEMPLATE`` out element by element
+(a = 0.5 * h, y_i + a * k_i, ..., c = h / 6.0, then y_i + c * (k1_i +
+2 * k2_i + 2 * k3_i + k4_i)), once per n per process, with no list
+comprehension or zip. It takes each scalar coefficient first, so every
+number is the one of the array expressions it replaced. dopri45 sums its
+stages left to right over the tableau's nonzero weights, which rounds
+unlike the matrix products it replaced. Its error estimate cancels down to
+the tolerance, so that round-off reaches the step sizes (up to about 1e-7
+relative), and the step ends and states move by about 1e-9. Both take any
+sequence of n floats from f, and both return ``OdeResult.y`` as an
+ndarray.
 
 Both drivers support a region guard: when a step (checked at the midpoint
 and the endpoint of its dense output) leaves the admissible set, the step
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,9 +333,10 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
 
     The state is a list of Python floats and every stage, the error norm
     and the dense output go element by element; ``OdeResult.y`` is an
-    ndarray. Raises NumericalError on step-size underflow, step-count
-    overflow or a NaN error estimate; returns early with ``exited=True``
-    if the guard reports a boundary crossing.
+    ndarray. Raises NumericalError on step-size underflow (a step h with
+    t + h == t, h = 0 included, or h < 1e-14 * min(1, t_end - t0)),
+    step-count overflow or a NaN error estimate; returns early with
+    ``exited=True`` if the guard reports a boundary crossing.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -346,8 +353,9 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
 
     while t < t_end:
         h = min(h, t_end - t, h_max)
-        # relative to a span below 1, so that a tiny span can start
-        if h < 1e-14 * max(min(1.0, span), abs(t)):
+        # a step that leaves t where it is (h = 0 too) or is below 1e-14 of
+        # a span below 1, wherever t lies
+        if t + h == t or h < 1e-14 * min(1.0, span):
             raise NumericalError(f"step size underflow at t={t!r}")
         if stats.n_steps + stats.n_rejected > _MAX_STEPS:
             raise NumericalError("step count exceeded")
@@ -383,14 +391,37 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
     return OdeResult(t, np.array(y), False, stats)
 
 
-def _rk4_step(f, t, y, h, k1):
-    # the elements of y + 0.5 * h * k1, ..., y + (h / 6.0) * (k1 + ...), in their order
+# one classic RK4 step of h from (t, y) with first stage k1, for states of
+# length n: each {...} is a list of n elements, written out for i = 0, ..., n - 1
+_RK4_TEMPLATE = """\
+def step(f, t, y, h, k1):
+    {y} = y
+    {p} = k1
     a = 0.5 * h
-    k2 = f(t + a, [yi + a * ki for yi, ki in zip(y, k1)])
-    k3 = f(t + a, [yi + a * ki for yi, ki in zip(y, k2)])
-    k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+    {q} = f(t + a, {y + a * p})
+    {r} = f(t + a, {y + a * q})
+    {s} = f(t + h, {y + h * r})
     c = h / 6.0
-    return [yi + c * (a1 + 2 * a2 + 2 * a3 + a4) for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
+    return {y + c * (p + 2 * q + 2 * r + s)}
+"""
+_RK4_STEPS = {}  # state length -> its step function
+
+
+def _rk4_stepper(n):
+    """``_RK4_TEMPLATE`` written out for states of length n, built once per
+    process and kept in ``_RK4_STEPS``: element i of {y + a * p} is
+    y_i + a * p_i, and so on, each stage's elements in the order of i."""
+    step = _RK4_STEPS.get(n)
+    if step is None:
+        def elements(match):
+            form = re.sub(r"\b([pqrsy])\b", r"\1{i}", match.group(1))
+            return "[" + ", ".join(form.format(i=i) for i in range(n)) + "]"
+
+        namespace = {}
+        source = re.sub(r"\{([^}]*)\}", elements, _RK4_TEMPLATE)
+        exec(compile(source, f"<rk4 step of {n}>", "exec"), namespace)
+        step = _RK4_STEPS[n] = namespace["step"]
+    return step
 
 
 def _hermite_basis(h, theta):
@@ -410,7 +441,9 @@ def _hermite(y0, y1, f0, f1, h, theta):
 def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     """Fixed-step RK4 from t0 to t_end; each nominal step is two half-steps.
     Step n ends on t0 + n h, off which a running sum of h would drift, and
-    the last one, clipped, on t_end itself.
+    the last one, clipped, on t_end itself: the first whose end t0 + n h
+    lies past t_end - min(h / 2, 16 ulp(max(|t0|, |t_end|))), a tolerance
+    below the step and above the rounding of t0 + n h.
 
     Raises ValueError when (t_end - t0) / h exceeds the step cap.
 
@@ -430,8 +463,10 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
     y = np.asarray(y0, dtype=float).tolist()
     t = t0 = float(t0)
     end_slope = _rk4_end_slope(f, t, y, stats)
-    # a step ending this close to t_end ends on it; scaled to a span below 1
-    tol = 1e-12 * max(min(1.0, t_end - t0), abs(t_end))
+    half_step = _rk4_stepper(len(y))
+    # a step ending this close to t_end ends on it: above the rounding of
+    # t0 + n h there, below the step
+    tol = min(0.5 * h, 16 * math.ulp(max(abs(t0), abs(t_end))))
     n = 0
 
     while t < t_end:
@@ -442,9 +477,9 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
             t1, step = t_end, t_end - t
         half = 0.5 * step
         f0 = end_slope()
-        ym = _rk4_step(f, t, y, half, f0)
+        ym = half_step(f, t, y, half, f0)
         fm = f(t + half, ym)
-        y1 = _rk4_step(f, t + half, ym, half, fm)
+        y1 = half_step(f, t + half, ym, half, fm)
         stats.n_fev += 7
         stats.n_steps += 1
         end_slope = _rk4_end_slope(f, t1, y1, stats)

@@ -39,12 +39,13 @@ accessibility bring the integrator core, _ode. A problem file that
 declares paths loads pathwork.
 
 Exit codes: 0 success, 1 usage error (including an option the command
-does not take, a non-finite component of --x0, --v0 or --targets, and a
-parameter the analysis rejects, such as an rk4 --h that would need more
-steps than the step cap or a --steps above it), 2 input error, 3
-numerical failure (domain exit, rescaling floor, non-convergence, more
-recorded rows than the step cap, a non-finite number in the report), 4
-assertion failure.
+does not take, a non-finite component of --x0, --v0 or --targets, a
+negative or NaN --tol, and a parameter the analysis rejects, such as an
+rk4 --h that would need more steps than the step cap or a --steps above
+it), 2 input error, 3 numerical failure (domain exit, rescaling floor,
+non-convergence, a step that cannot advance t, more recorded rows than
+the step cap, a kinetic energy that overflows, a non-finite number in the
+report), 4 assertion failure.
 
 Reports are deterministic for fixed inputs and seeds: the inputs digest
 is a SHA-256 over the problem file bytes and the canonicalized command
@@ -103,15 +104,23 @@ class _Parser(argparse.ArgumentParser):
 
 # --- serialization helpers ---------------------------------------------------
 
+# the rows of a CSV formatted by one ``%``, which bounds the text held at once
+CSV_BLOCK_ROWS = 256
+
+
 def write_csv(path, header, columns):
     """CSV of ``header`` and ``columns``, the series' arrays of N rows, each
     of shape (N,) or (N, k), side by side: comma separator, '.' decimals, LF
-    endings, every cell a float with 17 significant digits, all formatted by
-    one ``%`` of the row template N times. An empty series gives the header."""
+    endings, every cell a float with 17 significant digits, each block of
+    ``CSV_BLOCK_ROWS`` rows formatted by one ``%`` of the row template and
+    written. An empty series gives the header."""
     cells = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist()))
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cells), CSV_BLOCK_ROWS):
+            block = cells[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _axis_names(dim):
@@ -406,6 +415,8 @@ def cmd_simulate(run, args, problem):
 def cmd_work(run, args, problem):
     """work (line work) and stokes (surface-form work), by the command's name."""
     from . import pathwork
+    if args.assert_value is not None and not args.tol >= 0.0:
+        raise UsageError(f"--tol: expected a number >= 0, got {args.tol!r}")
     path = _path(args, problem)
     if args.command == "work":
         res, pieces = pathwork.line_work(problem.force, path), "segments"

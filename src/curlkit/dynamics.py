@@ -36,18 +36,28 @@ on the evaluated states, and if the integrator raises, the waiting
 intervals are integrated first, so a node error from an earlier step is
 the one raised.
 
-The right-hand side, run per stage, stays on Python floats with either
-integrator: the force's ``value_unchecked`` tuple, bound once per
-``integrate`` call, and the integrator's list state (see ``_ode``). States
+The right-hand side, run per stage on the integrator's list state (see
+``_ode``), is the force's own: ``F.particle_rhs(m, fallback)``, bound once
+per ``integrate`` call, returns (v, F(x) / m) as a list of Python floats,
+with the numbers and errors of ``value_unchecked``. For an expression
+force it is one function that ``exprlang`` generates from the components
+(reading the state, evaluating each tree and dividing by the mass in one
+frame), compiled once per tuple of component trees, so a run compiles
+nothing; for a sampler it is a closure over ``value_unchecked``. States
 become arrays in the block evaluator.
 
 A step that lands outside the field's domain box is bisected to the
 boundary (within 1e-10) and the trajectory is returned truncated with
 ``exited=True``; the example fields are singular on the coordinate axes,
 so running into a wall is an expected outcome, not an exception. Trial
-stages past the wall take ``value_unchecked``; where the field fails there
-(an expression singular beyond the wall, or a sampler that tests the box,
-as ``auxiliary``'s W gradient does), they take the box-clamped point.
+stages past the wall take the unchecked field; where it fails there (an
+expression singular beyond the wall, or a sampler that tests the box, as
+``auxiliary``'s W gradient does), the right-hand side's ``fallback`` takes
+the box-clamped point.
+
+The kinetic energy m |v|^2 / 2 of each row is taken after the run; where
+it overflows, ``integrate`` raises NumericalError naming the first such
+time, as the trajectory then has no work-energy diagnostic.
 
 Each piece of a step (one, or as many as ``record_dt`` asks) is recorded
 as ``refine`` equal intervals, each with its own Gauss rule; an integrand
@@ -145,15 +155,11 @@ def integrate(F, x0, v0, cfg, form=None):
         # (see the module docstring) the box-clamped point
         return field.value(np.clip(x, field.domain.lo, field.domain.hi)).tolist()
 
-    force = F.value_unchecked  # bound once: the right-hand side runs per stage
+    def fallback(y):
+        # the right-hand side where the force fails at y's position
+        return [*y[dim:], *[c / m for c in clamped(F, y[:dim])]]
 
-    def rhs(t, y):
-        x = y[:dim]
-        try:
-            f = force(x)
-        except (EvalDomainError, OutOfDomainError):
-            f = clamped(F, x)
-        return [*y[dim:], *[c / m for c in f]]
+    rhs = F.particle_rhs(m, fallback)
 
     def power(field, y):
         try:
@@ -285,11 +291,19 @@ def integrate(F, x0, v0, cfg, form=None):
 
     states = np.concatenate(rows)
     v = states[:, dim:]
+    t = np.array(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * m * np.sum(v * v, axis=1)
+    unbounded = ~np.isfinite(kinetic)
+    if unbounded.any():
+        # a speed whose square overflows has no work-energy diagnostic
+        raise NumericalError(
+            f"kinetic energy is not finite at t={float(t[np.argmax(unbounded)])!r}")
     return Trajectory(
-        t=np.array(ts),
+        t=t,
         x=states[:, :dim],
         v=v,
-        kinetic=0.5 * m * np.sum(v * v, axis=1),
+        kinetic=kinetic,
         work=np.concatenate(sums[0]),
         form_work=None if form is None else np.concatenate(sums[1]),
         exited=res.exited,

@@ -27,7 +27,10 @@ which raises the error a recursive walk meets first, and ``numpy`` over
 columns of N points (``eval_many``), whose tests are supersets of the
 checks. If any point of a batch fails one, the points are evaluated again
 with ``eval_at`` in order, so a batch raises exactly the error (type,
-message and span) that the pointwise loop raises first.
+message and span) that the pointwise loop raises first. A third output
+form, ``rhs``, writes the math backend's function of a force's components
+into the whole right-hand side of a particle's motion, the one of
+``dynamics.integrate`` (see ``compiled``).
 
 Derivatives are symbolic: ``derivative(tree, var)``, cached per tree and
 variable in ``tree.partials``. Their nodes carry the span of the source
@@ -480,7 +483,8 @@ class _Emitter:
 
     def __init__(self, backend):
         self.numpy = backend == "numpy"
-        self.namespace = dict(_NAMESPACES[backend])
+        self.rhs = backend == "rhs"  # the math backend's node rules
+        self.namespace = dict(_NAMESPACES["numpy" if self.numpy else "math"])
         self.lines = []
         self.names = {}  # id(node) -> expression of its value
         self.known = set()  # pass tests made already, or true of literals
@@ -545,19 +549,39 @@ class _Emitter:
         return out
 
     def function(self, roots):
-        results = "".join(f"{self.expr(root)}, " for root in roots)
+        results = [self.expr(root) for root in roots]
         convert = "X[{0}]" if self.numpy else "float(X[{0}])"
         entry = [f"x{i} = {convert.format(i)}" for i in sorted(self.coords)]
-        source = "\n ".join(["def f(X, C):", *entry, *self.lines, f"return ({results})"])
-        exec(compile(source, "<curlkit expression>", "exec"), self.namespace)
-        return self.namespace["f"]
+        if not self.rhs:
+            returned = "".join(f"{r}, " for r in results)
+            source = "\n ".join(["def f(X, C):", *entry, *self.lines, f"return ({returned})"])
+            exec(compile(source, "<curlkit expression>", "exec"), self.namespace)
+            return self.namespace["f"]
+        # X = (x, v) with n = len(roots) coordinates: [v_0, ..., r_0 / m, ...]
+        returned = [f"X[{len(roots) + i}]" for i in range(len(roots))]
+        returned += [f"{r} / m" for r in results]
+        source = "\n".join(["def make(C, m, fallback):", " def f(t, X):", "  try:",
+                            *[f"   {line}" for line in entry + self.lines],
+                            f"   return [{', '.join(returned)}]", "  except E:",
+                            "   return fallback(X)", " return f"])
+        exec(compile(source, "<curlkit right-hand side>", "exec"), self.namespace)
+        return self.namespace["make"]
 
 
 def compiled(trees, backend):
     """``f(X, C)``: the values of ``trees`` at coordinates ``X`` (Python
     floats for ``"math"``, columns of shape (N,) for ``"numpy"``, which runs
     under ``np.errstate(all="ignore")`` and raises ``_PointFailed``) with
-    constants ``C``, as a tuple; built once and kept on the first tree."""
+    constants ``C``, as a tuple; built once and kept on the first tree.
+
+    ``"rhs"`` gives ``make(C, m, fallback)`` for the n component trees of a
+    force instead: it binds the constants, a mass and a fallback, and returns
+    the right-hand side ``f(t, X)`` of m x'' = F(x) on the state X = (x, v)
+    of 2n floats, the list ``[X[n], ..., X[2n-1], F_0 / m, ..., F_{n-1} / m]``
+    with F the ``"math"`` function's values at ``X[:n]``: the same entry,
+    node rules, checks and order, so the same numbers and errors, in one
+    frame. Where a check raises EvalDomainError, ``f`` returns
+    ``fallback(X)`` instead."""
     key = backend if len(trees) == 1 else (backend, *[id(t.root) for t in trees[1:]])
     kept = trees[0].functions.get(key)
     if kept is None:

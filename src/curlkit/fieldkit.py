@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import exprlang
-from .errors import EVAL_ERRORS, DimensionMismatchError, OutOfDomainError
+from .errors import EVAL_ERRORS, DimensionMismatchError, EvalDomainError, OutOfDomainError
 
 FD_STEP_FACTOR = 6.06e-6
 SAMPLE_CACHE_SIZE = 32
@@ -335,6 +335,14 @@ class VectorFieldDef:
         """``value`` as a tuple of floats, without the domain-box test."""
         return self._at(p, self.constants)
 
+    def particle_rhs(self, mass, fallback):
+        """The right-hand side (t, y) -> [*y[dim:], *[c / mass for c in
+        value_unchecked(y[:dim])]] of m x'' = F(x) on the state y = (x, v),
+        or ``fallback(y)`` where the field fails (EvalDomainError): one
+        function generated from the components, with the numbers and errors
+        of ``value_unchecked`` (see ``exprlang.compiled``)."""
+        return exprlang.compiled(self.trees, "rhs")(self.constants, mass, fallback)
+
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, as an
         (N, dimension) array, from one batch evaluation of the components;
@@ -383,6 +391,20 @@ class CallableVectorField:
         """``value`` as a tuple of floats, without the domain-box test; ``fn``
         gets the point as given (the integrators' list of floats)."""
         return tuple(map(float, self._fn(p)))
+
+    def particle_rhs(self, mass, fallback):
+        """``VectorFieldDef.particle_rhs`` on ``value_unchecked``; the
+        fallback also takes an OutOfDomainError of the sampler."""
+        force, dim = self.value_unchecked, self.dimension
+
+        def rhs(t, y):
+            try:
+                f = force(y[:dim])
+            except (EvalDomainError, OutOfDomainError):
+                return fallback(y)
+            return [*y[dim:], *[c / mass for c in f]]
+
+        return rhs
 
     def values(self, P):
         """``value`` at each row of the (N, dimension) array P, from the

@@ -306,6 +306,58 @@ def test_a_span_of_1e_13_is_integrated(tmp_path, problem, argv):
         assert results["stats"]["steps"] == 10 and results["t_final"] == 1e-13
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace2d", BERRY, "--x0", "1,1", "--arclength", "5e-324", "--steps", "1"),
+    ("reach2d", BERRY, "--x0", "1,1", "--targets", "1.2,1", "--arclength", "5e-324"),
+    ("characteristics", TRIPLE, "--x0", "1,1,1", "--s-max", "5e-324"),
+    ("maneuver3d", TRIPLE, "--x0", "1,1,1", "--eps", "5e-324"),
+], ids=["trace2d", "reach2d", "characteristics", "maneuver3d"])
+def test_a_span_of_5e_324_is_refused_at_once(tmp_path, problem, capsys, monkeypatch, argv):
+    # the first dopri45 step, span / 100, is 0, which a floor of 1e-14 times
+    # a span below 1 (itself 0) let through: t never advanced, and only the
+    # step cap ended the run. The cap is lowered so that such a run ends
+    # here, with another message
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 10_000)
+    command, doc, *rest = argv
+    code, report = run(tmp_path, command, problem(doc), *rest)
+    assert (code, report) == (cli.EXIT_NUMERICAL, None)
+    assert capsys.readouterr().err == "numerical failure: step size underflow at t=0.0\n"
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "dopri45"])
+def test_a_kinetic_energy_that_overflows_is_named(tmp_path, problem, integrator):
+    # v * v overflowed in NumPy with a RuntimeWarning (a traceback under
+    # error::RuntimeWarning), into the report's non-finite guard
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curlkit.cli", "simulate", problem(BERRY), "--x0", "1,1",
+         "--v0", "1e300,1", "--t-end", "1", "--integrator", integrator, "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="error::RuntimeWarning"))
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert proc.stderr == "numerical failure: kinetic energy is not finite at t=0.0\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "-0.001"])
+@pytest.mark.parametrize("command", ["work", "stokes"])
+def test_a_negative_or_nan_tol_is_a_usage_error(tmp_path, problem, capsys, command, tol):
+    # no value is within a negative or NaN tolerance of its target, so the
+    # run wrote a failed assertion and exited 4
+    code, report = run(tmp_path, command, problem(BERRY_DECLARED), "--path", "square",
+                       "--assert-value", "-1", "--tol", tol)
+    assert (code, report) == (cli.EXIT_USAGE, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    assert capsys.readouterr().err == f"error: --tol: expected a number >= 0, got {float(tol)!r}\n"
+
+
+def test_a_tol_of_zero_is_taken(tmp_path, problem):
+    code, report = run(tmp_path, "work", problem(BERRY_DECLARED), "--path", "square",
+                       "--assert-value", "-1", "--tol", "0")
+    assert code == cli.EXIT_ASSERTION
+    assert report["assertions"][0]["tolerance"] == 0.0
+
+
 def test_exit_assertion(tmp_path, problem):
     code, report = run(tmp_path, "classify", problem(BERRY), "--samples", "20",
                        "--assert-class", "conservative")
@@ -451,6 +503,18 @@ def test_write_csv_matches_the_per_value_writer(tmp_path):
         assert path.read_bytes() == reference_csv(header, rows)
     cli.write_csv(path, ["i", "v"], (np.zeros(0), np.zeros((0, 1))))
     assert path.read_bytes() == b"i,v\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                                  cli.CSV_BLOCK_ROWS + 1, 3 * cli.CSV_BLOCK_ROWS + 5])
+def test_write_csv_blocks_write_the_bytes_of_one_format(tmp_path, rows):
+    # a block of rows at a time writes what one % over every row wrote
+    rng = np.random.default_rng(rows)
+    t, x = rng.normal(size=rows), rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-9, 9, (rows, 2))
+    path = tmp_path / "out.csv"
+    cli.write_csv(path, ["t", "x", "y"], (t, x))
+    cells = tuple(np.column_stack((t, x)).ravel().tolist())
+    assert path.read_bytes() == ("t,x,y\n" + ("%.17g,%.17g,%.17g\n" * rows) % cells).encode()
 
 
 def numpy_rows(series):

@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -183,6 +184,7 @@ def test_kinetic_values():
     assert traj.kinetic.shape == traj.t.shape
     # m = 2, |v|^2 = 2 -> K = 2 everywhere
     assert np.allclose(traj.kinetic, 2.0, atol=1e-14)
+    assert np.array_equal(traj.kinetic, 0.5 * 2.0 * np.sum(traj.v * traj.v, axis=1))
 
 
 def test_kinetic_zero_velocity():
@@ -757,3 +759,95 @@ def test_rk4_midpoint_is_the_stored_half_step_state(monkeypatch):
     end = theta == 1.0
     assert np.array_equal(out[end], parts[end, 8:12])
     assert np.array_equal(out[end], np.hstack((traj.x, traj.v))[1:])
+
+
+# --- the generated right-hand side ---------------------------------------------
+
+
+def integrator_rhs(monkeypatch, F, x0, mass):
+    """The right-hand side that ``integrate`` hands to rk4 for F and ``mass``,
+    after a short run from x0 at rest."""
+    taken, real = [], dynamics.integrate_rk4
+    monkeypatch.setattr(dynamics, "integrate_rk4",
+                        lambda f, *args, **kwargs: taken.append(f) or real(f, *args, **kwargs))
+    integrate(F, x0, (0.0, 0.0), SimConfig(integrator="rk4", h=0.05, t_end=0.1, mass=mass))
+    return taken[0]
+
+
+def test_the_rhs_takes_the_clamped_point_where_a_check_fails(monkeypatch):
+    F = VectorFieldDef.from_source(["log(x) + k", "-y*k"], 2, {"k": 0.5},
+                                   Box((0.5, -1.0), (2.0, 1.0)))
+    rhs = integrator_rhs(monkeypatch, F, (1.0, 0.0), 3.0)
+    inside = [1.25, -0.5, 0.75, 2.0]
+    assert rhs(0.0, inside) == [0.75, 2.0, *[c / 3.0 for c in F.value_unchecked(inside[:2])]]
+    # past the wall, log(-0.5) fails, and the box-clamped point (0.5, 0.25) is taken
+    past = [-0.5, 0.25, 1.0, 2.0]
+    assert rhs(0.0, past) == [1.0, 2.0, *[c / 3.0 for c in F.value((0.5, 0.25)).tolist()]]
+    # smooth past the wall: no clamping
+    beyond = [3.0, 0.25, 1.0, 2.0]
+    assert rhs(0.0, beyond) == [1.0, 2.0, *[c / 3.0 for c in F.value_unchecked(beyond[:2])]]
+
+
+def test_the_rhs_raises_the_error_of_a_clamped_point_that_fails(monkeypatch):
+    # the clamped point (0, 0.5) lies on the face x = 0, where log fails too
+    F = VectorFieldDef.from_source(["-y", "log(x)"], 2, domain=Box((0.0, -1.0), (2.0, 1.0)))
+    rhs = integrator_rhs(monkeypatch, F, (1.0, 0.0), 1.0)
+    with pytest.raises(EvalDomainError) as want:
+        F.value((0.0, 0.5))
+    with pytest.raises(EvalDomainError) as got:
+        rhs(0.0, [-1.0, 0.5, 0.0, 0.0])
+    assert str(got.value) == str(want.value) and got.value.span == want.value.span == (0, 6)
+    assert isinstance(got.value.__context__, EvalDomainError)  # log(-1), unclamped
+
+
+def test_a_second_integrate_compiles_no_source(monkeypatch):
+    box = Box((0.05, 0.05), (5.0, 5.0))
+    F = VectorFieldDef.from_source(["-x*y^2 + k", "-x^3"], 2, {"k": 0.01}, box)
+    configs = [SimConfig(integrator="rk4", h=1e-2, t_end=0.5), SimConfig(t_end=0.5)]
+    first = [integrate(F, *BERRY_START, cfg) for cfg in configs]
+    compiled, compile = [], builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda *args, **kwargs: compiled.append(args[1]) or compile(*args, **kwargs))
+    again = VectorFieldDef.from_source(["-x*y^2 + k", "-x^3"], 2, {"k": 0.01}, box)
+    for field in (F, again):
+        for cfg, before in zip(configs, first):
+            traj = integrate(field, *BERRY_START, cfg)
+            assert np.array_equal(traj.x, before.x) and np.array_equal(traj.work, before.work)
+        # another mass binds into the same function
+        integrate(field, *BERRY_START, SimConfig(integrator="rk4", h=1e-2, t_end=0.5, mass=2.0))
+    assert compiled == []
+
+
+def test_forces_that_share_a_first_component_keep_their_own_rhs():
+    box = Box((0.05, 0.05), (5.0, 5.0))
+    one = VectorFieldDef.from_source(["-x*y^2", "-x^3"], 2, domain=box)
+    two = VectorFieldDef.from_source(["-x*y^2", "-x^3 + y"], 2, domain=box)
+    # the same text, spelled with other spans, parses to a tree of its own
+    alone = VectorFieldDef.from_source([" -x*y^2", "-x^3 + y"], 2, domain=box)
+    assert one.trees[0] is two.trees[0] and alone.trees[0] is not two.trees[0]
+    for cfg in (SimConfig(integrator="rk4", h=1e-2, t_end=0.5), SimConfig(t_end=0.5)):
+        a, b, c = (integrate(F, *BERRY_START, cfg) for F in (one, two, alone))
+        assert np.array_equal(b.x, c.x) and np.array_equal(b.v, c.v)
+        assert not np.array_equal(a.v, b.v)
+
+
+# --- the kinetic energy -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "dopri45"])
+def test_a_kinetic_energy_that_overflows_at_the_start_is_named(integrator):
+    # v * v overflowed in NumPy with a RuntimeWarning, an error under pytest
+    with pytest.raises(NumericalError) as err:
+        integrate(berry_field(), (1, 1), (1e300, 1), SimConfig(integrator=integrator, t_end=1.0))
+    assert str(err.value) == "kinetic energy is not finite at t=0.0"
+
+
+def test_a_kinetic_energy_that_overflows_later_names_its_first_row():
+    # a constant force speeds the particle up from K = 0.85e308; rk4 is exact
+    # for it up to rounding, and its rows lie at multiples of h
+    v0, f, h = math.sqrt(1.7e308), 1e152, 0.5
+    F = VectorFieldDef.from_source([repr(f), "0"], 2, domain=Box((-1e300, -1.0), (1e300, 1.0)))
+    with pytest.raises(NumericalError) as err:
+        integrate(F, (0, 0), (v0, 0), SimConfig(integrator="rk4", h=h, t_end=10.0))
+    t = next(n * h for n in range(1, 21) if math.isinf(0.5 * ((v0 + f * n * h) * (v0 + f * n * h))))
+    assert 3.0 < t < 10.0 and str(err.value) == f"kinetic energy is not finite at t={t!r}"

@@ -1078,6 +1078,50 @@ def test_compiled_functions_are_kept_on_the_first_tree():
     assert other.root == tree.root and exprlang.compiled((other,), "math") is not f
 
 
+_SOURCES_3D = st.recursive(st.one_of(st.sampled_from(["x", "y", "z", "c"]), _LITERALS),
+                           _extender(_DUAL_FUNCTIONS + ["sign"]), max_leaves=8)
+
+
+@REPEATABLE
+@given(st.data(), st.sampled_from([2, 3]), st.floats(-3.0, 3.0),
+       st.sampled_from([1.0, 2.0, 0.3, 1e-3, 7.5, 3]))
+def test_the_particle_rhs_is_the_force_over_the_mass_bit_for_bit(data, dim, c, mass):
+    # the generated right-hand side against the list built from the math
+    # function's tuple, as dynamics built it: the same numbers and errors,
+    # and the fallback where a check raises EvalDomainError
+    sources = data.draw(st.lists(_SOURCES if dim == 2 else _SOURCES_3D,
+                                 min_size=dim, max_size=dim))
+    y = list(data.draw(st.tuples(*[_WALKER_COORD] * (2 * dim))))
+    trees = [parse(source, dim, {"c"}) for source in sources]
+    constants, fallbacks = {"c": c}, []
+    rhs = exprlang.compiled(trees, "rhs")(constants, mass,
+                                          lambda Y: fallbacks.append(Y) or "fallback")
+    got = _outcome(lambda: rhs(0.0, y))
+    force = exprlang.compiled(trees, "math")
+    want = _outcome(lambda: [*y[dim:], *[f / mass for f in force(y[:dim], constants)]])
+    if isinstance(want, EvalDomainError):
+        assert got == "fallback" and len(fallbacks) == 1 and fallbacks[0] is y
+    elif isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (sources, y)
+    else:
+        assert isinstance(got, list) and len(got) == len(want) == 2 * dim
+        assert all(_same_outcome(a, b) for a, b in zip(got, want)), (sources, y)
+
+
+def test_right_hand_sides_are_kept_per_tuple_of_trees():
+    # forces that share their first component share the tree that keeps the
+    # functions, so the key holds the other roots
+    a, b, c = parse("x*y", 2), parse("x - y", 2), parse("x + y", 2)
+    make = exprlang.compiled((a, b), "rhs")
+    assert exprlang.compiled([a, b], "rhs") is make
+    other = exprlang.compiled((a, c), "rhs")
+    assert other is not make
+    y = [2.0, 3.0, 0.5, 0.25]
+    assert make({}, 2.0, None)(0.0, y) == [0.5, 0.25, 3.0, -0.5]
+    assert other({}, 2.0, None)(0.0, y) == [0.5, 0.25, 3.0, 2.5]
+    assert exprlang.compiled((a, b), "math")(y, {}) == (6.0, -1.0)
+
+
 def test_emission_quotes_constant_names_and_binds_non_finite_literals():
     # the emitter reads node fields only, so text in the tree's source
     # never reaches exec

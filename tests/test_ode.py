@@ -211,6 +211,68 @@ def test_rk4_takes_each_step_of_a_tiny_span():
     assert ends[:-1] == [n * 1e-14 for n in range(1, 10)] and ends[-1] == res.t == 1e-13
 
 
+def test_a_tiny_span_away_from_zero_takes_its_steps():
+    # both tiny-span fixes scaled with abs(t): at t0 = 0.25, rk4's end snap
+    # (2.5e-13) took the whole span of 1e-13 in one step, and dopri45's floor
+    # (2.5e-15) refused its first step, span / 100
+    t0, t_end, h = 0.25, 0.25 + 1e-13, 1e-14
+    ends = []
+    res = integrate_rk4(harmonic, t0, np.array([1.0, 0.0]), t_end, h,
+                        on_step=lambda ta, ya, tb, yb, dense: ends.append(tb))
+    assert res.stats.n_steps == len(ends) == 10
+    assert ends[:-1] == [t0 + n * h for n in range(1, 10)] and ends[-1] == res.t == t_end
+    res = integrate_dopri45(harmonic, t0, np.array([1.0, 0.0]), t_end)
+    span = t_end - t0
+    assert res.t == t_end and not res.exited and res.stats.n_steps >= 10
+    assert res.y == pytest.approx([math.cos(span), -math.sin(span)], abs=1e-15)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25, -3.0, 1e6])
+def test_dopri_refuses_a_step_that_leaves_t_where_it_is(t0):
+    # the smallest span after t0: its first step, span / 100, is below half
+    # the float spacing there (0 at t0 = 0), so t + h == t; at t0 = 0 the
+    # floor, 1e-14 times the span, was 0 too, and the zero steps ran on
+    calls = []
+    f = lambda t, y: calls.append(t) or harmonic(t, y)
+    with pytest.raises(NumericalError) as err:
+        integrate_dopri45(f, t0, np.array([1.0, 0.0]), math.nextafter(t0, math.inf))
+    assert str(err.value) == f"step size underflow at t={t0!r}"
+    assert calls == [t0]  # the first stage only
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_rk4_stepper_is_the_comprehension_step_bit_for_bit(n):
+    def comprehensions(f, t, y, h, k1):
+        # the step as it was written before its stages were unrolled
+        a = 0.5 * h
+        k2 = f(t + a, [yi + a * ki for yi, ki in zip(y, k1)])
+        k3 = f(t + a, [yi + a * ki for yi, ki in zip(y, k2)])
+        k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+        c = h / 6.0
+        return [yi + c * (a1 + 2 * a2 + 2 * a3 + a4)
+                for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
+
+    step = _ode._rk4_stepper(n)
+    assert _ode._rk4_stepper(n) is step  # built once per state length
+    rng = np.random.default_rng(n)
+    A = (rng.normal(size=(n, n)) / 3).tolist()
+    calls = []
+
+    def f(t, y):
+        calls.append((t, list(y)))
+        return [t + sum(a * b for a, b in zip(row, y)) for row in A]
+
+    y, k1 = rng.normal(size=n).tolist(), rng.normal(size=n).tolist()
+    for h in (0.37, 1e-3, 3.0):
+        got = step(f, 0.3, y, h, k1)
+        got_calls, calls[:] = calls[:], []
+        want = comprehensions(f, 0.3, y, h, k1)
+        assert isinstance(got, list) and same(got, want)
+        assert [t for t, _ in got_calls] == [t for t, _ in calls]
+        assert all(same(a, b) for (_, a), (_, b) in zip(got_calls, calls))
+        calls.clear()
+
+
 def test_sample_every_hits_each_sample_time_once():
     ds = 0.0137
     step_ends = []
