@@ -265,23 +265,24 @@ def _locate_boundary(dense, inside, theta_lo, theta_hi):
     return theta_lo
 
 
-def _guard_step(t0, h, y0, y1, dense, inside, on_step):
-    """Handle a step that may cross the admissible boundary.
-
-    Returns (handled, t, y). When the boundary is crossed the truncated
-    step is reported to the callback and (True, t_exit, y_exit) returned.
+def _accept_step(t0, h, t1, y0, y1, dense, inside, on_step):
+    """Hand an accepted step to the callback, truncated where it crosses
+    the admissible boundary; returns None, or (t_exit, y_exit) when it does.
     """
-    mid_inside = inside(dense(0.5))
-    end_inside = inside(y1)
-    if mid_inside and end_inside:
-        return False, t0 + h, y1
-    hi = 0.5 if not mid_inside else 1.0
-    theta = _locate_boundary(dense, inside, 0.0, hi)
-    y_exit = dense(theta)
-    t_exit = t0 + theta * h
-    if on_step is not None and theta > 0.0:
-        on_step(t0, y0, t_exit, y_exit, dense.clipped(theta))
-    return True, t_exit, y_exit
+    if inside is not None:
+        mid_inside = inside(dense(0.5))
+        end_inside = inside(y1)
+        if not (mid_inside and end_inside):
+            hi = 0.5 if not mid_inside else 1.0
+            theta = _locate_boundary(dense, inside, 0.0, hi)
+            y_exit = dense(theta)
+            t_exit = t0 + theta * h
+            if on_step is not None and theta > 0.0:
+                on_step(t0, y0, t_exit, y_exit, dense.clipped(theta))
+            return t_exit, y_exit
+    if on_step is not None:
+        on_step(t0, y0, t1, y1, dense)
+    return None
 
 
 def _dopri_stages(f, t, y, h, k1):
@@ -375,12 +376,9 @@ def integrate_dopri45(f, t0, y0, t_end, atol=1e-9, rtol=1e-9, h_max=None, inside
 
         dense = _DopriDense(y, y1, k, h)
         stats.n_steps += 1
-        if inside is not None:
-            crossed, t_new, y_new = _guard_step(t, h, y, y1, dense, inside, on_step)
-            if crossed:
-                return OdeResult(t_new, np.array(y_new), True, stats)
-        if on_step is not None:
-            on_step(t, y, t + h, y1, dense)
+        crossing = _accept_step(t, h, t + h, y, y1, dense, inside, on_step)
+        if crossing is not None:
+            return OdeResult(crossing[0], np.array(crossing[1]), True, stats)
 
         t = t + h
         y = y1
@@ -485,12 +483,9 @@ def integrate_rk4(f, t0, y0, t_end, h, inside=None, on_step=None):
         end_slope = _rk4_end_slope(f, t1, y1, stats)
         dense = _Rk4Dense(y, ym, y1, f0, fm, end_slope, step)
 
-        if inside is not None:
-            crossed, t_new, y_new = _guard_step(t, step, y, y1, dense, inside, on_step)
-            if crossed:
-                return OdeResult(t_new, np.array(y_new), True, stats)
-        if on_step is not None:
-            on_step(t, y, t1, y1, dense)
+        crossing = _accept_step(t, step, t1, y, y1, dense, inside, on_step)
+        if crossing is not None:
+            return OdeResult(crossing[0], np.array(crossing[1]), True, stats)
         t = t1
         y = y1
 

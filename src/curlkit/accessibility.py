@@ -84,7 +84,8 @@ def zero_work_trace_2d(F, x0, arclength, steps=4096, truncate_on_exit=False):
     Returns a polyline ParamPath with roughly ``steps`` recorded points
     per direction. The work of F along it vanishes by construction; the
     returned discretization keeps the quadrature value at the chord
-    sampling order (finer traces give smaller residual work).
+    sampling order (finer traces give smaller residual work). A trial
+    stage past the wall takes the unchecked field, never a clamped point.
     """
     if F.dimension != 2:
         raise DimensionMismatchError("zero-work tracing is the 2D construction")
@@ -226,7 +227,8 @@ def bracket_maneuver_3d(F, x0, eps):
     maneuver aborts (reduce eps). Work along each leg is accumulated by
     Simpson panels on the flow's steps, with one F per node shared with its
     frame, and stays at round-off: the instantaneous power F . dx/ds
-    vanishes identically on the kernel.
+    vanishes identically on the kernel. A trial stage past the wall takes
+    the unchecked field, never a clamped point.
     """
     if F.dimension != 3:
         raise DimensionMismatchError("bracket maneuvers are the 3D construction")

@@ -40,12 +40,13 @@ declares paths loads pathwork.
 
 Exit codes: 0 success, 1 usage error (including an option the command
 does not take, a non-finite component of --x0, --v0 or --targets, a
-negative or NaN --tol, and a parameter the analysis rejects, such as an
-rk4 --h that would need more steps than the step cap or a --steps above
-it), 2 input error, 3 numerical failure (domain exit, rescaling floor,
-non-convergence, a step that cannot advance t, more recorded rows than
-the step cap, a kinetic energy that overflows, a non-finite number in the
-report), 4 assertion failure.
+non-finite --assert-* threshold, a --tol not finite and >= 0, and a
+parameter the analysis rejects, such as an rk4 --h that would need more
+steps than the step cap or a --steps above it), 2 input error, 3
+numerical failure (domain exit, rescaling floor, non-convergence, a step
+that cannot advance t, more recorded rows than the step cap, a kinetic
+energy that overflows, a non-finite number in the report), 4 assertion
+failure.
 
 Reports are deterministic for fixed inputs and seeds: the inputs digest
 is a SHA-256 over the problem file bytes and the canonicalized command
@@ -415,8 +416,6 @@ def cmd_simulate(run, args, problem):
 def cmd_work(run, args, problem):
     """work (line work) and stokes (surface-form work), by the command's name."""
     from . import pathwork
-    if args.assert_value is not None and not args.tol >= 0.0:
-        raise UsageError(f"--tol: expected a number >= 0, got {args.tol!r}")
     path = _path(args, problem)
     if args.command == "work":
         res, pieces = pathwork.line_work(problem.force, path), "segments"
@@ -706,6 +705,16 @@ def _resolve_conditional(args):
             raise UsageError(f"--{dest.replace('_', '-')} is read only {where}")
 
 
+def _check_thresholds(args):
+    """Refuse a non-finite --assert-* threshold or --tol, and a negative --tol."""
+    for dest, value in vars(args).items():
+        if dest == "tol" and not value >= 0.0:
+            raise UsageError(f"--tol: expected a number >= 0, got {value!r}")
+        if ((dest == "tol" or dest.startswith("assert_")) and isinstance(value, float)
+                and not math.isfinite(value)):
+            raise UsageError(f"--{dest.replace('_', '-')}: expected a finite number, got {value!r}")
+
+
 @lru_cache(maxsize=1)
 def _parser():
     # built once per process: building costs some twenty parses, which leave it unchanged
@@ -716,6 +725,7 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         _resolve_conditional(args)
+        _check_thresholds(args)
         problem = load_problem(args.problem)
         if args.dimension not in (None, problem.dimension):
             raise ProblemFileError(f"{args.command} needs a {args.dimension}D problem")

@@ -327,8 +327,9 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
 
     The right-hand side returns the curl as a list of floats
     (``fieldkit._curl_3d``), bit for bit the one of ``fieldkit.curl``, so
-    the dopri45 stages stay on floats; a trial stage past the wall takes it
-    at the box-clamped point.
+    the dopri45 stages stay on floats. Every trial stage past the wall
+    takes the curl at the box-clamped point, unlike ``dynamics.integrate``,
+    which clamps only where the field fails there.
     """
     if F.dimension != 3:
         raise DimensionMismatchError("characteristics are traced for 3D fields")
@@ -343,8 +344,6 @@ def characteristic_deviation(F, V, x0, s_max, steps=200):
     deviation = 0.0
 
     def rhs(s, x):
-        # a trial stage past the wall takes the curl at the box-clamped
-        # point, as ``dynamics`` does, and the guard places the exit
         return fieldkit._curl_3d(F, x if F.domain.contains(x)
                                  else np.clip(x, F.domain.lo, F.domain.hi))
 

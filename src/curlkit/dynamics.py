@@ -131,7 +131,9 @@ class Trajectory:
 
 
 def integrate(F, x0, v0, cfg, form=None):
-    """Integrate m x'' = F(x) from (x0, v0) until t_end or domain exit.
+    """Integrate m x'' = F(x) from (x0, v0) until t_end or domain exit. A
+    trial stage past the wall takes the unchecked field, and the
+    box-clamped point only where that fails (see the module docstring).
 
     ``form``, a vector field G, adds the cumulative integral of G . v dt
     as ``Trajectory.form_work``; it is None without one.

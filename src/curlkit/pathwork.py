@@ -225,19 +225,10 @@ def _loop_vertices(path):
     return verts
 
 
-def _cross3(a, b):
-    """``np.cross`` of two 3-vector arrays, bit for bit: the same products
-    and differences on Python floats, without its per-call cost."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def _newell_normal(verts):
     n = np.zeros(3)
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        n += _cross3(a, b)
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        n += np.cross(a, b)
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise NumericalError("degenerate polygon (zero area)")
@@ -306,9 +297,9 @@ def stokes_work(F, loop):
         _check_planar(verts, normal)
         origin = verts.mean(axis=0)
         seed = np.eye(3)[int(np.argmin(np.abs(normal)))]
-        e1 = _cross3(seed, normal)
+        e1 = np.cross(seed, normal)
         e1 /= np.linalg.norm(e1)
-        e2 = _cross3(normal, e1)
+        e2 = np.cross(normal, e1)
         uv = np.column_stack(((verts - origin) @ e1, (verts - origin) @ e2))
 
         def integrand(points):

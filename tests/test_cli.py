@@ -167,6 +167,19 @@ def test_decompose3d_exits_numerical_when_the_split_is_not_conservative(
     assert "not conservative" in capsys.readouterr().err
 
 
+def test_decompose3d_refuses_a_v_that_varies_along_the_curl_lines(tmp_path, problem, capsys):
+    # TRIPLE's V = y is constant along its curl characteristics, x is not
+    path = problem(TRIPLE)
+    code, report = run(tmp_path, "decompose3d", path, "--v", "x", "--samples", "20")
+    assert (code, report) == (cli.EXIT_NUMERICAL, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]  # no CSV either
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: V is not constant along the curl characteristics: ")
+    code, report = run(tmp_path, "decompose3d", path, "--samples", "20")
+    assert code == cli.EXIT_OK
+    assert len(Path(report["artifacts"]["samples"]).read_text().splitlines()) == 1 + 20
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("doc,argv,option", [
     (HARMONIC, ("simulate", "--x0", "1,{}", "--v0", "0,1", "--t-end", "1"), "--x0"),
@@ -193,6 +206,28 @@ def test_exit_numerical_for_a_start_outside_the_domain(tmp_path, problem, capsys
     assert code == cli.EXIT_NUMERICAL
     assert report is None
     assert "initial position outside field domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    (BERRY, ("trace2d", "--x0", "9,1", "--arclength", "0.1"),
+     r"start point outside domain: \(9\.0, 1\.0\)"),
+    (BERRY, ("reach2d", "--x0", "9,1", "--targets", "1.1,1.1"),
+     r"start point outside domain: \(9\.0, 1\.0\)"),
+    (TRIPLE, ("characteristics", "--x0", "20,1,1", "--s-max", "0.1"),
+     r"start point outside domain: \(20\.0, 1\.0, 1\.0\)"),
+    (TRIPLE, ("maneuver3d", "--x0", "20,1,1", "--eps", "0.05"),
+     r"start point outside domain: \(20\.0, 1\.0, 1\.0\)"),
+    # y within the bisection's 1e-10 of the wall at 10
+    (TRIPLE, ("maneuver3d", "--x0", "9.99,9.99,9.99", "--eps", "0.5"),
+     r"maneuver left the domain: \(\S+, 9\.9999999999\d*, \S+\)"),
+], ids=["trace2d", "reach2d", "characteristics", "maneuver3d", "maneuver3d-leaves"])
+def test_a_flow_outside_the_domain_is_a_numerical_failure(tmp_path, problem, capsys, doc, argv,
+                                                           message):
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
+    assert (code, report) == (cli.EXIT_NUMERICAL, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]  # no CSV either
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"numerical failure: {message}\n", err), err
 
 
 def test_a_tolerance_too_small_for_the_error_norm_is_a_numerical_failure(tmp_path, problem):
@@ -306,6 +341,15 @@ def test_a_span_of_1e_13_is_integrated(tmp_path, problem, argv):
         assert results["stats"]["steps"] == 10 and results["t_final"] == 1e-13
 
 
+def test_a_trace_spaced_below_the_sample_reach_records_two_points_per_step(tmp_path, problem):
+    # a spacing of 1e-16, below the 1e-15 by which a step end reaches a
+    # sample time, recorded points past the arclength
+    code, report = run(tmp_path, "trace2d", problem(BERRY), "--x0", "1,1", "--arclength", "1e-12",
+                       "--steps", "10000")
+    assert code == cli.EXIT_OK
+    assert report["results"]["points"] == 2 * 10000 + 1
+
+
 @pytest.mark.parametrize("argv", [
     ("trace2d", BERRY, "--x0", "1,1", "--arclength", "5e-324", "--steps", "1"),
     ("reach2d", BERRY, "--x0", "1,1", "--targets", "1.2,1", "--arclength", "5e-324"),
@@ -412,6 +456,15 @@ def test_trajectory_csv_round_trips_exactly(tmp_path, problem):
     assert np.array_equal(parsed, expected)
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "dopri45"])
+def test_simulate_writes_a_csv_line_per_sample(tmp_path, problem, integrator):
+    code, report = run(tmp_path, "simulate", problem(BERRY), "--x0", "1,1", "--v0", "0.1,-0.1",
+                       "--integrator", integrator, "--record-dt", "0.01", "--t-end", "0.5")
+    assert code == cli.EXIT_OK
+    lines = Path(report["artifacts"]["trajectory"]).read_text().splitlines()
+    assert len(lines) == 1 + report["results"]["samples"]
+
+
 # the trajectory workload's Berry start, aimed so that t_end 2 runs into the wall
 BERRY_AUX = dict(BERRY, regions={"aux": {"box": [[0.1, 4.0], [0.1, 4.0]],
                                          "plan": {"type": "grid", "counts": [12, 12]}}})
@@ -463,6 +516,21 @@ def test_assert_deviation_min_records_the_deviation_and_its_bound(tmp_path, prob
         {"name": "deviation_at_least", "value": report["results"]["deviation"],
          "threshold": float(bound), "passed": code == cli.EXIT_OK}
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("maneuver3d", "--x0", "1,1,1", "--eps", "0.1", "--assert-work", "1e-10"),
+    # along the curl line from (1, 1, 1), x = e^s moves by e - 1 by s = 1,
+    # and x z stays constant
+    ("characteristics", "--x0", "1,1,1", "--s-max", "1", "--v", "x",
+     "--assert-deviation-min", "1.7"),
+    ("characteristics", "--x0", "1,1,1", "--s-max", "1", "--v", "x*z",
+     "--assert-deviation", "1e-9"),
+], ids=["maneuver3d-work", "characteristics-x", "characteristics-xz"])
+def test_the_triple_field_passes_its_assertion(tmp_path, problem, argv):
+    code, report = run(tmp_path, argv[0], problem(TRIPLE), *argv[1:])
+    assert code == cli.EXIT_OK
+    assert [a["passed"] for a in report["assertions"]] == [True]
 
 
 def reference_csv(header, rows):
@@ -689,13 +757,17 @@ def test_each_series_csv_has_its_header(tmp_path, problem, doc, argv, kind, head
     if kind == "trace":
         steps = np.linalg.norm(np.diff(body[:, 1:], axis=0), axis=1)
         assert np.array_equal(body[:, 0], np.concatenate([[0.0], np.cumsum(steps)]))
-    if kind == "path":
-        assert np.array_equal(body[:, 0], np.arange(len(body)))
+    if kind == "path":  # the start, the samples of the four legs and each leg's end
+        assert np.array_equal(body[:, 0], np.arange(len(body))) and len(body) > 4 * 32
+
+
+# each command's name and its parser
+COMMANDS = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_every_command_is_pinned():
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(sub.choices) == sorted(argv[0] for _, argv, _ in COMMAND_PARAMETERS)
+    assert sorted(COMMANDS) == sorted(argv[0] for _, argv, _ in COMMAND_PARAMETERS)
 
 
 @pytest.mark.parametrize("doc,argv,keys", COMMAND_PARAMETERS + CONDITIONAL_PARAMETERS,
@@ -706,6 +778,30 @@ def test_report_parameters_are_the_options_the_command_reads(tmp_path, problem, 
     code, report = run(tmp_path, argv[0], problem(doc), *argv[1:])
     assert code == cli.EXIT_OK
     assert set(report["parameters"]) == keys
+
+
+# every float option of every command, on the command's argv of COMMAND_PARAMETERS,
+# and what makes a conditional one read
+FLOAT_OPTIONS = [(doc, argv, action.option_strings[0])
+                 for doc, argv, _ in COMMAND_PARAMETERS
+                 for action in COMMANDS[argv[0]]._actions if action.type is float]
+ENABLING = {"--h": ("--integrator", "rk4"), "--tol": ("--assert-value", "0")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("doc,argv,option", FLOAT_OPTIONS,
+                         ids=[f"{argv[0]}-{option[2:]}" for _, argv, option in FLOAT_OPTIONS])
+def test_every_float_option_refuses_nan_and_inf(tmp_path, problem, capsys, doc, argv, option,
+                                                value):
+    # the thresholds (--assert-*, --tol) ran the whole analysis into the
+    # report's non-finite guard, exit 3; the option given last is the one read
+    code, report = run(tmp_path, argv[0], problem(doc), *argv[1:], *ENABLING.get(option, ()),
+                       option, value)
+    assert (code, report) == (cli.EXIT_USAGE, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+    err = capsys.readouterr().err
+    # the message names the value: a refusal for another reason fails here
+    assert err.startswith("error: ") and err.endswith(f"got {value}\n"), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1109,6 +1205,17 @@ COMMAND_MODULES = {
 def _python(*argv, cwd):
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True)
+
+
+def test_the_module_runs_as_the_command(tmp_path, problem):
+    # argparse answers --version before a problem loads, so a command follows
+    proc = _python("-m", "curlkit.cli", "--version", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"curlkit {cli.__version__}\n", "")
+    out = tmp_path / "classify.json"
+    proc = _python("-m", "curlkit.cli", "classify", problem(HARMONIC), "--samples", "20",
+                   "--out", str(out), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert json.loads(out.read_text())["results"]["class"] == "conservative"
 
 
 def test_set_up_imports_no_analysis_module(tmp_path, problem):

@@ -177,6 +177,55 @@ def test_paths_and_regions_must_be_objects(tmp_path, capsys, field, diagnostic):
     assert not out.exists()
 
 
+INVALID = "invalid problem file\n  - "
+_BOX = '"box": [[0, 1], [0, 1]]'
+
+# one fault each: the problem file (its bytes, none, or BASE with a "key":
+# value text put in place), the command that reads it, and its input error
+FAULTS = [(file, "classify", message) for file, message in [
+    (None, "cannot read problem file: [Errno 2] No such file or directory: 'problem.json'"),
+    (b"\xff{}", "problem file is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+               "position 0: invalid start byte"),
+    (b"[1, 2]", "problem file must be a JSON object"),
+    ('"extra": 1', INVALID + "unknown top-level fields: ['extra']"),
+    ('"constants": [1]', INVALID + "constants: must be a name -> number object"),
+    ('"constants": {"x": 1}', INVALID + "constants.x: collides with a coordinate or function"),
+    ('"force": [1, "-y"]', INVALID + "force[0]: expected an expression string"),
+    ('"potentials": {"Q": "x"}', INVALID + "potentials.Q: unknown key (use U, V, W)"),
+    ('"paths": {"p": {}}', INVALID + "paths.p: must be an object with a 'type' field"),
+    ('"paths": {"p": {"type": "spline"}}', INVALID + "paths.p.type: unknown path type 'spline'"),
+    ('"paths": {"p": {"type": "parametric", "components": ["s"]}}',
+     INVALID + "paths.p.components: needs 2 expressions"),
+    ('"regions": {"r": 1}', INVALID + "regions.r: must be an object"),
+    ('"regions": {"r": {"box": [[0, 9], [0, 1]], "plan": {"type": "grid", "counts": [2, 2]}}}',
+     INVALID + "regions.r.box: not contained in the problem domain"),
+    ('"regions": {"r": {' + _BOX + ', "plan": {}}}',
+     INVALID + "regions.r.plan: must be an object with a 'type'"),
+    ('"regions": {"r": {' + _BOX + ', "plan": {"type": "sobol"}}}',
+     INVALID + "regions.r.plan.type: unknown plan 'sobol'"),
+    ('"potentials": {"U": "log(x)"}', "problem file failed probe validation\n  - potentials.U: "
+     "probe at domain center failed: log of non-positive value 0.0 (expression bytes 0..6)"),
+]] + [
+    ('"potentials": {}', "verify", "problem declares no potential U/V; add a 'potentials' entry"),
+    ('"potentials": {}', "vpde", "problem declares no potential V"),
+]
+
+
+@pytest.mark.parametrize("file,command,message", FAULTS,
+                         ids=[m.split("- ")[-1].split(":")[0] for _, _, m in FAULTS])
+def test_each_fault_of_a_problem_file_is_its_one_diagnostic(tmp_path, capsys, monkeypatch, file,
+                                                            command, message):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(file, bytes):
+        (tmp_path / "problem.json").write_bytes(file)
+    elif file is not None:
+        write(tmp_path, file)
+    code = cli.main([command, "problem.json", "--samples", "5", "--out", "report.json"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("box", ["[[0, 1], [0, 1], [0, 1]]", "[[0, 1]]"], ids=["3-axes", "1-axis"])
 def test_a_region_box_must_have_the_problem_dimension(tmp_path, box):
     # zip in Box.contains_box compared the common axes only, so both loaded
